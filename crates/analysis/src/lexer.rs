@@ -231,12 +231,13 @@ pub fn lex(src: &str) -> Vec<Token> {
 }
 
 /// Consume a `"…"` string starting at the opening quote; returns the
-/// index after the closing quote. Tracks newlines.
+/// index after the closing quote. Tracks newlines, including the one
+/// a `\`-continuation escapes.
 fn lex_string(b: &[char], start: usize, line: &mut usize) -> usize {
     let mut j = start + 1;
     while j < b.len() {
         match b[j] {
-            '\\' => j += 2,
+            '\\' => j = skip_escape(b, j, line),
             '"' => return j + 1,
             c => {
                 if c == '\n' {
@@ -247,6 +248,15 @@ fn lex_string(b: &[char], start: usize, line: &mut usize) -> usize {
         }
     }
     j
+}
+
+/// Skip the backslash at `j` and the character it escapes; returns
+/// the index after both. An escaped newline still ends a line.
+fn skip_escape(b: &[char], j: usize, line: &mut usize) -> usize {
+    if b.get(j + 1) == Some(&'\n') {
+        *line += 1;
+    }
+    j + 2
 }
 
 /// Consume a raw string whose opening quote is at `start`, closed by
@@ -270,7 +280,7 @@ fn lex_char(b: &[char], start: usize, line: &mut usize) -> usize {
     let mut j = start + 1;
     while j < b.len() {
         match b[j] {
-            '\\' => j += 2,
+            '\\' => j = skip_escape(b, j, line),
             '\'' => return j + 1,
             c => {
                 if c == '\n' {
@@ -391,6 +401,18 @@ mod tests {
         let toks = lex(src);
         let g = toks.iter().find(|t| t.is_ident("g")).expect("g");
         assert_eq!(g.line, 3);
+    }
+
+    #[test]
+    fn line_numbers_survive_backslash_continuations() {
+        // `\` at the end of a line continues the string literal: the
+        // escaped newline is still a line break in the file.
+        let src = "let a = \"one \\\n two \\\n three\";\nlet c = '\\\n';\nfn g() {}\n";
+        let toks = lex(src);
+        let g = toks.iter().find(|t| t.is_ident("g")).expect("g");
+        assert_eq!(g.line, 5);
+        let s = stripped_text(src);
+        assert_eq!(s.lines().nth(5), Some("fn g(){}"));
     }
 
     #[test]

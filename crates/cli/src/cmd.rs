@@ -1953,6 +1953,9 @@ pub fn submit(a: &Args) -> CmdResult {
         println!("{id}");
         return Ok(());
     }
+    // Poll at 2 ms, doubling up to 100 ms: a small job is fetched within
+    // milliseconds, a long one costs the daemon ten polls a second.
+    let mut poll = std::time::Duration::from_millis(2);
     loop {
         match client.status(id).map_err(wire_err)? {
             netrepro_rps::JobResponse::State { state, journaled, total, .. } => {
@@ -1963,7 +1966,8 @@ pub fn submit(a: &Args) -> CmdResult {
                 if !state.is_live() {
                     return Err(ArgError(format!("job {id} ended {}", state.wire())));
                 }
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                std::thread::sleep(poll);
+                poll = (poll * 2).min(std::time::Duration::from_millis(100));
             }
             other => return Err(ArgError(format!("bad status reply: {}", other.wire().trim_end()))),
         }

@@ -888,6 +888,9 @@ pub struct BreakerEntry {
     pub tripped: bool,
 }
 
+/// Quarantined cells per breaker class (system × profile).
+type BreakerCounts = BTreeMap<String, u32>;
+
 /// Progress of one bounded, job-scoped slice ([`Sweep::run_slice`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobStep {
@@ -1083,37 +1086,13 @@ impl Sweep {
     /// commit, so the journal and report are byte-identical to a
     /// single-worker run.
     pub fn run_from(&self, replay: &Replay, sink: &mut dyn JournalSink) -> Result<SweepReport, String> {
-        install_quiet_hook();
-        let cells = self.config.expand();
-        if replay.records.len() > cells.len() {
-            return Err(format!(
-                "replay has {} records but the matrix has {} cells",
-                replay.records.len(),
-                cells.len()
-            ));
-        }
-        if !replay.has_header {
-            let header = JournalHeader {
-                version: JOURNAL_VERSION,
-                fingerprint: self.config.fingerprint(),
-                total_cells: cells.len() as u64,
-                cache: crate::cache::SCHEME.to_string(),
-            };
-            sink.append(&json_line(&header)?)?;
-        }
+        let (cells, mut clock, mut breaker) = self.open_journal(replay, sink)?;
         // Pre-size for the whole matrix: this buffer grows to one
         // record per cell, and the parallel path pushes from the
         // commit callback, where a reallocation pause would stall the
         // reorder pipeline.
         let mut records = Vec::with_capacity(cells.len());
         records.extend_from_slice(&replay.records);
-        let mut clock = records.last().map_or(0, |r| r.clock_end);
-        let mut breaker: BTreeMap<String, u32> = BTreeMap::new();
-        for r in &records {
-            if r.status == CellStatus::Quarantined {
-                *breaker.entry(r.cell.class()).or_insert(0) += 1;
-            }
-        }
         let start = records.len();
         if self.workers > 1 && cells.len() - start > 1 {
             crate::pool::run_ordered(
@@ -1151,9 +1130,21 @@ impl Sweep {
     }
 
     /// Job-scoped entry point for long-lived callers (the serve
-    /// daemon): replay `replay`, execute at most `budget` further
-    /// cells serially — each one write-ahead journaled like
-    /// [`Sweep::run_from`] — then stop and report progress.
+    /// daemon): continue the job whose committed prefix is `replay`,
+    /// execute at most `budget` further cells serially — each one
+    /// write-ahead journaled like [`Sweep::run_from`] — then stop and
+    /// report progress.
+    ///
+    /// `replay` is the caller's in-memory copy of the journal and the
+    /// slice keeps it in step with the sink: writing the header sets
+    /// `has_header`, and each committed record is pushed onto
+    /// `records` only after its append succeeded (`valid_bytes` and
+    /// `dropped_partial` still describe the journal as parsed). A
+    /// caller that holds the replay between slices therefore never
+    /// re-reads the journal; [`parse_journal`] (after a restart) or
+    /// [`Replay::empty`] (a fresh job) starts the chain. When the last
+    /// cell commits, the records move into the report and `records`
+    /// is left empty.
     ///
     /// Because [`Sweep::execute_cell`] is a pure function of the cell
     /// id and supervision state (virtual clock, breaker counts) is
@@ -1164,10 +1155,44 @@ impl Sweep {
     /// scheduling policy: it can never change a journal byte.
     pub fn run_slice(
         &self,
-        replay: &Replay,
+        replay: &mut Replay,
         sink: &mut dyn JournalSink,
         budget: u64,
     ) -> Result<JobStep, String> {
+        let (cells, mut clock, mut breaker) = self.open_journal(replay, sink)?;
+        replay.has_header = true;
+        let start = replay.records.len();
+        let stop = cells.len().min(start.saturating_add(budget as usize));
+        for (i, &cell) in cells.iter().enumerate().take(stop).skip(start) {
+            let work = if self.breaker_tripped(&breaker, cell) {
+                None
+            } else {
+                Some(self.execute_cell(cell))
+            };
+            let record = self.commit_cell(cell, work, &mut clock, &mut breaker);
+            let line = CellLine { index: i as u64, record };
+            sink.append(&json_line(&line)?)?;
+            replay.records.push(line.record);
+        }
+        let journaled = replay.records.len() as u64;
+        let total = cells.len() as u64;
+        let report = if journaled == total {
+            Some(self.assemble(std::mem::take(&mut replay.records), clock))
+        } else {
+            None
+        };
+        Ok(JobStep { journaled, total, clock, report })
+    }
+
+    /// The prologue [`Sweep::run_from`] and [`Sweep::run_slice`] share:
+    /// check `replay` against the matrix, append the header if the
+    /// journal has none, and rebuild the virtual clock and breaker
+    /// counts from the committed prefix.
+    fn open_journal(
+        &self,
+        replay: &Replay,
+        sink: &mut dyn JournalSink,
+    ) -> Result<(Vec<CellId>, u64, BreakerCounts), String> {
         install_quiet_hook();
         let cells = self.config.expand();
         if replay.records.len() > cells.len() {
@@ -1186,32 +1211,14 @@ impl Sweep {
             };
             sink.append(&json_line(&header)?)?;
         }
-        let mut records = Vec::with_capacity(cells.len());
-        records.extend_from_slice(&replay.records);
-        let mut clock = records.last().map_or(0, |r| r.clock_end);
-        let mut breaker: BTreeMap<String, u32> = BTreeMap::new();
-        for r in &records {
+        let clock = replay.records.last().map_or(0, |r| r.clock_end);
+        let mut breaker = BreakerCounts::new();
+        for r in &replay.records {
             if r.status == CellStatus::Quarantined {
                 *breaker.entry(r.cell.class()).or_insert(0) += 1;
             }
         }
-        let start = records.len();
-        let stop = cells.len().min(start.saturating_add(budget as usize));
-        for (i, &cell) in cells.iter().enumerate().take(stop).skip(start) {
-            let work = if self.breaker_tripped(&breaker, cell) {
-                None
-            } else {
-                Some(self.execute_cell(cell))
-            };
-            let record = self.commit_cell(cell, work, &mut clock, &mut breaker);
-            let line = CellLine { index: i as u64, record };
-            sink.append(&json_line(&line)?)?;
-            records.push(line.record);
-        }
-        let journaled = records.len() as u64;
-        let total = cells.len() as u64;
-        let report = if journaled == total { Some(self.assemble(records, clock)) } else { None };
-        Ok(JobStep { journaled, total, clock, report })
+        Ok((cells, clock, breaker))
     }
 
     /// Whether `cell`'s class has tripped its circuit breaker.

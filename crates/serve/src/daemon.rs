@@ -88,10 +88,17 @@ impl Daemon {
 /// Drive one connection until EOF, a read deadline, or a transport
 /// error. Every exit path is absorption: the connection dies, the
 /// daemon does not.
+///
+/// One reply, one write: a reply sent in two writes (say a `RESULTS`
+/// header, then its payload) leaves the second behind Nagle's
+/// algorithm until the client acknowledges the first, and a client
+/// with nothing to send delays that ACK by ~40 ms. `TCP_NODELAY` is
+/// set as well, so a later multi-write reply cannot bring the stall
+/// back.
 // effect-allow(Io): per-connection socket reads/writes at the daemon
 // boundary.
 fn handle_connection(sched: &Scheduler, stream: TcpStream, timeout: Duration) {
-    if stream.set_read_timeout(Some(timeout)).is_err() {
+    if stream.set_read_timeout(Some(timeout)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
@@ -106,68 +113,51 @@ fn handle_connection(sched: &Scheduler, stream: TcpStream, timeout: Duration) {
             // deadline: drop the connection, keep the daemon.
             Ok(None) | Err(_) => return,
         };
-        let Some(request) = JobRequest::parse(&line) else {
-            if write_response(&mut writer, &JobResponse::Err("malformed request".into())).is_err() {
-                return;
-            }
-            continue;
+        let reply = match JobRequest::parse(&line) {
+            Some(request) => dispatch(sched, &request),
+            None => JobResponse::Err("malformed request".into()).wire(),
         };
-        let (response, payload) = dispatch(sched, &request);
-        if write_response(&mut writer, &response).is_err() {
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
-        }
-        if let Some(bytes) = payload {
-            if writer.write_all(bytes.as_bytes()).and_then(|_| writer.flush()).is_err() {
-                return;
-            }
         }
     }
 }
 
-// effect-allow(Io): response write at the daemon boundary.
-fn write_response(writer: &mut TcpStream, response: &JobResponse) -> std::io::Result<()> {
-    writer.write_all(response.wire().as_bytes())?;
-    writer.flush()
-}
-
-/// Map one request to its reply (plus, for `RESULTS`, the raw payload
-/// that follows the header line).
-fn dispatch(sched: &Scheduler, request: &JobRequest) -> (JobResponse, Option<String>) {
-    match request {
-        JobRequest::Submit { tenant, nonce, spec } => {
-            let response = match sched.submit(tenant, *nonce, spec) {
-                Ok(Admission::Accepted(id)) => JobResponse::Accepted(id),
-                Ok(Admission::Rejected(reason)) => JobResponse::Rejected(reason),
-                Ok(Admission::Malformed(e)) => JobResponse::Err(e),
-                Ok(Admission::Draining) => JobResponse::Err("draining".into()),
-                Err(e) => JobResponse::Err(e),
-            };
-            (response, None)
-        }
-        JobRequest::Status(id) => (status_response(sched, *id), None),
-        JobRequest::Cancel(id) => {
-            let response = match sched.cancel(*id) {
-                Ok(Some(_)) => status_response(sched, *id),
-                Ok(None) => JobResponse::Err(format!("no such job {id}")),
-                Err(e) => JobResponse::Err(e),
-            };
-            (response, None)
-        }
+/// Map one request to the bytes of its reply: the response line, plus
+/// for `RESULTS` the raw payload that follows the header line.
+fn dispatch(sched: &Scheduler, request: &JobRequest) -> String {
+    let response = match request {
+        JobRequest::Submit { tenant, nonce, spec } => match sched.submit(tenant, *nonce, spec) {
+            Ok(Admission::Accepted(id)) => JobResponse::Accepted(id),
+            Ok(Admission::Rejected(reason)) => JobResponse::Rejected(reason),
+            Ok(Admission::Malformed(e)) => JobResponse::Err(e),
+            Ok(Admission::Draining) => JobResponse::Err("draining".into()),
+            Err(e) => JobResponse::Err(e),
+        },
+        JobRequest::Status(id) => status_response(sched, *id),
+        JobRequest::Cancel(id) => match sched.cancel(*id) {
+            Ok(Some(_)) => status_response(sched, *id),
+            Ok(None) => JobResponse::Err(format!("no such job {id}")),
+            Err(e) => JobResponse::Err(e),
+        },
         JobRequest::Results(id) => match sched.results(*id) {
-            Ok(Some(json)) => (
-                JobResponse::ResultsHeader { id: *id, len: json.len() as u64 },
-                Some(json),
-            ),
+            Ok(Some(json)) => {
+                let mut reply =
+                    JobResponse::ResultsHeader { id: *id, len: json.len() as u64 }.wire();
+                reply.push_str(&json);
+                return reply;
+            }
             // The job exists but is not done yet: report where it is.
-            Ok(None) => (status_response(sched, *id), None),
-            Err(e) => (JobResponse::Err(e), None),
+            Ok(None) => status_response(sched, *id),
+            Err(e) => JobResponse::Err(e),
         },
         JobRequest::Health => {
             let (queued, running, done) = sched.health();
-            (JobResponse::Health { queued, running, done }, None)
+            JobResponse::Health { queued, running, done }
         }
-        JobRequest::Drain => (JobResponse::Draining(sched.drain()), None),
-    }
+        JobRequest::Drain => JobResponse::Draining(sched.drain()),
+    };
+    response.wire()
 }
 
 fn status_response(sched: &Scheduler, id: u64) -> JobResponse {
@@ -187,11 +177,13 @@ pub struct JobClient {
 }
 
 impl JobClient {
-    /// Connect to a daemon.
+    /// Connect to a daemon. `TCP_NODELAY` is set, as on the daemon's
+    /// side, so no request waits on Nagle's algorithm.
     // effect-allow(Io): the client's connecting socket.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<JobClient, ProtocolError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(JobClient { writer, reader: BufReader::new(stream) })
     }
@@ -328,10 +320,10 @@ mod tests {
 
         // One-shot baseline with the identical config.
         let config = crate::spec::JobSpec::parse(SMALL).expect("spec").config;
-        let replay = parse_journal("", &config).expect("replay");
+        let mut replay = parse_journal("", &config).expect("replay");
         let mut sink = MemoryJournal::new();
         let step = Sweep::new(config.clone())
-            .run_slice(&replay, &mut sink, u64::MAX)
+            .run_slice(&mut replay, &mut sink, u64::MAX)
             .expect("direct run");
         assert_eq!(storage.journal_text(id), sink.text(), "daemon journal differs");
         let payload = client.results(id).expect("results").expect("payload");
@@ -341,6 +333,34 @@ mod tests {
             panic!("bad health reply");
         };
         assert!(done >= 1);
+    }
+
+    /// A `RESULTS` reply written as a header and a payload in two
+    /// writes stalls ≥ 40 ms on the client's delayed ACK; one write
+    /// takes well under a millisecond on loopback.
+    #[test]
+    fn results_round_trip_does_not_stall_on_delayed_ack() {
+        let (addr, _storage, _sched) = start_daemon(SchedConfig::default(), Duration::from_secs(5));
+        let mut client = JobClient::connect(addr).expect("connect");
+        let JobResponse::Accepted(id) = client.submit("alice", 1, SMALL).expect("submit") else {
+            panic!("submit refused");
+        };
+        assert_eq!(wait_terminal(&mut client, id), JobState::Done);
+        let config = crate::spec::JobSpec::parse(SMALL).expect("spec").config;
+        let expected = Sweep::new(config)
+            .run(&mut MemoryJournal::new())
+            .expect("one-shot run")
+            .render_json();
+        let mut times = Vec::new();
+        for _ in 0..20 {
+            let started = std::time::Instant::now();
+            let payload = client.results(id).expect("results").expect("payload");
+            times.push(started.elapsed());
+            assert_eq!(payload, expected);
+        }
+        times.sort();
+        let median = times[times.len() / 2];
+        assert!(median < Duration::from_millis(20), "RESULTS median {median:?}");
     }
 
     #[test]

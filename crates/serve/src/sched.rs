@@ -21,7 +21,7 @@
 use crate::ledger::{parse_ledger, LedgerHeader, LedgerLine};
 use crate::spec::{JobSpec, MAX_SPEC_LEN};
 use crate::storage::JobStorage;
-use netrepro_core::harness::{parse_journal, MemoryJournal, Sweep, SweepConfig};
+use netrepro_core::harness::{parse_journal, MemoryJournal, Replay, Sweep, SweepConfig};
 use netrepro_rps::{JobState, RejectReason};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -113,6 +113,11 @@ struct TenantQueue {
 
 struct SchedState {
     jobs: BTreeMap<u64, JobRecord>,
+    /// The in-memory journal of each queued job that has run a slice
+    /// since admission or recovery. A worker takes it out when it
+    /// claims the job and puts it back when it requeues it, so only a
+    /// job's first slice in this process reads its journal.
+    replays: BTreeMap<u64, Replay>,
     by_nonce: BTreeMap<(String, u64), u64>,
     ring: Vec<TenantQueue>,
     cursor: usize,
@@ -181,6 +186,7 @@ impl Scheduler {
         }
         let mut state = SchedState {
             jobs: BTreeMap::new(),
+            replays: BTreeMap::new(),
             by_nonce: BTreeMap::new(),
             ring: Vec::new(),
             cursor: 0,
@@ -400,10 +406,10 @@ impl Scheduler {
         // complete journal re-assembles the identical report without
         // executing a single cell.
         let text = self.storage.journal_load(id)?;
-        let replay = parse_journal(&text, &config).map_err(|e| e.to_string())?;
+        let mut replay = parse_journal(&text, &config).map_err(|e| e.to_string())?;
         let runtime = (self.factory)(&config);
         let mut sink = MemoryJournal::new();
-        let step = runtime.run_slice(&replay, &mut sink, 0)?;
+        let step = runtime.run_slice(&mut replay, &mut sink, 0)?;
         let json = step
             .report
             .map(|r| r.render_json())
@@ -467,14 +473,16 @@ impl Scheduler {
             .collect()
     }
 
-    /// Finalize a job: set its terminal state, update the tenant
-    /// breaker, append the `Done` ledger line, wake idle waiters.
+    /// Finalize a job: drop its held replay, set its terminal state,
+    /// update the tenant breaker, append the `Done` ledger line, wake
+    /// idle waiters.
     fn finalize(
         &self,
         state: &mut SchedState,
         id: u64,
         terminal: JobState,
     ) -> Result<(), String> {
+        state.replays.remove(&id);
         let tenant = {
             let Some(rec) = state.jobs.get_mut(&id) else {
                 return Err(format!("finalize: no such job {id}"));
@@ -516,92 +524,323 @@ impl Scheduler {
     }
 
     fn worker_loop(&self) {
-        loop {
-            let (id, budget, config, before) = {
-                let mut state = self.lock();
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    if state.has_runnable() {
-                        break;
-                    }
-                    state = self.work_ready.wait(state).unwrap_or_else(|p| p.into_inner());
-                }
-                let Some((id, budget)) = self.pick(&mut state) else {
-                    continue;
-                };
-                let (config, before) = {
-                    let Some(rec) = state.jobs.get_mut(&id) else {
-                        continue;
-                    };
-                    rec.state = JobState::Running;
-                    (rec.spec.config.clone(), rec.journaled)
-                };
-                state.running += 1;
-                (id, budget, config, before)
-            };
-
-            // Execute one slice outside the lock. catch_unwind is the
-            // poison-job absorber: a spec whose execution panics takes
-            // down its own job, never the scheduler worker.
-            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<_, String> {
-                let text = self.storage.journal_load(id)?;
-                let replay = parse_journal(&text, &config).map_err(|e| e.to_string())?;
-                let mut sink = self.storage.journal_sink(id)?;
-                let runtime = (self.factory)(&config);
-                runtime.run_slice(&replay, sink.as_mut(), budget)
-            }));
-
-            let mut state = self.lock();
-            state.running -= 1;
-            let step = match outcome {
-                Err(_) => {
-                    // Poison job: the panic is absorbed here.
-                    let _ = self.finalize(&mut state, id, JobState::Failed);
-                    continue;
-                }
-                Ok(Err(_)) => {
-                    let _ = self.finalize(&mut state, id, JobState::Failed);
-                    continue;
-                }
-                Ok(Ok(step)) => step,
-            };
-            let executed = step.journaled.saturating_sub(before);
-            let (tenant, cancel, clock_limit) = {
-                let Some(rec) = state.jobs.get_mut(&id) else {
-                    continue;
-                };
-                rec.journaled = step.journaled;
-                rec.total = step.total;
-                rec.clock = step.clock;
-                if let Some(report) = &step.report {
-                    rec.report_json = Some(report.render_json());
-                }
-                (rec.tenant.clone(), rec.cancel, rec.spec.clock_limit)
-            };
-            {
-                let tq = state.tenant_mut(&tenant);
-                tq.deficit = tq.deficit.saturating_sub(executed);
-            }
-            if cancel {
-                let _ = self.finalize(&mut state, id, JobState::Cancelled);
-            } else if step.report.is_some() {
-                let _ = self.finalize(&mut state, id, JobState::Done);
-            } else if clock_limit > 0 && step.clock >= clock_limit {
-                // The job's virtual clock ran out between slices. The
-                // journal keeps its committed prefix — byte-identical
-                // to the uninterrupted run's prefix.
-                let _ = self.finalize(&mut state, id, JobState::Deadline);
-            } else {
-                // More cells to go: back to the *front* of the
-                // tenant's queue so the job stays contiguous.
-                if let Some(rec) = state.jobs.get_mut(&id) {
-                    rec.state = JobState::Queued;
-                }
-                state.tenant_mut(&tenant).queue.push_front(id);
-                self.work_ready.notify_one();
-            }
+        while let Some(claim) = self.claim() {
+            self.run_claim(claim);
         }
+    }
+
+    /// Block until a job is runnable, then claim its next slice by
+    /// deficit round-robin. `None` once the scheduler shuts down.
+    fn claim(&self) -> Option<Claim> {
+        let mut state = self.lock();
+        loop {
+            if state.shutdown {
+                return None;
+            }
+            if !state.has_runnable() {
+                state = self.work_ready.wait(state).unwrap_or_else(|p| p.into_inner());
+                continue;
+            }
+            let Some((id, budget)) = self.pick(&mut state) else {
+                continue;
+            };
+            let Some(rec) = state.jobs.get_mut(&id) else {
+                continue;
+            };
+            rec.state = JobState::Running;
+            let (config, before) = (rec.spec.config.clone(), rec.journaled);
+            state.running += 1;
+            let replay = state.replays.remove(&id);
+            return Some(Claim { id, budget, config, before, replay });
+        }
+    }
+
+    /// Run one claimed slice, then finalize or requeue its job.
+    fn run_claim(&self, claim: Claim) {
+        let Claim { id, budget, config, before, replay } = claim;
+        // Execute one slice outside the lock. catch_unwind is the
+        // poison-job absorber: a spec whose execution panics takes
+        // down its own job, never the scheduler worker.
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<_, String> {
+            // The journal is read only when no copy is held: a fresh
+            // job's first slice, or a recovered job's first.
+            let mut replay = match replay {
+                Some(replay) => replay,
+                None => {
+                    let text = self.storage.journal_load(id)?;
+                    parse_journal(&text, &config).map_err(|e| e.to_string())?
+                }
+            };
+            let mut sink = self.storage.journal_sink(id)?;
+            let runtime = (self.factory)(&config);
+            let step = runtime.run_slice(&mut replay, sink.as_mut(), budget)?;
+            Ok((step, replay))
+        }));
+
+        let mut state = self.lock();
+        state.running -= 1;
+        let Ok(Ok((step, replay))) = outcome else {
+            // A failed slice, or a poison job whose panic is absorbed
+            // here: the job fails alone and its replay is dropped.
+            let _ = self.finalize(&mut state, id, JobState::Failed);
+            return;
+        };
+        let executed = step.journaled.saturating_sub(before);
+        let (tenant, cancel, clock_limit) = {
+            let Some(rec) = state.jobs.get_mut(&id) else {
+                return;
+            };
+            rec.journaled = step.journaled;
+            rec.total = step.total;
+            rec.clock = step.clock;
+            if let Some(report) = &step.report {
+                rec.report_json = Some(report.render_json());
+            }
+            (rec.tenant.clone(), rec.cancel, rec.spec.clock_limit)
+        };
+        {
+            let tq = state.tenant_mut(&tenant);
+            tq.deficit = tq.deficit.saturating_sub(executed);
+        }
+        if cancel {
+            let _ = self.finalize(&mut state, id, JobState::Cancelled);
+        } else if step.report.is_some() {
+            let _ = self.finalize(&mut state, id, JobState::Done);
+        } else if clock_limit > 0 && step.clock >= clock_limit {
+            // The job's virtual clock ran out between slices. The
+            // journal keeps its committed prefix — byte-identical
+            // to the uninterrupted run's prefix.
+            let _ = self.finalize(&mut state, id, JobState::Deadline);
+        } else {
+            // More cells to go: back to the *front* of the tenant's
+            // queue so the job stays contiguous, its replay held.
+            if let Some(rec) = state.jobs.get_mut(&id) {
+                rec.state = JobState::Queued;
+            }
+            state.replays.insert(id, replay);
+            state.tenant_mut(&tenant).queue.push_front(id);
+            self.work_ready.notify_one();
+        }
+    }
+}
+
+/// A slice a worker claimed under the lock.
+struct Claim {
+    id: u64,
+    /// Cells the slice may execute (the tenant's DRR deficit).
+    budget: u64,
+    config: SweepConfig,
+    /// Cells journaled before the slice.
+    before: u64,
+    /// The job's held replay; `None` reads the journal from storage.
+    replay: Option<Replay>,
+}
+
+#[cfg(test)]
+mod tests {
+    //! The in-memory replay, stepped one slice at a time without
+    //! worker threads: with `quantum: 1` every slice is one cell, so
+    //! each job is held, handed back and re-held dozens of times.
+
+    use super::*;
+    use crate::storage::MemStorage;
+    use netrepro_core::harness::JournalSink;
+    use netrepro_core::validate::StaticGate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `MemStorage` that counts journal reads per job.
+    #[derive(Clone, Default)]
+    struct CountingStorage {
+        inner: MemStorage,
+        loads: Arc<Mutex<BTreeMap<u64, usize>>>,
+    }
+
+    impl CountingStorage {
+        fn loads(&self, job: u64) -> usize {
+            self.loads.lock().expect("loads").get(&job).copied().unwrap_or(0)
+        }
+    }
+
+    impl JobStorage for CountingStorage {
+        fn ledger_load(&self) -> Result<String, String> {
+            self.inner.ledger_load()
+        }
+        fn ledger_truncate(&self, valid_bytes: u64) -> Result<(), String> {
+            self.inner.ledger_truncate(valid_bytes)
+        }
+        fn ledger_append(&self, line: &str) -> Result<(), String> {
+            self.inner.ledger_append(line)
+        }
+        fn journal_load(&self, job: u64) -> Result<String, String> {
+            *self.loads.lock().expect("loads").entry(job).or_insert(0) += 1;
+            self.inner.journal_load(job)
+        }
+        fn journal_truncate(&self, job: u64, valid_bytes: u64) -> Result<(), String> {
+            self.inner.journal_truncate(job, valid_bytes)
+        }
+        fn journal_sink(&self, job: u64) -> Result<Box<dyn JournalSink + Send>, String> {
+            self.inner.journal_sink(job)
+        }
+    }
+
+    const CFG: SchedConfig = SchedConfig {
+        workers: 1,
+        queue_cap: 16,
+        tenant_quota: 4,
+        breaker_threshold: 3,
+        quantum: 1,
+    };
+    /// 8, 16, 24 and 48 cells.
+    const JOB_8: &str = "systems=rps;styles=mono;profiles=none+light;seeds=4";
+    const JOB_16: &str = "systems=rps+ap;styles=mono+text;profiles=none;seeds=4";
+    const JOB_24: &str = "systems=rps+ap;styles=mono+text;profiles=none+light;seeds=3";
+    const JOB_48: &str = "systems=rps+ap+apkeep;styles=mono+text;profiles=none+light;seeds=4";
+    /// The poison factory panics inside the gate of a job whose spec
+    /// carries this deadline, once the gate has passed `POISON_AFTER`
+    /// cells.
+    const POISON_DEADLINE: u64 = 424_242;
+    const POISON_AFTER: usize = 3;
+    const POISON_SPEC: &str = "systems=rps;styles=mono;profiles=none;seeds=8;deadline=424242";
+
+    fn plain() -> RuntimeFactory {
+        Arc::new(|cfg: &SweepConfig| Sweep::new(cfg.clone()))
+    }
+
+    fn poison() -> RuntimeFactory {
+        let calls = Arc::new(AtomicUsize::new(0));
+        Arc::new(move |cfg: &SweepConfig| {
+            let sweep = Sweep::new(cfg.clone());
+            if cfg.limits.deadline_steps != POISON_DEADLINE {
+                return sweep;
+            }
+            let calls = Arc::clone(&calls);
+            sweep.with_gate(Box::new(move |_, _| {
+                if calls.fetch_add(1, Ordering::SeqCst) == POISON_AFTER {
+                    panic!("poison job");
+                }
+                StaticGate::clean()
+            }))
+        })
+    }
+
+    /// Journal text and rendered report of a one-shot `Sweep::run`.
+    fn one_shot(spec: &str) -> (String, String) {
+        let config = JobSpec::parse(spec).expect("spec").config;
+        let mut sink = MemoryJournal::new();
+        let report = Sweep::new(config).run(&mut sink).expect("one-shot run");
+        (sink.text().to_string(), report.render_json())
+    }
+
+    fn recover(storage: &CountingStorage, factory: RuntimeFactory) -> Scheduler {
+        Scheduler::recover(CFG, factory, Arc::new(storage.clone())).expect("recover")
+    }
+
+    fn submit(sched: &Scheduler, tenant: &str, spec: &str) -> u64 {
+        let nonce = sched.lock().next_id;
+        match sched.submit(tenant, nonce, spec).expect("submit") {
+            Admission::Accepted(id) => id,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Claim and run one slice, as a worker would.
+    fn step(sched: &Scheduler) {
+        let claim = sched.claim().expect("a runnable job");
+        sched.run_claim(claim);
+    }
+
+    fn run_to_idle(sched: &Scheduler) {
+        while sched.lock().has_runnable() {
+            step(sched);
+        }
+    }
+
+    fn held(sched: &Scheduler, id: u64) -> bool {
+        sched.lock().replays.contains_key(&id)
+    }
+
+    fn assert_done_like_one_shot(sched: &Scheduler, storage: &CountingStorage, id: u64, spec: &str) {
+        let (journal, report) = one_shot(spec);
+        assert_eq!(sched.status(id).expect("status").0, JobState::Done, "job {id}");
+        assert_eq!(storage.inner.journal_text(id), journal, "job {id} journal");
+        assert_eq!(sched.results(id).expect("results"), Some(report), "job {id} report");
+        assert!(!held(sched, id), "job {id} replay outlived the job");
+    }
+
+    #[test]
+    fn a_job_reads_its_journal_once_and_cancel_drops_the_held_replay() {
+        let storage = CountingStorage::default();
+        let sched = recover(&storage, plain());
+        let big = submit(&sched, "alice", JOB_48);
+        let small = submit(&sched, "bob", JOB_16);
+        let after = submit(&sched, "alice", JOB_8);
+        for _ in 0..10 {
+            step(&sched);
+        }
+        // DRR alternates the tenants one cell at a time: each job is
+        // queued between slices with its replay held, never re-read.
+        assert_eq!(sched.status(big).expect("status"), (JobState::Queued, 5, 48));
+        assert_eq!(sched.status(small).expect("status"), (JobState::Queued, 5, 16));
+        assert!(held(&sched, big) && held(&sched, small));
+        assert_eq!(sched.lock().replays[&big].records.len(), 5);
+        assert_eq!(sched.cancel(big).expect("cancel"), Some(JobState::Cancelled));
+        assert!(!held(&sched, big), "a cancelled job's replay must be dropped");
+        let (full, _) = one_shot(JOB_48);
+        let cut = storage.inner.journal_text(big);
+        assert_eq!(cut.lines().count(), 6);
+        assert!(full.starts_with(&cut), "a cancelled journal is a prefix of the one-shot run");
+        run_to_idle(&sched);
+        assert_done_like_one_shot(&sched, &storage, small, JOB_16);
+        assert_done_like_one_shot(&sched, &storage, after, JOB_8);
+        assert!(sched.lock().replays.is_empty());
+        // A fresh job's first slice reads its (empty) journal; every
+        // later slice runs from the held copy.
+        for id in [big, small, after] {
+            assert_eq!(storage.loads(id), 1, "job {id}");
+        }
+    }
+
+    #[test]
+    fn a_poison_job_failing_mid_run_drops_its_replay_and_spares_the_other_tenant() {
+        let storage = CountingStorage::default();
+        let sched = recover(&storage, poison());
+        let bad = submit(&sched, "mallory", POISON_SPEC);
+        let good = submit(&sched, "alice", JOB_24);
+        run_to_idle(&sched);
+        assert_eq!(sched.status(bad).expect("status"), (JobState::Failed, 3, 8));
+        assert!(!held(&sched, bad), "a failed job's replay must be dropped");
+        let (full, _) = one_shot(POISON_SPEC);
+        let cut = storage.inner.journal_text(bad);
+        assert_eq!(cut.lines().count(), 1 + POISON_AFTER);
+        assert!(full.starts_with(&cut), "a failed journal is a prefix of the one-shot run");
+        assert_done_like_one_shot(&sched, &storage, good, JOB_24);
+        assert!(sched.lock().replays.is_empty());
+    }
+
+    #[test]
+    fn after_recover_the_first_slice_reads_the_journal_and_the_rest_do_not() {
+        let storage = CountingStorage::default();
+        let sched = recover(&storage, plain());
+        let a = submit(&sched, "alice", JOB_24);
+        let b = submit(&sched, "bob", JOB_8);
+        for _ in 0..10 {
+            step(&sched);
+        }
+        assert!(held(&sched, a) && held(&sched, b));
+        drop(sched);
+        // The crash also tore the last record of `a`'s journal.
+        storage.inner.tear_journal(a, 7);
+        let revived = recover(&storage, plain());
+        // Recovery parses each pending journal once to truncate it,
+        // but holds no replay: the first slice after it loads again.
+        assert!(revived.lock().replays.is_empty());
+        assert_eq!((storage.loads(a), storage.loads(b)), (2, 2));
+        step(&revived);
+        assert_eq!((storage.loads(a), storage.loads(b)), (3, 2));
+        assert_eq!(revived.status(a).expect("status"), (JobState::Queued, 5, 24));
+        run_to_idle(&revived);
+        assert_eq!((storage.loads(a), storage.loads(b)), (3, 3));
+        assert_done_like_one_shot(&revived, &storage, a, JOB_24);
+        assert_done_like_one_shot(&revived, &storage, b, JOB_8);
     }
 }

@@ -48,9 +48,9 @@ fn poison_factory() -> RuntimeFactory {
 fn direct(spec: &str) -> (String, String) {
     let job = JobSpec::parse(spec).expect("spec");
     let sweep = Sweep::new(job.config.clone());
-    let replay = parse_journal("", &job.config).expect("empty replay");
+    let mut replay = parse_journal("", &job.config).expect("empty replay");
     let mut sink = MemoryJournal::new();
-    let step = sweep.run_slice(&replay, &mut sink, u64::MAX).expect("run");
+    let step = sweep.run_slice(&mut replay, &mut sink, u64::MAX).expect("run");
     let report = step.report.expect("complete run yields a report");
     (sink.text().to_string(), report.render_json())
 }
