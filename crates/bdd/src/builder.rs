@@ -37,14 +37,7 @@ impl BddManager {
     /// Predicate: the `width` variables starting at `base` (most
     /// significant first) equal `value`.
     pub fn field_eq(&mut self, base: u32, width: u32, value: u64) -> Ref {
-        assert!(width <= 64);
-        let lits: Vec<Literal> = (0..width)
-            .map(|i| Literal {
-                var: base + i,
-                positive: (value >> (width - 1 - i)) & 1 == 1,
-            })
-            .collect();
-        self.cube(&lits)
+        self.field_prefix(base, width, value, width)
     }
 
     /// Predicate: the `width`-bit field at `base` matches the IP-style
@@ -52,16 +45,19 @@ impl BddManager {
     /// `value`). `len == 0` matches everything.
     pub fn field_prefix(&mut self, base: u32, width: u32, value: u64, len: u32) -> Ref {
         assert!(len <= width && width <= 64);
-        if len == 0 {
-            return TRUE;
+        // The same bottom-up construction as `cube`, without collecting
+        // and sorting literals: the bits are already in variable order.
+        let mut acc = TRUE;
+        for i in (0..len).rev() {
+            let var = base + i;
+            assert!(var < self.num_vars(), "literal variable out of range");
+            acc = if (value >> (width - 1 - i)) & 1 == 1 {
+                Ref(self.mk_raw(var, FALSE.0, acc.0))
+            } else {
+                Ref(self.mk_raw(var, acc.0, FALSE.0))
+            };
         }
-        let lits: Vec<Literal> = (0..len)
-            .map(|i| Literal {
-                var: base + i,
-                positive: (value >> (width - 1 - i)) & 1 == 1,
-            })
-            .collect();
-        self.cube(&lits)
+        acc
     }
 
     /// Predicate: the `width`-bit field at `base`, read as an unsigned

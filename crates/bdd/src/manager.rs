@@ -512,6 +512,9 @@ impl BddManager {
     }
 
     fn try_binop(&mut self, op: Op, a: Ref, b: Ref) -> Result<Ref, crate::BddError> {
+        if let Some(t) = Self::terminal_case(op, a.0, b.0) {
+            return Ok(Ref(t));
+        }
         let mut local = std::mem::take(&mut self.apply_scratch);
         local.clear();
         let r = self.apply_capped(op, a.0, b.0, &mut local);
@@ -674,6 +677,11 @@ impl BddManager {
     }
 
     fn binop(&mut self, op: Op, a: Ref, b: Ref) -> Ref {
+        // Terminal cases first: they touch no counter, cache or scratch
+        // map, so skipping the scratch take/clear changes nothing else.
+        if let Some(t) = Self::terminal_case(op, a.0, b.0) {
+            return Ref(t);
+        }
         // Same scratch-reuse pattern as `not`: allocation persists,
         // memoisation stays within this single call.
         let mut local = std::mem::take(&mut self.apply_scratch);

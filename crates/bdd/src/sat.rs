@@ -1,15 +1,15 @@
 //! Model counting and witness extraction.
 
+use crate::fnv::FnvMap;
 use crate::manager::BddManager;
 use crate::node::{Ref, FALSE, TRUE};
-use std::collections::HashMap;
 
 impl BddManager {
     /// Fraction of the full assignment space that satisfies `r`, in
     /// `[0, 1]`. Computed as `p(node) = (p(low) + p(high)) / 2`, which is
     /// exact in `f64` for the header widths the verifiers use.
     pub fn sat_fraction(&self, r: Ref) -> f64 {
-        let mut memo: HashMap<u32, f64> = HashMap::new();
+        let mut memo: FnvMap<u32, f64> = FnvMap::default();
         self.fraction_rec(r.0, &mut memo)
     }
 
@@ -20,7 +20,7 @@ impl BddManager {
         self.sat_fraction(r) * 2f64.powi(self.num_vars() as i32)
     }
 
-    fn fraction_rec(&self, r: u32, memo: &mut HashMap<u32, f64>) -> f64 {
+    fn fraction_rec(&self, r: u32, memo: &mut FnvMap<u32, f64>) -> f64 {
         match r {
             0 => return 0.0,
             1 => return 1.0,

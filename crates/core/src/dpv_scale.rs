@@ -217,6 +217,22 @@ mod tests {
     }
 
     #[test]
+    fn digests_are_pinned() {
+        // Fixed verdict digests: any change to the verifier's output,
+        // however it is computed, must show up here.
+        for (k, link_down, want) in [
+            (4usize, 6usize, 0x0a67_3c63_09cd_512f_u64),
+            (8, 6, 0x3b21_e660_f01d_48e5),
+            (8, 0, 0xd811_9c2a_4052_f43d),
+        ] {
+            let spec =
+                DpvScaleSpec { link_down, partitions: 4, workers: 2, ..DpvScaleSpec::new(k, 2023) };
+            let report = run_spec(&spec).expect("run");
+            assert_eq!(report.digest, want, "k={k} link_down={link_down}: {:016x}", report.digest);
+        }
+    }
+
+    #[test]
     fn ten_thousand_device_fabric_is_partition_invariant() {
         // k=16 with hosts: 320 switches + 1024 hosts per the Al-Fares
         // arithmetic... not ≥10k; k=32 gives 1280 + 8192 = 9472; the

@@ -137,9 +137,10 @@ pub fn verify_destinations(
     // GC once the table holds more garbage than half the budget (or a
     // fixed high-water mark when unbounded).
     let gc_mark = opts.node_cap.map_or(1 << 16, |c| (c / 2).max(1));
+    let mut work = Work::new(net.graph.num_nodes());
     let mut out = Vec::with_capacity(dests.len());
     for &(owner, prefix) in dests {
-        out.push(verify_one(net, &mut mgr, owner, prefix)?);
+        out.push(verify_one(net, &mut mgr, &mut work, owner, prefix)?);
         if mgr.node_count() > gc_mark {
             // Nothing is protected between destinations: a full sweep.
             mgr.gc();
@@ -148,33 +149,96 @@ pub fn verify_destinations(
     Ok(out)
 }
 
+/// One chunk's scratch buffers, sized to the network and reused by
+/// every destination the chunk verifies, so the per-destination loop
+/// allocates nothing once the first destination has grown them.
+struct Work {
+    /// Forwarding edges `(from, to, hit)` restricted to the current
+    /// destination, in device and then rule order.
+    edges: Vec<(u32, u32, Ref)>,
+    /// Reverse adjacency in CSR form: the edges into `v` are
+    /// `radj[rstart[v]..rstart[v + 1]]`, as `(from, hit)` in `edges`
+    /// order.
+    rstart: Vec<u32>,
+    radj: Vec<(u32, Ref)>,
+    deliver: Vec<Ref>,
+    local_drop: Vec<Ref>,
+    delivered: Vec<Ref>,
+    blackholed: Vec<Ref>,
+    queued: Vec<bool>,
+    queue: VecDeque<u32>,
+}
+
+impl Work {
+    fn new(n: usize) -> Self {
+        Work {
+            edges: Vec::new(),
+            rstart: vec![0; n + 1],
+            radj: Vec::new(),
+            deliver: vec![FALSE; n],
+            local_drop: vec![FALSE; n],
+            delivered: vec![FALSE; n],
+            blackholed: vec![FALSE; n],
+            queued: vec![false; n],
+            queue: VecDeque::with_capacity(n),
+        }
+    }
+
+    /// Rebuild the reverse adjacency from `edges` with a stable
+    /// counting sort, so each node's in-edges keep their `edges` order.
+    fn index_reverse(&mut self) {
+        let n = self.deliver.len();
+        self.rstart.fill(0);
+        for &(_, to, _) in &self.edges {
+            self.rstart[to as usize] += 1;
+        }
+        let mut sum = 0;
+        for c in &mut self.rstart[..n] {
+            sum += *c;
+            *c = sum;
+        }
+        self.rstart[n] = sum;
+        // Placing back to front from each node's end leaves `rstart[v]`
+        // at its start and keeps the edges of one node in order.
+        self.radj.clear();
+        self.radj.resize(self.edges.len(), (0, FALSE));
+        for &(from, to, hit) in self.edges.iter().rev() {
+            self.rstart[to as usize] -= 1;
+            self.radj[self.rstart[to as usize] as usize] = (from, hit);
+        }
+    }
+}
+
 /// One destination: LPM-restrict every device to `p`, run the backward
 /// delivery and blackhole fixpoints, classify every injector.
 fn verify_one(
     net: &Network,
     m: &mut BddManager,
+    w: &mut Work,
     owner: NodeId,
     prefix: Prefix,
 ) -> Result<DestVerdict, ScaleError> {
-    let n = net.graph.num_nodes();
     let width = net.layout.width;
     let p = net.layout.prefix_pred(m, prefix);
 
-    // Per-device forwarding adjacency and local deliver/drop predicates,
+    // Per-device forwarding edges and local deliver/drop predicates,
     // all restricted to `p` under first-match LPM semantics.
-    let mut fwd: Vec<Vec<(u32, Ref)>> = vec![Vec::new(); n];
-    let mut deliver: Vec<Ref> = vec![FALSE; n];
-    let mut local_drop: Vec<Ref> = vec![FALSE; n];
+    w.edges.clear();
+    w.deliver.fill(FALSE);
+    w.local_drop.fill(FALSE);
     for (v, dev) in net.devices.iter().enumerate() {
         let mut covered = FALSE; // within p
         for rule in &dev.rules {
-            // Prefixes that do not overlap `p` contribute nothing to
-            // the restriction; skip them without any BDD work.
-            if !(rule.prefix.covers(&prefix, width) || prefix.covers(&rule.prefix, width)) {
+            // Two prefixes overlap only when one covers the other, and
+            // their intersection is then the longer of the two. Rules
+            // that miss `p` contribute nothing and cost no BDD work.
+            let matched = if rule.prefix.covers(&prefix, width) {
+                p
+            } else if prefix.covers(&rule.prefix, width) {
+                net.layout.prefix_pred(m, rule.prefix)
+            } else {
                 continue;
-            }
-            let matched_raw = net.layout.prefix_pred(m, rule.prefix);
-            let matched = m.try_and(matched_raw, p)?;
+            };
             let hit = m.try_diff(matched, covered)?;
             covered = m.try_or(covered, matched)?;
             if hit == FALSE {
@@ -183,10 +247,10 @@ fn verify_one(
             match rule.action {
                 Action::Forward(e) => {
                     let next = net.graph.endpoints(e).1;
-                    fwd[v].push((next.0, hit));
+                    w.edges.push((v as u32, next.0, hit));
                 }
-                Action::Deliver => deliver[v] = m.try_or(deliver[v], hit)?,
-                Action::Drop => local_drop[v] = m.try_or(local_drop[v], hit)?,
+                Action::Deliver => w.deliver[v] = m.try_or(w.deliver[v], hit)?,
+                Action::Drop => w.local_drop[v] = m.try_or(w.local_drop[v], hit)?,
             }
             if covered == p {
                 break; // everything in p is matched; rest is shadowed
@@ -195,20 +259,14 @@ fn verify_one(
         // Unmatched residue within p drops implicitly.
         let residue = m.try_diff(p, covered)?;
         if residue != FALSE {
-            local_drop[v] = m.try_or(local_drop[v], residue)?;
+            w.local_drop[v] = m.try_or(w.local_drop[v], residue)?;
         }
     }
 
-    // Reverse adjacency for the backward fixpoints.
-    let mut radj: Vec<Vec<(u32, Ref)>> = vec![Vec::new(); n];
-    for (v, outs) in fwd.iter().enumerate() {
-        for &(next, pred) in outs {
-            radj[next as usize].push((v as u32, pred));
-        }
-    }
-
-    let delivered = backward_fixpoint(m, &deliver, &radj)?;
-    let blackholed = backward_fixpoint(m, &local_drop, &radj)?;
+    w.index_reverse();
+    let radj = (&w.rstart[..], &w.radj[..]);
+    backward_fixpoint(m, &w.deliver, radj, &mut w.delivered, &mut w.queued, &mut w.queue)?;
+    backward_fixpoint(m, &w.local_drop, radj, &mut w.blackholed, &mut w.queued, &mut w.queue)?;
 
     let mut verdict = DestVerdict {
         dest: owner.0,
@@ -222,8 +280,17 @@ fn verify_one(
         bh_headers: 0,
         loop_devices: Vec::new(),
     };
-    for v in 0..n {
-        let d = delivered[v];
+    // Header widths stay ≤ 32 bits, so sat counts are exact in f64 and
+    // fit u64. On fabrics nearly every set is all of `p` or nothing, so
+    // count `p` once and model-count only the partial sets.
+    let p_count = m.sat_count(p) as u64;
+    let count = |m: &BddManager, r: Ref| match r {
+        FALSE => 0,
+        r if r == p => p_count,
+        r => m.sat_count(r) as u64,
+    };
+    for v in 0..w.deliver.len() {
+        let d = w.delivered[v];
         if d == p {
             verdict.full += 1;
         } else if d == FALSE {
@@ -231,16 +298,14 @@ fn verify_one(
         } else {
             verdict.partial += 1;
         }
-        // Header widths stay ≤ 32 bits, so sat counts are exact in f64
-        // and fit u64.
-        verdict.delivered_headers += m.sat_count(d) as u64;
-        if local_drop[v] != FALSE {
+        verdict.delivered_headers += count(m, d);
+        if w.local_drop[v] != FALSE {
             verdict.bh_local += 1;
         }
-        let b = blackholed[v];
+        let b = w.blackholed[v];
         if b != FALSE {
             verdict.bh_devices += 1;
-            verdict.bh_headers += m.sat_count(b) as u64;
+            verdict.bh_headers += count(m, b);
         }
         let term = m.try_or(d, b)?;
         let looping = m.try_diff(p, term)?;
@@ -252,43 +317,48 @@ fn verify_one(
 }
 
 /// Least fixpoint of `X(v) = base(v) ∨ ⋁ {pred ∧ X(next)}` computed
-/// backward over the reverse adjacency with a worklist. Monotone over a
-/// finite lattice, so termination is structural; the worklist order
-/// only affects intermediate work, never the result.
+/// backward over the CSR reverse adjacency `(rstart, radj)` with a
+/// worklist, into `x`. Monotone over a finite lattice, so termination
+/// is structural; the worklist order only affects intermediate work,
+/// never the result. `queued` (all false) and `queue` (empty) are
+/// scratch, and a completed run leaves them that way.
 fn backward_fixpoint(
     m: &mut BddManager,
     base: &[Ref],
-    radj: &[Vec<(u32, Ref)>],
-) -> Result<Vec<Ref>, ScaleError> {
-    let n = base.len();
-    let mut x: Vec<Ref> = base.to_vec();
-    let mut queued = vec![false; n];
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    for v in 0..n {
-        if x[v] != FALSE {
+    (rstart, radj): (&[u32], &[(u32, Ref)]),
+    x: &mut Vec<Ref>,
+    queued: &mut [bool],
+    queue: &mut VecDeque<u32>,
+) -> Result<(), ScaleError> {
+    x.clear();
+    x.extend_from_slice(base);
+    for (v, &xv) in x.iter().enumerate() {
+        if xv != FALSE {
             queue.push_back(v as u32);
             queued[v] = true;
         }
     }
     while let Some(u) = queue.pop_front() {
-        queued[u as usize] = false;
-        let xu = x[u as usize];
-        for &(v, pred) in &radj[u as usize] {
+        let u = u as usize;
+        queued[u] = false;
+        let xu = x[u];
+        for &(v, pred) in &radj[rstart[u] as usize..rstart[u + 1] as usize] {
             let contrib = m.try_and(pred, xu)?;
             if contrib == FALSE {
                 continue;
             }
-            let nv = m.try_or(x[v as usize], contrib)?;
-            if nv != x[v as usize] {
-                x[v as usize] = nv;
-                if !queued[v as usize] {
-                    queue.push_back(v);
-                    queued[v as usize] = true;
+            let v = v as usize;
+            let nv = m.try_or(x[v], contrib)?;
+            if nv != x[v] {
+                x[v] = nv;
+                if !queued[v] {
+                    queue.push_back(v as u32);
+                    queued[v] = true;
                 }
             }
         }
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Canonical byte rendering of a verdict slice: one fixed-format line
@@ -408,6 +478,31 @@ mod tests {
                 assert_eq!(render(&chunked), render(&serial));
             }
         }
+    }
+
+    #[test]
+    fn reverse_index_keeps_per_node_edge_order() {
+        // In-edges of each node must come out in `edges` order, as a
+        // per-node `Vec` push would leave them: the fixpoint's worklist
+        // then does the same work in the same order.
+        let edges = vec![(0, 2, FALSE), (1, 0, FALSE), (3, 2, FALSE), (2, 0, FALSE), (1, 2, FALSE)];
+        let n = 4;
+        let mut w = Work::new(n);
+        w.edges = edges.clone();
+        w.index_reverse();
+        let mut want: Vec<Vec<(u32, Ref)>> = vec![Vec::new(); n];
+        for &(from, to, hit) in &edges {
+            want[to as usize].push((from, hit));
+        }
+        for (v, row) in want.iter().enumerate() {
+            let (lo, hi) = (w.rstart[v] as usize, w.rstart[v + 1] as usize);
+            assert_eq!(&w.radj[lo..hi], &row[..], "node {v}");
+        }
+        // Reuse: a second, smaller edge list fully replaces the first.
+        w.edges = vec![(3, 1, FALSE)];
+        w.index_reverse();
+        assert_eq!(w.rstart, vec![0, 0, 1, 1, 1]);
+        assert_eq!(w.radj, vec![(3, FALSE)]);
     }
 
     #[test]
