@@ -36,10 +36,8 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod dot;
 mod fnv;
 pub mod manager;
-pub mod quant;
 pub mod node;
 pub mod sat;
 

@@ -1,8 +1,8 @@
-//! Model counting and witness extraction.
+//! Model counting.
 
 use crate::fnv::FnvMap;
 use crate::manager::BddManager;
-use crate::node::{Ref, FALSE, TRUE};
+use crate::node::Ref;
 
 impl BddManager {
     /// Fraction of the full assignment space that satisfies `r`, in
@@ -34,34 +34,13 @@ impl BddManager {
         memo.insert(r, c);
         c
     }
-
-    /// One satisfying assignment, or `None` if `r` is unsatisfiable.
-    /// Variables not on the witness path default to `false`.
-    pub fn any_sat(&self, r: Ref) -> Option<Vec<bool>> {
-        if r == FALSE {
-            return None;
-        }
-        let mut assignment = vec![false; self.num_vars() as usize];
-        let mut cur = r.0;
-        while cur > 1 {
-            let (var, low, high) = self.node_parts(cur);
-            if low != FALSE.0 {
-                assignment[var as usize] = false;
-                cur = low;
-            } else {
-                assignment[var as usize] = true;
-                cur = high;
-            }
-        }
-        debug_assert_eq!(cur, TRUE.0);
-        Some(assignment)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manager::EngineProfile;
+    use crate::node::{FALSE, TRUE};
 
     fn mgr(n: u32) -> BddManager {
         BddManager::new(n, EngineProfile::Cached)
@@ -101,23 +80,5 @@ mod tests {
         let f = m.or(a, b);
         // |a|+|b|-|a&b| = 4+4-2 = 6
         assert_eq!(m.sat_count(f), 6.0);
-    }
-
-    #[test]
-    fn any_sat_returns_witness() {
-        let mut m = mgr(4);
-        let a = m.var(0);
-        let nb = m.nvar(1);
-        let f = m.and(a, nb);
-        let w = m.any_sat(f).expect("satisfiable");
-        assert_eq!(m.eval(f, &w), Ok(true));
-        assert!(w[0]);
-        assert!(!w[1]);
-    }
-
-    #[test]
-    fn any_sat_none_for_false() {
-        let m = mgr(4);
-        assert!(m.any_sat(FALSE).is_none());
     }
 }

@@ -127,21 +127,6 @@ proptest! {
         prop_assert_eq!(m.sat_count(f), brute as f64);
     }
 
-    /// any_sat returns a genuine witness whenever one exists.
-    #[test]
-    fn any_sat_is_sound_and_complete(e in arb_expr()) {
-        let mut m = BddManager::new(VARS, EngineProfile::Cached);
-        let f = build(&mut m, &e);
-        let brute_sat = assignments().any(|a| eval_direct(&e, &a));
-        match m.any_sat(f) {
-            Some(w) => {
-                prop_assert!(brute_sat);
-                prop_assert_eq!(m.eval(f, &w), Ok(true));
-            }
-            None => prop_assert!(!brute_sat),
-        }
-    }
-
     /// GC with the root protected never changes the function.
     #[test]
     fn gc_preserves_semantics(e in arb_expr()) {

@@ -1,6 +1,5 @@
 //! Shared experiment configuration for the figure-regeneration
-//! binaries (`src/bin/fig*.rs`, `src/bin/table*.rs`) and the Criterion
-//! benches.
+//! binaries (`src/bin/fig*.rs`, `src/bin/table*.rs`).
 //!
 //! Every binary prints its table to stdout and writes the same table as
 //! JSON under `results/`. Scales are chosen so the *slow* configurations

@@ -53,7 +53,6 @@ commands:
             [--halt-after K] [--throttle-ms MS] [--no-cache]
   sweep-shard  (internal, spawned by sweep --shards) one shard lease:
             --seq N --start A --end B --journal PATH [--generation G]
-  bench     [--quick] [--json] [--out FILE] [--check BASELINE.json]
   rps       serve [--addr H:P] | play [--addr H:P] [--moves RPSR...]
   serve     [--addr H:P] [--dir DIR] [--workers N] [--queue-cap N] [--tenant-quota N]
             [--job-breaker N] [--quantum N] [--throttle-ms MS] [--no-cache]
@@ -1044,6 +1043,8 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
         child: Option<std::process::Child>,
         generation: u32,
         restarts: u32,
+        /// Cells in the lease's shard journal when its child was spawned.
+        journaled: usize,
     }
     let mut slots: Vec<Slot> = Vec::new();
     for lease in to_run {
@@ -1053,7 +1054,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             .args(child_args(a, config, workers, lease, 0, &sp))
             .spawn()
             .map_err(|e| ArgError(format!("spawn shard {}: {e}", lease.seq)))?;
-        slots.push(Slot { lease, child: Some(child), generation: 0, restarts: 0 });
+        slots.push(Slot { lease, child: Some(child), generation: 0, restarts: 0, journaled: 0 });
     }
 
     let mut exhausted = 0usize;
@@ -1069,16 +1070,22 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             slot.child = None;
             let sp = shard_file(&dir, slot.lease.seq);
             let stext = std::fs::read_to_string(&sp).unwrap_or_default();
-            let complete = shard::parse_shard_journal(&stext, config, slot.lease)
-                .map(|sr| sr.works.len() as u64 == slot.lease.range().len())
-                .unwrap_or(false);
-            if status.success() && complete {
+            let journaled = shard::parse_shard_journal(&stext, config, slot.lease)
+                .map(|sr| sr.works.len())
+                .unwrap_or(0);
+            if status.success() && journaled as u64 == slot.lease.range().len() {
                 ledger
                     .append(&shard::CoordLine::Done { seq: slot.lease.seq }.line().map_err(ArgError)?)
                     .map_err(ArgError)?;
                 continue;
             }
-            slot.restarts += 1;
+            // Only a spawn that journaled no new cell is charged: injected
+            // crashes must not starve a lease that is still advancing.
+            let advanced = journaled > slot.journaled;
+            slot.journaled = journaled;
+            if !advanced {
+                slot.restarts += 1;
+            }
             if slot.restarts > max_restarts {
                 eprintln!(
                     "shard {} (cells {}): {status}; restart cap --max-restarts {max_restarts} \
@@ -1195,554 +1202,6 @@ pub fn sweep_shard(a: &Args) -> CmdResult {
         actions,
     };
     shard::run_shard(&sweep, lease, &replay, &mut sink).map_err(ArgError)
-}
-
-/// One worker-count row of the bench sweep table.
-#[derive(serde::Serialize)]
-struct BenchRun {
-    workers: u64,
-    cold_secs: f64,
-    warm_secs: f64,
-    cold_cells_per_sec: f64,
-    warm_cells_per_sec: f64,
-    warm_cold_speedup: f64,
-    /// Work-memo hit rate during the warm pass — deterministic (a count
-    /// ratio, not a timing), so the regression gate can hold it tight.
-    warm_work_hit_rate: f64,
-}
-
-/// One matrix's worth of bench rows.
-#[derive(serde::Serialize)]
-struct BenchSection {
-    matrix_cells: u64,
-    runs: Vec<BenchRun>,
-}
-
-/// LP kernel micro-benchmark.
-#[derive(serde::Serialize)]
-struct LpBench {
-    cold_solves_per_sec: f64,
-    cached_solves_per_sec: f64,
-    /// Deterministic: (N-1)/N for N same-fingerprint solves.
-    hit_rate: f64,
-}
-
-/// BDD kernel micro-benchmark.
-#[derive(serde::Serialize)]
-struct BddBench {
-    applies_per_sec: f64,
-}
-
-/// One rung of the `lp_scale` ladder: the sparse-LU revised simplex
-/// vs the dense tableau solver on an NCFlow-style MCF instance.
-#[derive(serde::Serialize)]
-struct LpScaleRow {
-    scale: String,
-    nodes: u64,
-    commodities: u64,
-    lp_rows: u64,
-    lp_cols: u64,
-    revised_secs: f64,
-    revised_iterations: u64,
-    /// `None` when the dense solver is skipped (the 100× rung, where
-    /// its cubic tableau is intractable).
-    dense_secs: Option<f64>,
-    dense_over_revised: Option<f64>,
-    /// Deterministic invariant, not a timing: whenever both solvers
-    /// run, their objectives must agree to relative 1e-6.
-    objectives_match: bool,
-}
-
-/// One shard-count row of the sharded-sweep bench.
-#[derive(serde::Serialize)]
-struct ShardBenchRun {
-    shards: u64,
-    secs: f64,
-    cells_per_sec: f64,
-    /// Deterministic invariant, not a timing: the merged journal must
-    /// be byte-identical to the serial journal.
-    merge_identical: bool,
-}
-
-/// The partitioned fat-tree DPV bench: serial vs partitioned-parallel
-/// verification throughput on one seeded fabric.
-#[derive(serde::Serialize)]
-struct DpvScaleBench {
-    k: u64,
-    devices: u64,
-    dests: u64,
-    link_down: u64,
-    serial_dests_per_sec: f64,
-    parallel_dests_per_sec: f64,
-    parallel_speedup: f64,
-    /// Deterministic invariant, not a timing: the partitioned verdict
-    /// stream must be byte-identical to the serial one.
-    verdict_identical: bool,
-}
-
-/// The full `netrepro bench` output (`BENCH_6.json`).
-#[derive(serde::Serialize)]
-struct BenchReport {
-    id: String,
-    caption: String,
-    cache_scheme: String,
-    sections: std::collections::BTreeMap<String, BenchSection>,
-    sweep_shards: Vec<ShardBenchRun>,
-    dpv_scale: DpvScaleBench,
-    lp: LpBench,
-    lp_scale: Vec<LpScaleRow>,
-    bdd: BddBench,
-}
-
-/// The full experiment matrix the paper's validation loop sweeps:
-/// 4 systems × 3 styles × 28 seeds × 4 profiles = 1344 cells.
-fn bench_full_config() -> SweepConfig {
-    SweepConfig {
-        systems: vec![
-            TargetSystem::NcFlow,
-            TargetSystem::Arrow,
-            TargetSystem::ApKeep,
-            TargetSystem::ApVerifier,
-        ],
-        styles: vec![
-            PromptStyle::Monolithic,
-            PromptStyle::ModularText,
-            PromptStyle::ModularPseudocode,
-        ],
-        seeds: (0..28).collect(),
-        profiles: vec![
-            FaultProfile::None,
-            FaultProfile::Light,
-            FaultProfile::Heavy,
-            FaultProfile::Chaos,
-        ],
-        scales: vec![harness::TopoScale::Paper],
-        limits: TaskLimits::default(),
-    }
-}
-
-/// A 112-cell matrix for CI: small enough to run on every push, varied
-/// enough (two systems, two profiles) to exercise the same paths, and
-/// large enough that its timings are not pure thread-spawn noise.
-fn bench_quick_config() -> SweepConfig {
-    SweepConfig {
-        systems: vec![TargetSystem::RockPaperScissors, TargetSystem::ApVerifier],
-        styles: vec![PromptStyle::ModularText],
-        seeds: (0..28).collect(),
-        profiles: vec![FaultProfile::None, FaultProfile::Heavy],
-        scales: vec![harness::TopoScale::Paper],
-        limits: TaskLimits::default(),
-    }
-}
-
-/// Cold-then-warm timing of one matrix at one worker count, sharing one
-/// memo between the two passes.
-fn bench_sweep(config: &SweepConfig, workers: usize) -> Result<BenchRun, ArgError> {
-    let gate = || -> harness::GateFn {
-        Box::new(|spec, arts| {
-            let (report, _) = analysis::gate::gate_artifacts(spec, arts);
-            analysis::gate::static_gate(&report)
-        })
-    };
-    let memo = CellMemo::shared();
-    let cells = config.total_cells() as f64;
-
-    let sweep = Sweep::new(config.clone())
-        .with_workers(workers)
-        .with_gate(gate())
-        .with_cache(std::sync::Arc::clone(&memo));
-    let t0 = std::time::Instant::now();
-    sweep.run(&mut harness::MemoryJournal::new()).map_err(ArgError)?;
-    let cold_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let after_cold = memo.work_stats();
-
-    // The warm pass is tiny (microseconds per cell), so a single
-    // timing is mostly scheduler noise — take the best of three.
-    let mut warm_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let sweep = Sweep::new(config.clone())
-            .with_workers(workers)
-            .with_gate(gate())
-            .with_cache(std::sync::Arc::clone(&memo));
-        let t0 = std::time::Instant::now();
-        sweep.run(&mut harness::MemoryJournal::new()).map_err(ArgError)?;
-        warm_secs = warm_secs.min(t0.elapsed().as_secs_f64().max(1e-9));
-    }
-    let after_warm = memo.work_stats();
-
-    let hits = after_warm.hits - after_cold.hits;
-    let lookups = hits + (after_warm.misses - after_cold.misses);
-    Ok(BenchRun {
-        workers: workers as u64,
-        cold_secs,
-        warm_secs,
-        cold_cells_per_sec: cells / cold_secs,
-        warm_cells_per_sec: cells / warm_secs,
-        warm_cold_speedup: cold_secs / warm_secs,
-        warm_work_hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-    })
-}
-
-/// A small LP whose solve cost is representative of the per-commodity
-/// subproblems NCFlow's R2 phase issues.
-fn bench_lp_problem() -> netrepro_lp::Problem {
-    use netrepro_lp::{Problem, Sense};
-    let mut p = Problem::new(Sense::Maximize);
-    let vars: Vec<_> =
-        (0..8).map(|i| p.add_var(&format!("x{i}"), 0.0, 10.0, 1.0 + 0.25 * i as f64)).collect();
-    for w in vars.windows(2) {
-        p.add_le(&[(w[0], 1.0), (w[1], 2.0)], 12.0);
-    }
-    let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    p.add_le(&all, 40.0);
-    p
-}
-
-fn bench_lp() -> Result<LpBench, ArgError> {
-    use netrepro_lp::fallback::FallbackSolver;
-    const N: u32 = 500;
-    let problem = bench_lp_problem();
-
-    let solver = RevisedSimplex::default();
-    let t0 = std::time::Instant::now();
-    for _ in 0..N {
-        solver.solve(&problem).map_err(|e| ArgError(format!("lp bench: {e}")))?;
-    }
-    let cold = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let cached =
-        FallbackSolver::new(RevisedSimplex::default(), DenseSimplex::default()).with_cache();
-    let t0 = std::time::Instant::now();
-    for _ in 0..N {
-        cached.solve(&problem).map_err(|e| ArgError(format!("lp bench: {e}")))?;
-    }
-    let warm = t0.elapsed().as_secs_f64().max(1e-9);
-    let (hits, misses) = cached.cache_stats().unwrap_or((0, 0));
-    Ok(LpBench {
-        cold_solves_per_sec: f64::from(N) / cold,
-        cached_solves_per_sec: f64::from(N) / warm,
-        hit_rate: if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 },
-    })
-}
-
-/// The `lp_scale` ladder (see `core::validate::lp_scale_specs`):
-/// revised at every rung, dense only where tractable, objectives
-/// cross-checked whenever both run. `quick` drops the revised-only
-/// 100× rung so the CI gate stays fast; the 10× rung — where the ≥5×
-/// speedup floor is enforced — runs in both modes.
-fn bench_lp_scale(quick: bool) -> Result<Vec<LpScaleRow>, ArgError> {
-    use netrepro_core::validate::{lp_scale_instance, lp_scale_specs};
-    use netrepro_te::mcf::solve_mcf;
-    let mut rows = Vec::new();
-    for spec in lp_scale_specs() {
-        if quick && !spec.run_dense {
-            continue;
-        }
-        let inst = lp_scale_instance(&spec);
-        let t0 = std::time::Instant::now();
-        let revised = solve_mcf(&inst, &RevisedSimplex::default())
-            .map_err(|e| ArgError(format!("lp_scale {} revised: {e}", spec.label)))?;
-        let revised_secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let (dense_secs, dense_over_revised, objectives_match) = if spec.run_dense {
-            let t1 = std::time::Instant::now();
-            let dense = solve_mcf(&inst, &DenseSimplex::default())
-                .map_err(|e| ArgError(format!("lp_scale {} dense: {e}", spec.label)))?;
-            let secs = t1.elapsed().as_secs_f64().max(1e-9);
-            let rel = (dense.total_flow - revised.total_flow).abs()
-                / revised.total_flow.abs().max(1.0);
-            (Some(secs), Some(secs / revised_secs), rel <= 1e-6)
-        } else {
-            (None, None, true)
-        };
-        rows.push(LpScaleRow {
-            scale: spec.label.to_string(),
-            nodes: spec.nodes as u64,
-            commodities: spec.commodities as u64,
-            lp_rows: inst.graph.num_edges() as u64 + spec.commodities as u64,
-            lp_cols: (spec.commodities * spec.paths) as u64,
-            revised_secs,
-            revised_iterations: revised.lp_iterations,
-            dense_secs,
-            dense_over_revised,
-            objectives_match,
-        });
-    }
-    Ok(rows)
-}
-
-fn bench_bdd() -> BddBench {
-    use netrepro_bdd::BddManager;
-    const VARS: u32 = 24;
-    const ROUNDS: u32 = 200;
-    let mut m = BddManager::new(VARS, EngineProfile::Cached);
-    let t0 = std::time::Instant::now();
-    let mut ops = 0u64;
-    for round in 0..ROUNDS {
-        let mut acc = m.var(round % VARS);
-        for v in 0..VARS {
-            let x = m.var(v);
-            acc = if v % 2 == 0 { m.and(acc, x) } else { m.or(acc, x) };
-            let n = m.not(acc);
-            acc = m.or(acc, n);
-            ops += 3;
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    BddBench { applies_per_sec: ops as f64 / secs }
-}
-
-/// Partitioned fat-tree DPV: one churned k=8 fabric, all 128 host
-/// destinations, serial vs P=4/W=4 — plus the byte-identity gate the
-/// timing rides on.
-fn bench_dpv_scale() -> Result<DpvScaleBench, ArgError> {
-    use netrepro_core::dpv_scale::{run_spec, DpvScaleSpec};
-    let spec = DpvScaleSpec { link_down: 6, ..DpvScaleSpec::new(8, 2023) };
-    let t0 = std::time::Instant::now();
-    let serial = run_spec(&spec).map_err(|e| ArgError(format!("dpv_scale bench: {e}")))?;
-    let serial_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let par_spec = DpvScaleSpec { partitions: 4, workers: 4, ..spec };
-    let t1 = std::time::Instant::now();
-    let parallel = run_spec(&par_spec).map_err(|e| ArgError(format!("dpv_scale bench: {e}")))?;
-    let par_secs = t1.elapsed().as_secs_f64().max(1e-9);
-    Ok(DpvScaleBench {
-        k: spec.k as u64,
-        devices: serial.devices as u64,
-        dests: serial.queried as u64,
-        link_down: spec.link_down as u64,
-        serial_dests_per_sec: serial.queried as f64 / serial_secs,
-        parallel_dests_per_sec: parallel.queried as f64 / par_secs,
-        parallel_speedup: serial_secs / par_secs,
-        verdict_identical: parallel.rendered == serial.rendered,
-    })
-}
-
-/// Relative closeness for the regression gate's ratio metrics.
-fn within_tolerance(current: f64, baseline: f64, tol: f64) -> bool {
-    if baseline.abs() < 1e-12 {
-        return current.abs() < 1e-12;
-    }
-    ((current - baseline) / baseline).abs() <= tol
-}
-
-/// Compare this run's *ratio* metrics against a committed baseline.
-/// Hit rates are count ratios — deterministic per matrix — so ±20% is
-/// generous; raw throughput and speedups are machine-dependent and
-/// only gated by the speedup floor, not against the baseline.
-fn bench_check(current: &BenchReport, baseline: &serde_json::Value) -> Result<(), ArgError> {
-    const TOL: f64 = 0.20;
-    const SPEEDUP_FLOOR: f64 = 1.5;
-    /// Revised-vs-dense floor on the 10× `lp_scale` rung: the sparse-LU
-    /// kernel must keep the fast-vs-slow solver gap wide open.
-    const LP_SCALE_FLOOR: f64 = 5.0;
-    let mut failures: Vec<String> = Vec::new();
-
-    for (name, section) in &current.sections {
-        let base_runs = &baseline["sections"][name.as_str()]["runs"];
-        for run in &section.runs {
-            let base = base_runs
-                .as_array()
-                .and_then(|rs| rs.iter().find(|r| r["workers"].as_u64() == Some(run.workers)));
-            let Some(base) = base else { continue };
-            let base_hit = base["warm_work_hit_rate"].as_f64().unwrap_or(0.0);
-            if !within_tolerance(run.warm_work_hit_rate, base_hit, TOL) {
-                failures.push(format!(
-                    "{name} workers={}: warm_work_hit_rate {:.3} vs baseline {base_hit:.3}",
-                    run.workers, run.warm_work_hit_rate
-                ));
-            }
-            if run.warm_cold_speedup < SPEEDUP_FLOOR {
-                failures.push(format!(
-                    "{name} workers={}: warm/cold speedup {:.2}x below the {SPEEDUP_FLOOR}x floor",
-                    run.workers, run.warm_cold_speedup
-                ));
-            }
-        }
-    }
-    // The shard rows gate a deterministic invariant of *this* run, not
-    // a baseline-relative ratio: the merged journal must equal the
-    // serial journal byte-for-byte.
-    for run in &current.sweep_shards {
-        if !run.merge_identical {
-            failures.push(format!(
-                "sweep_shards shards={}: merged journal diverged from the serial journal",
-                run.shards
-            ));
-        }
-    }
-    // Likewise for the partitioned DPV row: byte-identity to the serial
-    // verifier is an invariant of this run, independent of any baseline.
-    if !current.dpv_scale.verdict_identical {
-        failures.push(
-            "dpv_scale: partitioned verdict stream diverged from the serial verifier".to_string(),
-        );
-    }
-    // lp_scale gates are invariants of *this* run (objectives must
-    // agree wherever both solvers ran; the 10× rung must clear the
-    // revised-vs-dense floor), independent of any baseline.
-    for row in &current.lp_scale {
-        if !row.objectives_match {
-            failures.push(format!(
-                "lp_scale {}: revised and dense objectives diverged",
-                row.scale
-            ));
-        }
-        if row.scale == "10x" {
-            match row.dense_over_revised {
-                Some(ratio) if ratio < LP_SCALE_FLOOR => failures.push(format!(
-                    "lp_scale 10x: dense/revised {ratio:.1}x below the {LP_SCALE_FLOOR}x floor"
-                )),
-                Some(_) => {}
-                None => failures.push(
-                    "lp_scale 10x: dense solver row missing, floor not provable".to_string(),
-                ),
-            }
-        }
-    }
-    let base_lp_hit = baseline["lp"]["hit_rate"].as_f64().unwrap_or(0.0);
-    if !within_tolerance(current.lp.hit_rate, base_lp_hit, TOL) {
-        failures.push(format!(
-            "lp: cache hit rate {:.3} vs baseline {base_lp_hit:.3}",
-            current.lp.hit_rate
-        ));
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(ArgError(format!("bench regression gate failed:\n  {}", failures.join("\n  "))))
-    }
-}
-
-/// `netrepro bench` — throughput of the memoized sweep runtime plus
-/// LP/BDD kernel micro-benchmarks. `--quick` restricts to the 32-cell
-/// CI matrix; `--check BASELINE.json` applies the regression gate
-/// (±20% on deterministic ratio metrics, 1.5x warm/cold speedup floor).
-pub fn bench(a: &Args) -> CmdResult {
-    let quick = a.has("quick");
-    let mut sections = std::collections::BTreeMap::new();
-
-    let quick_cfg = bench_quick_config();
-    let mut runs = Vec::new();
-    for workers in [1usize, 4] {
-        runs.push(bench_sweep(&quick_cfg, workers)?);
-    }
-    sections.insert(
-        "quick".to_string(),
-        BenchSection { matrix_cells: quick_cfg.total_cells() as u64, runs },
-    );
-
-    if !quick {
-        let full_cfg = bench_full_config();
-        let mut runs = Vec::new();
-        for workers in [1usize, 4] {
-            runs.push(bench_sweep(&full_cfg, workers)?);
-        }
-        sections.insert(
-            "full".to_string(),
-            BenchSection { matrix_cells: full_cfg.total_cells() as u64, runs },
-        );
-    }
-
-    // The sharded pipeline over the quick matrix: `run_sharded`
-    // exercises partition → per-shard journaling (serde included) →
-    // parse-back → merge in-process, against a serial byte baseline.
-    let shard_cfg = bench_quick_config();
-    let mut serial_sink = harness::MemoryJournal::new();
-    sweep_runtime(&shard_cfg, 1, false).run(&mut serial_sink).map_err(ArgError)?;
-    let mut sweep_shards = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let runtime = sweep_runtime(&shard_cfg, 1, false);
-        let mut sink = harness::MemoryJournal::new();
-        let t0 = std::time::Instant::now();
-        shard::run_sharded(&runtime, shards, &mut sink).map_err(ArgError)?;
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        sweep_shards.push(ShardBenchRun {
-            shards: shards as u64,
-            secs,
-            cells_per_sec: shard_cfg.total_cells() as f64 / secs,
-            merge_identical: sink.text() == serial_sink.text(),
-        });
-    }
-
-    let report = BenchReport {
-        id: "bench_7".to_string(),
-        caption: "cold vs warm sweep throughput, sharded-merge pipeline, solver-kernel \
-                  micro-benchmarks, and the lp_scale revised-vs-dense ladder"
-            .to_string(),
-        cache_scheme: netrepro_core::cache::SCHEME.to_string(),
-        sections,
-        sweep_shards,
-        dpv_scale: bench_dpv_scale()?,
-        lp: bench_lp()?,
-        lp_scale: bench_lp_scale(quick)?,
-        bdd: bench_bdd(),
-    };
-
-    let rendered = serde_json::to_string_pretty(&report)
-        .map_err(|e| ArgError(format!("render bench report: {e}")))?;
-    if let Some(out) = a.get("out") {
-        std::fs::write(out, &rendered).map_err(|e| ArgError(format!("{out}: {e}")))?;
-    }
-    if a.has("json") {
-        println!("{rendered}");
-    } else {
-        for (name, s) in &report.sections {
-            println!("{name} matrix ({} cells):", s.matrix_cells);
-            for r in &s.runs {
-                println!(
-                    "  workers {}: cold {:>8.1} cells/s, warm {:>10.1} cells/s \
-                     ({:.1}x, warm hit rate {:.3})",
-                    r.workers,
-                    r.cold_cells_per_sec,
-                    r.warm_cells_per_sec,
-                    r.warm_cold_speedup,
-                    r.warm_work_hit_rate
-                );
-            }
-        }
-        for r in &report.sweep_shards {
-            println!(
-                "shards {}: {:>8.1} cells/s (merge identical: {})",
-                r.shards, r.cells_per_sec, r.merge_identical
-            );
-        }
-        println!(
-            "dpv_scale k={} ({} devices): {:>6.1} dests/s serial, {:>6.1} dests/s at P=4 \
-             ({:.2}x, verdicts identical: {})",
-            report.dpv_scale.k,
-            report.dpv_scale.devices,
-            report.dpv_scale.serial_dests_per_sec,
-            report.dpv_scale.parallel_dests_per_sec,
-            report.dpv_scale.parallel_speedup,
-            report.dpv_scale.verdict_identical
-        );
-        println!(
-            "lp: {:.0} solves/s cold, {:.0} solves/s cached (hit rate {:.3})",
-            report.lp.cold_solves_per_sec, report.lp.cached_solves_per_sec, report.lp.hit_rate
-        );
-        for r in &report.lp_scale {
-            match (r.dense_secs, r.dense_over_revised) {
-                (Some(d), Some(ratio)) => println!(
-                    "lp_scale {}: revised {:.3}s, dense {:.3}s ({:.1}x, objectives match: {})",
-                    r.scale, r.revised_secs, d, ratio, r.objectives_match
-                ),
-                _ => println!(
-                    "lp_scale {}: revised {:.3}s ({} iterations, dense skipped)",
-                    r.scale, r.revised_secs, r.revised_iterations
-                ),
-            }
-        }
-        println!("bdd: {:.0} applies/s", report.bdd.applies_per_sec);
-    }
-
-    if let Some(path) = a.get("check") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read baseline {path}: {e}")))?;
-        let baseline: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| ArgError(format!("{path}: bad JSON: {e}")))?;
-        bench_check(&report, &baseline)?;
-        println!("bench regression gate passed against {path}");
-    }
-    Ok(())
 }
 
 /// `netrepro rps serve|play`

@@ -18,7 +18,6 @@
 //!                   [--journal PATH] [--resume PATH] [--deadline N] [--attempts N]
 //!                   [--breaker N] [--workers N] [--shards N] [--max-restarts N]
 //!                   [--json] [--out FILE] [--halt-after K] [--throttle-ms MS] [--no-cache]
-//! netrepro bench    [--quick] [--json] [--out FILE] [--check BASELINE.json]
 //! netrepro rps      serve [--addr HOST:PORT] | play [--addr HOST:PORT] [--moves RPS...]
 //! netrepro serve    [--addr HOST:PORT] [--dir DIR] [--workers N] [--queue-cap N]
 //!                   [--tenant-quota N] [--job-breaker N] [--quantum N]
@@ -54,7 +53,6 @@ fn main() {
         Some("analyze") => cmd::analyze(&a),
         Some("sweep") => cmd::sweep(&a),
         Some("sweep-shard") => cmd::sweep_shard(&a),
-        Some("bench") => cmd::bench(&a),
         Some("rps") => cmd::rps(&a),
         Some("serve") => cmd::serve(&a),
         Some("submit") => cmd::submit(&a),

@@ -42,6 +42,50 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn readme_commands_name_real_subcommands_and_bins() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let (usage, _, ok) = run(&["--help"]);
+    assert!(ok);
+    let is_sub = |w: &str| usage.lines().any(|l| l.split_whitespace().next() == Some(w));
+    let is_bin = |w: &str| {
+        std::fs::read_dir(root.join("crates"))
+            .expect("crates/")
+            .any(|c| c.expect("entry").path().join(format!("src/bin/{w}.rs")).exists())
+    };
+    // Fenced lines, with `\`-continued lines joined into one command.
+    let mut commands = Vec::new();
+    let (mut fenced, mut pending) = (false, String::new());
+    for line in readme.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            pending.push_str(line.trim_end_matches('\\'));
+            pending.push(' ');
+            if !line.ends_with('\\') {
+                commands.push(std::mem::take(&mut pending));
+            }
+        }
+    }
+    let mut checked = 0;
+    for cmd in &commands {
+        assert!(!cmd.contains("--example"), "README runs an example, and there is none: {cmd}");
+        let words: Vec<&str> = cmd.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let (head, arg) = (pair[0], pair[1]);
+            if (head == "netrepro" || head == "--") && !arg.starts_with('-') {
+                assert!(is_sub(arg), "README runs `netrepro {arg}`, not in the usage: {cmd}");
+                checked += 1;
+            } else if head == "--bin" {
+                assert!(is_bin(arg), "README runs `--bin {arg}`, not a crates/*/src/bin file: {cmd}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 20, "only {checked} README commands found; is the parser broken?");
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let (_, stderr, ok) = run(&["frobnicate"]);
     assert!(!ok);
@@ -405,17 +449,17 @@ fn sweep_resume_on_torn_header_only_journal_starts_fresh() {
     );
 }
 
-#[test]
-fn sweep_sharded_matches_serial_bytes() {
-    let matrix: &[&str] =
-        &["--systems", "ncflow,rps", "--styles", "text", "--seeds", "2", "--profiles", "none,chaos"];
-    let (sj, so) = (scratch("shard-serial.jsonl"), scratch("shard-serial.json"));
+/// Runs `matrix` serially and with `--shards shards`, asserts the merged
+/// journal and report are byte-identical to serial, and returns the
+/// sharded run's stderr.
+fn assert_sharded_matches_serial(tag: &str, matrix: &[&str], shards: &str) -> String {
+    let (sj, so) = (scratch(&format!("{tag}-serial.jsonl")), scratch(&format!("{tag}-serial.json")));
     let (_, _, ok) =
         run(&[&["sweep"], matrix, &["--workers", "1", "--journal", &sj, "--out", &so]].concat());
     assert!(ok, "serial sweep runs");
-    let (pj, po) = (scratch("shard-3.jsonl"), scratch("shard-3.json"));
+    let (pj, po) = (scratch(&format!("{tag}-sharded.jsonl")), scratch(&format!("{tag}-sharded.json")));
     let (_, stderr, ok) = run(
-        &[&["sweep"], matrix, &["--workers", "1", "--shards", "3", "--journal", &pj, "--out", &po]]
+        &[&["sweep"], matrix, &["--workers", "1", "--shards", shards, "--journal", &pj, "--out", &po]]
             .concat(),
     );
     assert!(ok, "sharded sweep runs: {stderr}");
@@ -429,6 +473,27 @@ fn sweep_sharded_matches_serial_bytes() {
         std::fs::read_to_string(&po).unwrap(),
         "sharded report must be byte-identical to serial"
     );
+    stderr
+}
+
+#[test]
+fn sweep_sharded_matches_serial_bytes() {
+    let matrix: &[&str] =
+        &["--systems", "ncflow,rps", "--styles", "text", "--seeds", "2", "--profiles", "none,chaos"];
+    assert_sharded_matches_serial("shard", matrix, "3");
+}
+
+#[test]
+fn sweep_sharded_chaos_matrix_completes_within_restart_budget() {
+    // 672 cells under injected shard crashes: each lease is respawned
+    // dozens of times, but every spawn journals new cells, so none of
+    // those restarts may count against --max-restarts.
+    let matrix: &[&str] = &[
+        "--systems", "ncflow,arrow,apkeep,ap", "--styles", "mono,text,pseudo", "--seeds", "28",
+        "--profiles", "none,chaos",
+    ];
+    let stderr = assert_sharded_matches_serial("chaos672", matrix, "2");
+    assert!(stderr.contains("restart"), "chaos must have crashed some shard children: {stderr}");
 }
 
 #[test]

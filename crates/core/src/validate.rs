@@ -118,10 +118,11 @@ pub struct LpScaleSpec {
     pub run_dense: bool,
 }
 
-/// The `lp_scale` ladder shared by `netrepro bench` and the Criterion
-/// `lp_scale` group: 1×/10×/100× of a small NCFlow-style instance.
-/// Sizes were probed so dense stays under a second at 10× (where the
-/// ≥5× speedup floor is gated) and is skipped at 100×.
+/// The `lp_scale` ladder: 1×/10×/100× of a small NCFlow-style
+/// instance. `tests/perf_gates.rs` checks the solvers agree wherever
+/// both run and gates the ≥5× dense/revised floor at 10×; layerbench's
+/// `te-lp100` workload solves the 100× rung. Sizes were probed so dense
+/// stays under a second at 10× and is skipped at 100×.
 pub fn lp_scale_specs() -> Vec<LpScaleSpec> {
     vec![
         LpScaleSpec { label: "1x", nodes: 12, commodities: 16, paths: 4, run_dense: true },
@@ -267,7 +268,10 @@ pub fn validate_ap(
 
 /// Participant C: APKeep. Both sides use the cached engine (the paper:
 /// both prototypes use JDD and match); the reproduced run replays the
-/// same update stream, so the row demonstrates equality.
+/// same update stream, so the row demonstrates equality. Each side is
+/// timed as the best of three runs, alternating sides, so a
+/// load spike on a busy host cannot pass for a stack gap; the answers
+/// are equal only when every run's atom count agrees.
 pub fn validate_apkeep(ds: &FibDataset, name: &str) -> DpvValidation {
     let run = || {
         let t0 = std::time::Instant::now();
@@ -280,8 +284,16 @@ pub fn validate_apkeep(ds: &FibDataset, name: &str) -> DpvValidation {
         let atoms = k.num_atomic_predicates();
         (atoms, t0.elapsed())
     };
-    let (atoms_open, t_open) = run();
-    let (atoms_repro, t_repro) = run();
+    let (atoms_open, mut t_open) = run();
+    let (atoms_repro, mut t_repro) = run();
+    let mut results_equal = atoms_open == atoms_repro;
+    for _ in 1..3 {
+        for t_side in [&mut t_open, &mut t_repro] {
+            let (atoms, t) = run();
+            results_equal &= atoms == atoms_open;
+            *t_side = (*t_side).min(t);
+        }
+    }
     DpvValidation {
         dataset: name.to_string(),
         atoms_open,
@@ -290,7 +302,7 @@ pub fn validate_apkeep(ds: &FibDataset, name: &str) -> DpvValidation {
         pred_time_repro: t_repro,
         verify_time_open: t_open,
         verify_time_repro: t_repro,
-        results_equal: atoms_open == atoms_repro,
+        results_equal,
     }
 }
 

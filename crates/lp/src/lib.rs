@@ -38,7 +38,6 @@
 
 pub mod cache;
 pub mod dense;
-pub mod duals;
 pub mod fallback;
 pub mod format;
 pub mod model;

@@ -15,7 +15,7 @@
 //!   execution) and the workspace invariant linter (`repolint`);
 //! * [`rps`] — the Figure 3 rock-paper-scissors client/server.
 //!
-//! Start with `examples/quickstart.rs`, then `DESIGN.md` for the system
+//! Start with the README's quickstart, then `DESIGN.md` for the system
 //! inventory and `EXPERIMENTS.md` for the paper-vs-measured record.
 
 #![forbid(unsafe_code)]

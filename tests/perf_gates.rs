@@ -1,0 +1,126 @@
+//! Performance gates: the invariants the memoized sweep and the LP
+//! kernels must keep, with their floors.
+//!
+//! The warm-memo count gate is exact and runs with every `cargo test`.
+//! The timing gates are `#[ignore]`d because they need an optimized
+//! build and a quiet host; run them with
+//!
+//! ```text
+//! cargo test --release --test perf_gates -- --include-ignored --test-threads=1
+//! ```
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use netrepro::core::cache::CellMemo;
+use netrepro::core::fault::FaultProfile;
+use netrepro::core::harness::{GateFn, MemoryJournal, Sweep, SweepConfig, TaskLimits, TopoScale};
+use netrepro::core::paper::TargetSystem;
+use netrepro::core::prompt::PromptStyle;
+use netrepro::core::validate::{lp_scale_instance, lp_scale_specs};
+use netrepro::lp::dense::DenseSimplex;
+use netrepro::lp::revised::RevisedSimplex;
+use netrepro::te::mcf::solve_mcf;
+
+/// Warm/cold sweep speedup floor at every worker count.
+const WARM_SPEEDUP_FLOOR: f64 = 1.5;
+/// Dense/revised solve-time floor on the 10× `lp_scale` rung: the
+/// sparse-LU kernel must keep the fast-vs-slow solver gap wide open.
+const LP_SCALE_FLOOR: f64 = 5.0;
+/// Relative objective agreement between the two LP solvers.
+const OBJECTIVE_TOL: f64 = 1e-6;
+
+/// The 112-cell quick matrix: two systems, one style, 28 seeds, a clean
+/// and a faulty profile.
+fn quick_config() -> SweepConfig {
+    SweepConfig {
+        systems: vec![TargetSystem::RockPaperScissors, TargetSystem::ApVerifier],
+        styles: vec![PromptStyle::ModularText],
+        seeds: (0..28).collect(),
+        profiles: vec![FaultProfile::None, FaultProfile::Heavy],
+        scales: vec![TopoScale::Paper],
+        limits: TaskLimits::default(),
+    }
+}
+
+/// One pass over the quick matrix, with the analysis static gate, through
+/// `memo`; returns its journal and wall time.
+fn pass(workers: usize, memo: &Arc<CellMemo>) -> (String, Duration) {
+    let gate: GateFn = Box::new(|spec, arts| {
+        let (report, _) = netrepro::analysis::gate::gate_artifacts(spec, arts);
+        netrepro::analysis::gate::static_gate(&report)
+    });
+    let sweep = Sweep::new(quick_config())
+        .with_workers(workers)
+        .with_gate(gate)
+        .with_cache(Arc::clone(memo));
+    let mut sink = MemoryJournal::new();
+    let t0 = Instant::now();
+    sweep.run(&mut sink).expect("quick matrix sweeps");
+    (sink.text().to_string(), t0.elapsed())
+}
+
+#[test]
+fn warm_memo_pass_misses_nothing_and_journals_identically() {
+    assert_eq!(quick_config().total_cells(), 112);
+    for workers in [1, 4] {
+        let memo = CellMemo::shared();
+        let (cold, _) = pass(workers, &memo);
+        let after_cold = memo.work_stats();
+        let (warm, _) = pass(workers, &memo);
+        let after_warm = memo.work_stats();
+        assert_eq!(after_warm.misses, after_cold.misses, "workers={workers}: warm pass missed");
+        assert!(after_warm.hits > after_cold.hits, "workers={workers}: warm pass never hit");
+        assert_eq!(warm, cold, "workers={workers}: warm journal differs from cold");
+    }
+}
+
+#[test]
+#[ignore = "timing gate: run with --release --include-ignored --test-threads=1"]
+fn warm_memo_pass_is_faster_than_cold() {
+    for workers in [1, 4] {
+        let memo = CellMemo::shared();
+        let (_, cold) = pass(workers, &memo);
+        // A warm pass takes microseconds per cell, so one timing is
+        // mostly scheduler noise: take the best of three.
+        let warm = (0..3).map(|_| pass(workers, &memo).1).min().expect("three passes");
+        let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
+        assert!(
+            speedup >= WARM_SPEEDUP_FLOOR,
+            "workers={workers}: warm/cold speedup {speedup:.2}x below the \
+             {WARM_SPEEDUP_FLOOR}x floor (cold {cold:?}, best warm {warm:?})"
+        );
+    }
+}
+
+#[test]
+#[ignore = "slow in debug builds: run with --release --include-ignored --test-threads=1"]
+fn lp_scale_solvers_agree_and_revised_clears_the_floor() {
+    let mut checked_floor = false;
+    for spec in lp_scale_specs().into_iter().filter(|s| s.run_dense) {
+        let inst = lp_scale_instance(&spec);
+        let t0 = Instant::now();
+        let revised = solve_mcf(&inst, &RevisedSimplex::default()).expect("revised solves");
+        let revised_secs = t0.elapsed().as_secs_f64().max(1e-9);
+        let t1 = Instant::now();
+        let dense = solve_mcf(&inst, &DenseSimplex::default()).expect("dense solves");
+        let dense_secs = t1.elapsed().as_secs_f64();
+        let rel = (dense.total_flow - revised.total_flow).abs() / revised.total_flow.abs().max(1.0);
+        assert!(
+            rel <= OBJECTIVE_TOL,
+            "lp_scale {}: revised {} and dense {} objectives diverged",
+            spec.label,
+            revised.total_flow,
+            dense.total_flow
+        );
+        if spec.label == "10x" {
+            let ratio = dense_secs / revised_secs;
+            assert!(
+                ratio >= LP_SCALE_FLOOR,
+                "lp_scale 10x: dense/revised {ratio:.1}x below the {LP_SCALE_FLOOR}x floor"
+            );
+            checked_floor = true;
+        }
+    }
+    assert!(checked_floor, "the 10x rung must run both solvers");
+}
