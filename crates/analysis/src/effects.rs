@@ -1,6 +1,6 @@
 //! Effect-inference determinism analyzer.
 //!
-//! The soundness of the memo layer (`core::cache`), the speculative
+//! The soundness of the memo layer (`core::cache`), the out-of-order
 //! pool (`core::pool`) and the shard merge (`core::shard`) all rest on
 //! one claim: *`execute_cell` is a pure function of `CellId`*. This
 //! module proves that claim transitively instead of trusting
@@ -236,7 +236,7 @@ impl EffectConfig {
                 root(
                     "core::pool::run_ordered",
                     &[SeededRng, GlobalState, Panic],
-                    "speculative workers may lock/signal and re-raise, never time-observe",
+                    "the one sweep executor: workers may lock and re-raise, never time-observe",
                 ),
                 root(
                     "core::session::ReproductionSession::run_with_faults",
@@ -257,7 +257,7 @@ impl EffectConfig {
                 root(
                     "lp::fallback::FallbackSolver::solve",
                     &[],
-                    "solve results are memoized by fingerprint; the solve itself must be pure",
+                    "TE results depend on the solve alone; it must be a pure function of the model",
                 ),
                 root(
                     "bdd::manager::BddManager::apply",

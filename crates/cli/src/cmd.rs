@@ -7,7 +7,7 @@ use netrepro_core::cache::CellMemo;
 use netrepro_core::diagnosis::{diagnose_dpv, diagnose_resilience, diagnose_te, RootCause};
 use netrepro_core::fault::{FaultOutcome, FaultProfile};
 use netrepro_core::framework::AutoEngineer;
-use netrepro_core::harness::{self, CellWork, JournalSink, Sweep, SweepConfig, SweepReport, TaskLimits};
+use netrepro_core::harness::{self, CellWork, JournalSink, Sweep, SweepConfig, SweepReport};
 use netrepro_core::paper::TargetSystem;
 use netrepro_core::shard::{self, Lease, ShardFault};
 use netrepro_core::prompt::PromptStyle;
@@ -612,9 +612,9 @@ pub fn analyze(a: &Args) -> CmdResult {
 }
 
 /// Default sweep worker count: the machine's available parallelism,
-/// capped at 8. The cap keeps speculative execution bounded — beyond
-/// the matrix's class width, extra workers mostly execute cells a
-/// breaker will discard at commit time.
+/// capped at 8. Cells commit in canonical order whatever the worker
+/// count, so this choice only ever moves latency, never a journal
+/// byte.
 fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
@@ -754,32 +754,32 @@ fn print_sweep_table(report: &SweepReport) {
 /// Parse the matrix + limit flags shared by `sweep` (serial and
 /// coordinator alike) and the `sweep-shard` child, so all three build
 /// the same [`SweepConfig`] — and therefore the same fingerprint —
-/// from the same flag set.
+/// from the same flag set. An omitted flag keeps the
+/// [`SweepConfig::default`] value.
 fn sweep_config_from(a: &Args) -> Result<SweepConfig, ArgError> {
-    let systems = parse_csv(
-        a.get("systems").unwrap_or("ncflow,arrow,apkeep,ap"),
-        TargetSystem::parse,
-        "--systems",
-    )?;
-    let styles =
-        parse_csv(a.get("styles").unwrap_or("text,pseudo"), PromptStyle::parse, "--styles")?;
-    let profiles =
-        parse_csv(a.get("profiles").unwrap_or("none,heavy"), FaultProfile::parse, "--profiles")?;
-    let scales =
-        parse_csv(a.get("scales").unwrap_or("paper"), harness::TopoScale::parse, "--scales")?;
-    let n_seeds: u64 = a.get_or("seeds", 3)?;
+    let mut config = SweepConfig::default();
+    if let Some(v) = a.get("systems") {
+        config.systems = parse_csv(v, TargetSystem::parse, "--systems")?;
+    }
+    if let Some(v) = a.get("styles") {
+        config.styles = parse_csv(v, PromptStyle::parse, "--styles")?;
+    }
+    if let Some(v) = a.get("profiles") {
+        config.profiles = parse_csv(v, FaultProfile::parse, "--profiles")?;
+    }
+    if let Some(v) = a.get("scales") {
+        config.scales = parse_csv(v, harness::TopoScale::parse, "--scales")?;
+    }
+    let n_seeds: u64 = a.get_or("seeds", config.seeds.len() as u64)?;
     if n_seeds == 0 {
         return Err(ArgError("--seeds must be at least 1".into()));
     }
-    let defaults = TaskLimits::default();
-    let limits = TaskLimits {
-        deadline_steps: a.get_or("deadline", defaults.deadline_steps)?,
-        max_attempts: a.get_or("attempts", defaults.max_attempts)?,
-        backoff_base: defaults.backoff_base,
-        backoff_cap: defaults.backoff_cap,
-        breaker_threshold: a.get_or("breaker", defaults.breaker_threshold)?,
-    };
-    Ok(SweepConfig { systems, styles, seeds: (0..n_seeds).collect(), profiles, scales, limits })
+    config.seeds = (0..n_seeds).collect();
+    let limits = &mut config.limits;
+    limits.deadline_steps = a.get_or("deadline", limits.deadline_steps)?;
+    limits.max_attempts = a.get_or("attempts", limits.max_attempts)?;
+    limits.breaker_threshold = a.get_or("breaker", limits.breaker_threshold)?;
+    Ok(config)
 }
 
 /// The sweep's worker count: `--workers N` or the machine default.
@@ -888,6 +888,11 @@ pub fn sweep(a: &Args) -> CmdResult {
     emit_sweep_report(a, &report)
 }
 
+/// Comma-join flag values (the inverse of [`parse_csv`]).
+fn csv(names: impl Iterator<Item = String>) -> String {
+    names.collect::<Vec<_>>().join(",")
+}
+
 /// Path of the shard journal for lease `seq` inside the shard
 /// directory.
 fn shard_file(dir: &str, seq: u64) -> String {
@@ -895,9 +900,9 @@ fn shard_file(dir: &str, seq: u64) -> String {
 }
 
 /// The argv for one `sweep-shard` child: the lease identity plus the
-/// matrix/limit flags that rebuild the coordinator's exact config. Any
-/// drift is caught by the shard header's fingerprint check, not left
-/// to silently skew the matrix.
+/// matrix/limit flags that rebuild the coordinator's exact config,
+/// written from that resolved config. Any drift is caught by the shard
+/// header's fingerprint check, not left to silently skew the matrix.
 fn child_args(
     a: &Args,
     config: &SweepConfig,
@@ -914,10 +919,10 @@ fn child_args(
         "--generation", &generation.to_string(),
         "--journal", journal,
         "--workers", &workers.to_string(),
-        "--systems", a.get("systems").unwrap_or("ncflow,arrow,apkeep,ap"),
-        "--styles", a.get("styles").unwrap_or("text,pseudo"),
-        "--profiles", a.get("profiles").unwrap_or("none,heavy"),
-        "--scales", a.get("scales").unwrap_or("paper"),
+        "--systems", &csv(config.systems.iter().map(|s| s.name().to_string())),
+        "--styles", &csv(config.styles.iter().map(|s| s.name().to_string())),
+        "--profiles", &csv(config.profiles.iter().map(|p| p.name().to_string())),
+        "--scales", &csv(config.scales.iter().map(|s| s.name())),
         "--seeds", &config.seeds.len().to_string(),
         "--deadline", &config.limits.deadline_steps.to_string(),
         "--attempts", &config.limits.max_attempts.to_string(),

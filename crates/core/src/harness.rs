@@ -492,6 +492,18 @@ pub struct JournalHeader {
     pub cache: String,
 }
 
+impl JournalHeader {
+    /// The header a journal of `config` starts with.
+    pub(crate) fn for_config(config: &SweepConfig) -> Self {
+        JournalHeader {
+            version: JOURNAL_VERSION,
+            fingerprint: config.fingerprint(),
+            total_cells: config.total_cells() as u64,
+            cache: crate::cache::SCHEME.to_string(),
+        }
+    }
+}
+
 /// One journaled cell line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellLine {
@@ -978,11 +990,25 @@ pub(crate) fn json_line<T: Serialize>(value: &T) -> Result<String, String> {
         .map_err(|e| e.to_string())
 }
 
+/// Append committed `record` as journal line `index` and hand it back
+/// once the line is durable: with [`Sweep::commit_cell`], the one
+/// commit-and-append step behind every journal, whether
+/// [`Sweep::run_slice`] or [`crate::shard::merge`] writes it.
+pub(crate) fn append_record(
+    sink: &mut dyn JournalSink,
+    index: usize,
+    record: CellRecord,
+) -> Result<CellRecord, String> {
+    let line = CellLine { index: index as u64, record };
+    sink.append(&json_line(&line)?)?;
+    Ok(line.record)
+}
+
 /// Everything one cell's execution produces *before* commit-time
 /// supervision state is applied: the attempt history, the outcome, the
 /// fault tally, and the virtual ticks consumed. A pure function of the
 /// [`CellId`] (every RNG stream is derived from the cell key), which
-/// is what makes speculative parallel execution sound: the pool can
+/// is what makes out-of-order parallel execution sound: the pool can
 /// run cells in any order and the commit step re-anchors them to the
 /// canonical clock and breaker state. Serializable because the sharded
 /// runtime journals works — not committed records — per shard, and the
@@ -1064,76 +1090,31 @@ impl Sweep {
         self.run_from(&Replay::empty(), sink)
     }
 
-    /// Parse `journal_text` and run the remainder. The caller is
-    /// responsible for truncating the on-disk journal to
-    /// [`Replay::valid_bytes`] before handing over the append sink.
-    pub fn resume(
-        &self,
-        journal_text: &str,
-        sink: &mut dyn JournalSink,
-    ) -> Result<SweepReport, String> {
-        let replay = parse_journal(journal_text, &self.config).map_err(|e| e.to_string())?;
-        self.run_from(&replay, sink)
-    }
-
     /// Replay `replay` and execute every remaining cell, appending each
-    /// finished record to `sink` before moving on (write-ahead).
-    ///
-    /// With `workers > 1` the remaining cells are executed
-    /// speculatively on a pool ([`crate::pool`]) and **committed** in
-    /// canonical matrix order through a reorder buffer; supervision
-    /// state (breaker counts, the virtual clock) advances only at
-    /// commit, so the journal and report are byte-identical to a
-    /// single-worker run.
+    /// finished record to `sink` before moving on (write-ahead): a
+    /// [`Sweep::run_slice`] with no budget.
     pub fn run_from(&self, replay: &Replay, sink: &mut dyn JournalSink) -> Result<SweepReport, String> {
-        let (cells, mut clock, mut breaker) = self.open_journal(replay, sink)?;
-        // Pre-size for the whole matrix: this buffer grows to one
-        // record per cell, and the parallel path pushes from the
-        // commit callback, where a reallocation pause would stall the
-        // reorder pipeline.
-        let mut records = Vec::with_capacity(cells.len());
-        records.extend_from_slice(&replay.records);
-        let start = records.len();
-        if self.workers > 1 && cells.len() - start > 1 {
-            crate::pool::run_ordered(
-                self.workers,
-                &cells[start..],
-                |cell| self.execute_cell(cell),
-                |offset, work| {
-                    let i = start + offset;
-                    let record = self.commit_cell(cells[i], Some(work), &mut clock, &mut breaker);
-                    let line = CellLine { index: i as u64, record };
-                    sink.append(&json_line(&line)?)?;
-                    records.push(line.record);
-                    Ok(())
-                },
-            )?;
-        } else {
-            for (i, &cell) in cells.iter().enumerate().skip(start) {
-                // Serial fast path: consult the breaker *before*
-                // executing, so a skipped cell costs nothing. The
-                // parallel path executes speculatively and discards at
-                // commit — same records either way, because
-                // `commit_cell` makes the identical decision.
-                let work = if self.breaker_tripped(&breaker, cell) {
-                    None
-                } else {
-                    Some(self.execute_cell(cell))
-                };
-                let record = self.commit_cell(cell, work, &mut clock, &mut breaker);
-                let line = CellLine { index: i as u64, record };
-                sink.append(&json_line(&line)?)?;
-                records.push(line.record);
-            }
-        }
-        Ok(self.assemble(records, clock))
+        let step = self.run_slice(&mut replay.clone(), sink, u64::MAX)?;
+        step.report.ok_or_else(|| "sweep stopped before its last cell".to_string())
     }
 
-    /// Job-scoped entry point for long-lived callers (the serve
-    /// daemon): continue the job whose committed prefix is `replay`,
-    /// execute at most `budget` further cells serially — each one
-    /// write-ahead journaled like [`Sweep::run_from`] — then stop and
-    /// report progress.
+    /// Continue the job whose committed prefix is `replay`: execute at
+    /// most `budget` further cells — each one write-ahead journaled —
+    /// then stop and report progress. The serve daemon calls this once
+    /// per scheduler slice; [`Sweep::run_from`] calls it with no budget.
+    ///
+    /// Cells run through the pool ([`crate::pool`]) on the configured
+    /// worker count and commit in canonical matrix order. Supervision
+    /// state (breaker counts, the virtual clock) advances only at
+    /// commit. Before executing a cell, a worker reads the committed
+    /// breaker counts and skips the cell if its class has already
+    /// tripped: counts only grow, and a cell commits only after it has
+    /// executed, so such a cell is still tripped at its commit slot.
+    /// [`Sweep::commit_cell`] re-checks for the cell whose class trips
+    /// after its worker looked. The journal and report are therefore
+    /// byte-identical for every worker count, and one worker — which
+    /// runs inline, every check seeing every earlier commit — executes
+    /// no skipped cell at all.
     ///
     /// `replay` is the caller's in-memory copy of the journal and the
     /// slice keeps it in step with the sink: writing the header sets
@@ -1147,33 +1128,42 @@ impl Sweep {
     /// is left empty.
     ///
     /// Because [`Sweep::execute_cell`] is a pure function of the cell
-    /// id and supervision state (virtual clock, breaker counts) is
-    /// rebuilt from the committed prefix on every call, a journal
-    /// grown slice by slice — across scheduler turns, interleaved
-    /// tenants, or daemon restarts — is byte-identical to one written
-    /// by a single uninterrupted run. The slice size is therefore pure
-    /// scheduling policy: it can never change a journal byte.
+    /// id and supervision state is rebuilt from the committed prefix
+    /// on every call, a journal grown slice by slice — across scheduler
+    /// turns, interleaved tenants, or daemon restarts — is
+    /// byte-identical to one written by a single uninterrupted run. The
+    /// slice size is therefore pure scheduling policy: it can never
+    /// change a journal byte.
     pub fn run_slice(
         &self,
         replay: &mut Replay,
         sink: &mut dyn JournalSink,
         budget: u64,
     ) -> Result<JobStep, String> {
-        let (cells, mut clock, mut breaker) = self.open_journal(replay, sink)?;
+        let (cells, mut clock, breaker) = self.open_journal(replay, sink)?;
         replay.has_header = true;
         let start = replay.records.len();
         let stop = cells.len().min(start.saturating_add(budget as usize));
-        for (i, &cell) in cells.iter().enumerate().take(stop).skip(start) {
-            let work = if self.breaker_tripped(&breaker, cell) {
-                None
-            } else {
-                Some(self.execute_cell(cell))
-            };
-            let record = self.commit_cell(cell, work, &mut clock, &mut breaker);
-            let line = CellLine { index: i as u64, record };
-            sink.append(&json_line(&line)?)?;
-            replay.records.push(line.record);
-        }
+        // Pre-size: the commit callback pushes here, where a
+        // reallocation pause would stall the reorder pipeline.
+        replay.records.reserve(stop - start);
+        let breaker = std::sync::Mutex::new(breaker);
+        let counts = || breaker.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        crate::pool::run_ordered(
+            self.workers,
+            &cells[start..stop],
+            |cell| {
+                let tripped = self.breaker_tripped(&counts(), cell);
+                (!tripped).then(|| self.execute_cell(cell))
+            },
+            |offset, work| {
+                let i = start + offset;
+                // The lock is held for the commit only, never the append.
+                let record = self.commit_cell(cells[i], work, &mut clock, &mut counts());
+                replay.records.push(append_record(sink, i, record)?);
+                Ok(())
+            },
+        )?;
         let journaled = replay.records.len() as u64;
         let total = cells.len() as u64;
         let report = if journaled == total {
@@ -1184,10 +1174,9 @@ impl Sweep {
         Ok(JobStep { journaled, total, clock, report })
     }
 
-    /// The prologue [`Sweep::run_from`] and [`Sweep::run_slice`] share:
-    /// check `replay` against the matrix, append the header if the
-    /// journal has none, and rebuild the virtual clock and breaker
-    /// counts from the committed prefix.
+    /// The prologue of [`Sweep::run_slice`]: check `replay` against the
+    /// matrix, append the header if the journal has none, and rebuild
+    /// the virtual clock and breaker counts from the committed prefix.
     fn open_journal(
         &self,
         replay: &Replay,
@@ -1203,13 +1192,7 @@ impl Sweep {
             ));
         }
         if !replay.has_header {
-            let header = JournalHeader {
-                version: JOURNAL_VERSION,
-                fingerprint: self.config.fingerprint(),
-                total_cells: cells.len() as u64,
-                cache: crate::cache::SCHEME.to_string(),
-            };
-            sink.append(&json_line(&header)?)?;
+            sink.append(&json_line(&JournalHeader::for_config(&self.config))?)?;
         }
         let clock = replay.records.last().map_or(0, |r| r.clock_end);
         let mut breaker = BreakerCounts::new();
@@ -1228,9 +1211,8 @@ impl Sweep {
 
     /// Commit one cell: the only place supervision state (virtual
     /// clock, breaker counts) advances. Re-validates the breaker *at
-    /// commit time* — a speculatively executed cell whose class was
-    /// quarantined past its threshold by an earlier-committing cell is
-    /// discarded here and recorded as [`CellStatus::SkippedByBreaker`],
+    /// commit time* — a cell executed before an earlier-committing cell
+    /// quarantined its class past the threshold is discarded here and recorded as [`CellStatus::SkippedByBreaker`],
     /// which is what makes worker-count-independence structural rather
     /// than incidental. The shard-merge step funnels every shard's
     /// journaled works through here in canonical order, which is why a
@@ -1245,9 +1227,10 @@ impl Sweep {
         let clock_start = *clock;
         let work = match work {
             Some(work) if !self.breaker_tripped(breaker, cell) => work,
-            // Either the serial path never executed the cell, or the
-            // parallel path executed it speculatively and the breaker
-            // tripped before its commit slot: both commit as skipped.
+            // Either the worker skipped the cell (its class had
+            // tripped when it looked), or it executed the cell and the
+            // class tripped before the cell's commit slot: both commit
+            // as skipped.
             _ => {
                 return CellRecord {
                     cell,
@@ -1828,9 +1811,9 @@ mod tests {
     #[test]
     fn parallel_commit_revalidates_breaker() {
         // Tight deadline: every cell quarantines until the breaker
-        // trips, so the parallel run *speculatively executes* cells the
-        // serial run never touches — commit-time re-validation must
-        // discard them and record SkippedByBreaker identically.
+        // trips, so a worker may execute a cell before an earlier
+        // commit trips its class — commit-time re-validation must
+        // discard it and record SkippedByBreaker identically.
         let mut cfg = tiny_config();
         cfg.systems = vec![TargetSystem::NcFlow];
         cfg.profiles = vec![FaultProfile::None];
@@ -1895,6 +1878,31 @@ mod tests {
         let resumed = sweep.run_from(&replay, &mut sink).unwrap();
         assert_eq!(resumed.coverage.skipped_by_breaker, 2);
         assert_eq!(resumed.render_json(), full.render_json());
+    }
+
+    #[test]
+    fn one_worker_never_executes_a_skipped_cell() {
+        // A fresh memo counts one miss per executed cell, so at one
+        // worker the misses must be exactly the cells that ran — both
+        // for a whole run and for a job stepped one cell per slice.
+        let cfg = tripping_config();
+        let memo = std::sync::Arc::new(crate::cache::CellMemo::new());
+        let sweep = Sweep::new(cfg.clone()).with_cache(std::sync::Arc::clone(&memo));
+        let full = sweep.run(&mut MemoryJournal::new()).unwrap();
+        assert_eq!(full.coverage.skipped_by_breaker, 2);
+        let ran = full.coverage.completed + full.coverage.quarantined;
+        assert_eq!(memo.work_stats().misses, ran);
+
+        let memo = std::sync::Arc::new(crate::cache::CellMemo::new());
+        let sweep = Sweep::new(cfg).with_cache(std::sync::Arc::clone(&memo));
+        let (mut replay, mut sink) = (Replay::empty(), MemoryJournal::new());
+        let report = loop {
+            if let Some(report) = sweep.run_slice(&mut replay, &mut sink, 1).unwrap().report {
+                break report;
+            }
+        };
+        assert_eq!(report.render_json(), full.render_json());
+        assert_eq!(memo.work_stats().misses, ran);
     }
 
     #[test]

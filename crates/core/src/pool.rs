@@ -1,5 +1,5 @@
-//! Bounded worker pool with a reorder buffer for the parallel sweep
-//! executor.
+//! Worker pool with a reorder buffer: the one executor every sweep
+//! mode runs its cells through.
 //!
 //! The sweep matrix is embarrassingly parallel *by construction*:
 //! every cell derives its RNG streams from its own key
@@ -8,19 +8,26 @@
 //! — the virtual clock and the per-class circuit breaker — so the pool
 //! splits the two:
 //!
-//! * **Workers** claim cells in canonical order from a shared cursor
-//!   and execute them *speculatively*, out of order, with no access to
-//!   clock or breaker state.
+//! * **Workers** claim cells in canonical order from an atomic cursor
+//!   and execute them out of order. The pool itself knows nothing of
+//!   clocks or breakers; the sweep's `execute` closure may read the
+//!   committed breaker counts and skip a cell whose class has already
+//!   tripped ([`crate::harness::Sweep::run_slice`]).
 //! * **The commit loop** (the caller's thread) receives finished cells
 //!   into a reorder buffer and commits them strictly in canonical
-//!   matrix order. All supervision decisions — skip-by-breaker,
-//!   clock assignment, journal append — happen at commit, in
-//!   `harness::commit_cell`, so the journal and report are
-//!   byte-identical for every worker count.
-//! * **Bounded speculation** — workers may run at most
-//!   `workers × SPECULATION_PER_WORKER` cells ahead of the commit
-//!   frontier, so a slow sink (e.g. a throttled journal) cannot make
-//!   the reorder buffer grow without bound.
+//!   matrix order. Every supervision decision that changes a journal
+//!   byte — skip-by-breaker, clock assignment, journal append — is made
+//!   at commit, in `harness::commit_cell`, so the journal and report
+//!   are byte-identical for every worker count.
+//! * **One worker runs inline** on the caller's thread: execute and
+//!   commit alternate, with no threads, channel, buffer or worker-site
+//!   faults.
+//! * **Stopping** — the commit loop owns the channel's receiver. When
+//!   it returns (done, or a commit `Err`) or unwinds (a re-raised
+//!   panic), the receiver drops, each worker's next send fails, and the
+//!   worker exits after at most one more cell. The reorder
+//!   buffer needs no bound of its own: it never holds more than the
+//!   run's remaining cells, all of which end up in the report anyway.
 //!
 //! Worker-site faults ([`crate::fault::FaultSite::Worker`]) strike the
 //! pool machinery itself, not the cell: a `worker-crash` kills the
@@ -41,12 +48,8 @@ use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::harness::{derive_seed, CellId, SALT_WORKER};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// How many cells each worker may speculate past the commit frontier.
-const SPECULATION_PER_WORKER: usize = 4;
 
 /// How many scheduler yields an injected `worker-stall` burns.
 const STALL_YIELDS: u32 = 8;
@@ -89,84 +92,6 @@ impl StatCounters {
             crashes_absorbed: self.crashes.load(Ordering::Relaxed),
             stalls_absorbed: self.stalls.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Shared dispatch state: the claim cursor, the commit frontier, and
-/// the stop flag. Workers wait on the condvar while the speculation
-/// window is full.
-struct Gate {
-    state: Mutex<DispatchState>,
-    ready: Condvar,
-    window: usize,
-    total: usize,
-}
-
-struct DispatchState {
-    next: usize,
-    committed: usize,
-    stop: bool,
-}
-
-impl Gate {
-    fn new(total: usize, window: usize) -> Gate {
-        Gate {
-            state: Mutex::new(DispatchState { next: 0, committed: 0, stop: false }),
-            ready: Condvar::new(),
-            window,
-            total,
-        }
-    }
-
-    /// Lock the state, recovering the guard from a poisoned mutex: a
-    /// worker that panicked between lock and unlock only ever held
-    /// plain counters, which stay internally consistent.
-    fn lock(&self) -> MutexGuard<'_, DispatchState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Claim the next cell index, blocking while the speculation window
-    /// is full. `None` means no work remains (or the pool is stopping).
-    fn claim(&self) -> Option<usize> {
-        let mut g = self.lock();
-        loop {
-            if g.stop || g.next >= self.total {
-                return None;
-            }
-            if g.next < g.committed + self.window {
-                let i = g.next;
-                g.next += 1;
-                return Some(i);
-            }
-            g = self.ready.wait(g).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Advance the commit frontier, releasing waiting workers.
-    fn advance(&self, committed: usize) {
-        let mut g = self.lock();
-        g.committed = committed;
-        drop(g);
-        self.ready.notify_all();
-    }
-
-    /// Stop the pool: wake every waiting worker so it can exit.
-    fn shutdown(&self) {
-        let mut g = self.lock();
-        g.stop = true;
-        drop(g);
-        self.ready.notify_all();
-    }
-}
-
-/// Shuts the pool down when dropped — including during an unwind out
-/// of the commit loop, so workers parked on the window condvar can
-/// never deadlock a propagating panic or an early `Err` return.
-struct ShutdownGuard<'a>(&'a Gate);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
     }
 }
 
@@ -230,17 +155,26 @@ where
     X: Fn(CellId) -> W + Sync,
     C: FnMut(usize, W) -> Result<(), String>,
 {
+    // Worker-site faults strike pool threads. One worker runs inline on
+    // the caller's thread, which has no pool thread to fault.
+    let pooled = workers.min(cells.len()) > 1;
     run_ordered_core(
         workers,
         cells.len(),
-        |i, stats| worker_execute(cells[i], &execute, stats),
+        |i, stats| {
+            if pooled {
+                worker_execute(cells[i], &execute, stats)
+            } else {
+                counted(stats, || execute(cells[i]))
+            }
+        },
         commit,
     )
 }
 
 /// Run arbitrary work items through `execute` on `workers` threads,
 /// delivering each result to `commit` **in slice order** through the
-/// same bounded reorder buffer the sweep uses. Unlike [`run_ordered`],
+/// same reorder buffer the sweep uses. Unlike [`run_ordered`],
 /// items carry no [`CellId`], so no worker-site faults are injected —
 /// this is the plain deterministic fan-out used by the partitioned DPV
 /// runner ([`crate::dpv_scale`]): each item is a destination chunk and
@@ -258,25 +192,26 @@ where
     X: Fn(usize, &T) -> W + Sync,
     C: FnMut(usize, W) -> Result<(), String>,
 {
-    run_ordered_core(
-        workers,
-        items.len(),
-        |i, stats| {
-            let r = catch_unwind(AssertUnwindSafe(|| execute(i, &items[i])));
-            if r.is_ok() {
-                stats.executed.fetch_add(1, Ordering::Relaxed);
-            }
-            r
-        },
-        commit,
-    )
+    let execute = |i: usize, stats: &StatCounters| counted(stats, || execute(i, &items[i]));
+    run_ordered_core(workers, items.len(), execute, commit)
 }
 
-/// The shared pool engine: claim indices in canonical order through the
-/// speculation gate, execute out of order, commit strictly in order.
-/// `execute` returns a `thread::Result` so the caller layer decides
-/// what counts as an absorbable fault; whatever still comes back as
-/// `Err` is a genuine panic, re-raised at the item's commit slot.
+/// Run `f` under `catch_unwind`, counting it as executed once it
+/// completes.
+fn counted<W>(stats: &StatCounters, f: impl FnOnce() -> W) -> std::thread::Result<W> {
+    let r = catch_unwind(AssertUnwindSafe(f));
+    if r.is_ok() {
+        stats.executed.fetch_add(1, Ordering::Relaxed);
+    }
+    r
+}
+
+/// The shared pool engine: claim indices in canonical order from an
+/// atomic cursor, execute out of order, commit strictly in order. One
+/// worker runs inline on the caller's thread. `execute` returns a
+/// `thread::Result` so the caller layer decides what counts as an
+/// absorbable fault; whatever still comes back as `Err` is a genuine
+/// panic, re-raised at the item's commit slot.
 fn run_ordered_core<W, X, C>(
     workers: usize,
     total: usize,
@@ -288,29 +223,32 @@ where
     X: Fn(usize, &StatCounters) -> std::thread::Result<W> + Sync,
     C: FnMut(usize, W) -> Result<(), String>,
 {
-    if total == 0 {
-        return Ok(PoolStats::default());
-    }
-    let workers = workers.clamp(1, total);
-    let gate = Gate::new(total, workers * SPECULATION_PER_WORKER);
     let stats = StatCounters::default();
-    let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<W>)>();
-
+    let mut deliver = |i: usize, outcome: std::thread::Result<W>| match outcome {
+        Ok(work) => commit(i, work),
+        // A genuine bug: re-raise at the canonical commit boundary,
+        // exactly where a one-worker run would die, with the same
+        // journal prefix already durable.
+        Err(payload) => resume_unwind(payload),
+    };
+    if workers.min(total) <= 1 {
+        for i in 0..total {
+            deliver(i, execute(i, &stats))?;
+        }
+        return Ok(stats.snapshot());
+    }
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        // Dropped on every exit path (Ok, Err, unwind), releasing any
-        // worker parked on the speculation window before scope join.
-        let _stop_on_exit = ShutdownGuard(&gate);
-        for _ in 0..workers {
+        // Owned by the commit loop: on every exit path (done, `Err`,
+        // unwind) the receiver drops and the workers' sends fail.
+        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<W>)>();
+        for _ in 0..workers.min(total) {
             let tx = tx.clone();
-            let gate = &gate;
-            let stats = &stats;
-            let execute = &execute;
-            scope.spawn(move || {
-                while let Some(i) = gate.claim() {
-                    let outcome = execute(i, stats);
-                    if tx.send((i, outcome)).is_err() {
-                        break; // commit loop is gone; stop quietly
-                    }
+            let (next, stats, execute) = (&next, &stats, &execute);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= total || tx.send((i, execute(i, stats))).is_err() {
+                    break;
                 }
             });
         }
@@ -322,27 +260,12 @@ where
                 if let Some(o) = buffer.remove(&i) {
                     break o;
                 }
-                match rx.recv() {
-                    Ok((j, o)) => {
-                        buffer.insert(j, o);
-                    }
-                    Err(_) => {
-                        return Err(format!(
-                            "worker pool hung up with cell {i} of {total} undelivered"
-                        ))
-                    }
-                }
+                let Ok((j, o)) = rx.recv() else {
+                    return Err(format!("worker pool hung up with cell {i} of {total} undelivered"));
+                };
+                buffer.insert(j, o);
             };
-            // Release the window before committing so workers overlap
-            // with journal IO.
-            gate.advance(i + 1);
-            match outcome {
-                Ok(work) => commit(i, work)?,
-                // A genuine bug: re-raise at the canonical commit
-                // boundary, exactly where the serial run would die,
-                // with the same journal prefix already durable.
-                Err(payload) => resume_unwind(payload),
-            }
+            deliver(i, outcome)?;
         }
         Ok(stats.snapshot())
     })
@@ -473,34 +396,29 @@ mod tests {
     }
 
     #[test]
-    fn speculation_window_bounds_the_reorder_buffer() {
-        // With a deliberately slow commit the claim cursor must never
-        // run more than window cells past the frontier.
-        let cs = cells(64, FaultProfile::None);
-        let max_lead = AtomicUsize::new(0);
+    fn one_worker_runs_inline_and_sees_every_earlier_commit() {
+        // At one worker, execute and commit alternate on the caller's
+        // thread — which is what lets the sweep's pre-execution breaker
+        // check see every earlier cell's commit.
+        let cs = cells(9, FaultProfile::Chaos);
+        let caller = std::thread::current().id();
         let committed = AtomicUsize::new(0);
-        let workers = 2;
-        run_ordered(
-            workers,
+        let mut seen = Vec::new();
+        let stats = run_ordered(
+            1,
             &cs,
-            |c| {
-                let lead = c.seed as usize - committed.load(Ordering::Relaxed).min(c.seed as usize);
-                max_lead.fetch_max(lead, Ordering::Relaxed);
-                c.seed
-            },
-            |i, _| {
-                committed.store(i + 1, Ordering::Relaxed);
-                std::thread::yield_now();
+            |_| (std::thread::current().id(), committed.load(Ordering::Relaxed)),
+            |i, w| {
+                seen.push((i, w));
+                committed.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             },
         )
         .expect("pool runs");
-        // A claimed cell can be at most window ahead when it starts.
-        assert!(
-            max_lead.load(Ordering::Relaxed) <= workers * SPECULATION_PER_WORKER,
-            "lead {} exceeded the speculation window",
-            max_lead.load(Ordering::Relaxed)
-        );
+        let want: Vec<_> = (0..9).map(|i| (i, (caller, i))).collect();
+        assert_eq!(seen, want);
+        // No pool thread, so no worker-site fault, even under chaos.
+        assert_eq!(stats, PoolStats { executed: 9, ..PoolStats::default() });
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! * **Per-shard journals** — a shard process journals [`WorkLine`]s:
 //!   the pure [`CellWork`] of each cell, *not* committed records.
 //!   Supervision state (virtual clock, circuit breakers) is global and
-//!   only advances at commit, so shards execute speculatively — exactly
-//!   like pool workers do — and the merge commits.
+//!   only advances at commit, and a shard sees none of the cells
+//!   before its range, so shards execute every cell speculatively —
+//!   without the breaker check pool workers make — and the merge
+//!   commits.
 //! * **Coordinator ledger** — the coordinator journals a [`CoordLine`]
 //!   per lease *before* spawning the shard (write-ahead: no shard file
 //!   can exist without a durable lease) and a completion line when a
@@ -38,9 +40,9 @@
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::harness::{
-    check_header, derive_seed, json_line, split_lines, CellId, CellLine, CellWork, JournalError,
-    JournalHeader, JournalSink, MemoryJournal, MismatchField, Sweep, SweepConfig, SweepReport,
-    JOURNAL_VERSION, SALT_SHARD,
+    append_record, check_header, derive_seed, json_line, split_lines, CellId, CellWork,
+    JournalError, JournalHeader, JournalSink, MemoryJournal, MismatchField, Sweep, SweepConfig,
+    SweepReport, SALT_SHARD,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,7 +117,7 @@ impl Lease {
 /// lines are flat JSON objects.)
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHeader {
-    /// Layout version ([`JOURNAL_VERSION`]).
+    /// Layout version ([`crate::harness::JOURNAL_VERSION`]).
     pub version: u32,
     /// [`SweepConfig::fingerprint`] of the sweep.
     pub fingerprint: String,
@@ -134,11 +136,13 @@ pub struct ShardHeader {
 impl ShardHeader {
     /// The header a shard writes for `lease` under `config`.
     pub fn for_lease(config: &SweepConfig, lease: Lease) -> Self {
+        let JournalHeader { version, fingerprint, total_cells, cache } =
+            JournalHeader::for_config(config);
         ShardHeader {
-            version: JOURNAL_VERSION,
-            fingerprint: config.fingerprint(),
-            total_cells: config.total_cells() as u64,
-            cache: crate::cache::SCHEME.to_string(),
+            version,
+            fingerprint,
+            total_cells,
+            cache,
             seq: lease.seq,
             start: lease.start,
             end: lease.end,
@@ -339,23 +343,15 @@ pub fn run_shard(
     }
     let start_at = (lease.start as usize) + replay.works.len();
     let slice = &cells[start_at..lease.end as usize];
-    if sweep.workers() > 1 && slice.len() > 1 {
-        crate::pool::run_ordered(
-            sweep.workers(),
-            slice,
-            |cell| sweep.execute_cell(cell),
-            |offset, work| {
-                let index = (start_at + offset) as u64;
-                sink.append(&WorkLine { index, cell: slice[offset], work }.line()?)
-            },
-        )?;
-    } else {
-        for (offset, &cell) in slice.iter().enumerate() {
-            let work = sweep.execute_cell(cell);
+    crate::pool::run_ordered(
+        sweep.workers(),
+        slice,
+        |cell| sweep.execute_cell(cell),
+        |offset, work| {
             let index = (start_at + offset) as u64;
-            sink.append(&WorkLine { index, cell, work }.line()?)?;
-        }
-    }
+            sink.append(&WorkLine { index, cell: slice[offset], work }.line()?)
+        },
+    )?;
     Ok(())
 }
 
@@ -364,7 +360,7 @@ pub fn run_shard(
 /// rejected with a typed error instead of silently re-partitioning.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoordHeader {
-    /// Layout version ([`JOURNAL_VERSION`]).
+    /// Layout version ([`crate::harness::JOURNAL_VERSION`]).
     pub version: u32,
     /// [`SweepConfig::fingerprint`] of the sweep.
     pub fingerprint: String,
@@ -379,13 +375,9 @@ pub struct CoordHeader {
 impl CoordHeader {
     /// The header for a coordinator running `shards` slots of `config`.
     pub fn new(config: &SweepConfig, shards: usize) -> Self {
-        CoordHeader {
-            version: JOURNAL_VERSION,
-            fingerprint: config.fingerprint(),
-            total_cells: config.total_cells() as u64,
-            cache: crate::cache::SCHEME.to_string(),
-            shards: shards as u64,
-        }
+        let JournalHeader { version, fingerprint, total_cells, cache } =
+            JournalHeader::for_config(config);
+        CoordHeader { version, fingerprint, total_cells, cache, shards: shards as u64 }
     }
 
     /// The shared header fields, for [`check_header`].
@@ -646,26 +638,23 @@ pub fn roll_shard_fault(cell: CellId, generation: u32) -> Option<ShardFault> {
 }
 
 /// Commit every journaled work in canonical order through `sweep`'s
-/// commit path, writing the standard journal into `sink` and returning
-/// the assembled report — both byte-identical to a serial run.
+/// commit-and-append step (the one [`Sweep::run_slice`] uses), writing
+/// the standard journal into `sink` and returning the assembled report
+/// — both byte-identical to a serial run.
 ///
 /// Breaker-skipped cells need no work (shards execute them
 /// speculatively; their journaled works are discarded here exactly as
-/// the pool discards at commit time); a *non*-skipped cell with no
-/// journaled work means the shard coverage is incomplete and the merge
-/// refuses rather than fabricating a record.
+/// [`Sweep::commit_cell`] discards a cell whose class tripped after its
+/// worker looked); a *non*-skipped cell with no journaled work means
+/// the shard coverage is incomplete and the merge refuses rather than
+/// fabricating a record.
 pub fn merge(
     sweep: &Sweep,
     works: &BTreeMap<u64, CellWork>,
     sink: &mut dyn JournalSink,
 ) -> Result<SweepReport, String> {
     let cells = sweep.config().expand();
-    sink.append(&json_line(&JournalHeader {
-        version: JOURNAL_VERSION,
-        fingerprint: sweep.config().fingerprint(),
-        total_cells: cells.len() as u64,
-        cache: crate::cache::SCHEME.to_string(),
-    })?)?;
+    sink.append(&json_line(&JournalHeader::for_config(sweep.config()))?)?;
     let mut records = Vec::with_capacity(cells.len());
     let mut clock = 0u64;
     let mut breaker: BTreeMap<String, u32> = BTreeMap::new();
@@ -678,9 +667,7 @@ pub fn merge(
             })?)
         };
         let record = sweep.commit_cell(cell, work, &mut clock, &mut breaker);
-        let line = CellLine { index: i as u64, record };
-        sink.append(&json_line(&line)?)?;
-        records.push(line.record);
+        records.push(append_record(sink, i, record)?);
     }
     Ok(sweep.assemble(records, clock))
 }

@@ -25,8 +25,8 @@ fn arb_profile() -> impl Strategy<Value = FaultProfile> {
 /// A small but varied sweep matrix (RPS sessions keep cases fast; the
 /// chaos profile exercises panic/wedge/retry/quarantine paths). The
 /// occasional tight deadline makes whole classes quarantine, tripping
-/// breakers mid-matrix — the case where parallel speculation must be
-/// discarded at commit time.
+/// breakers mid-matrix — the case where a cell a worker executed before
+/// its class tripped must be discarded at commit time.
 fn arb_scales() -> impl Strategy<Value = Vec<TopoScale>> {
     // Half the cases stay on the paper matrix; the other half append a
     // small fat-tree scale cell, exercising the DPV-digest path through

@@ -7,14 +7,7 @@
 //! solver returns an error (iteration limit from numerical trouble or
 //! cycling), the same problem is handed to the fallback solver and the
 //! recovered solution is tagged [`degraded`](crate::Solution::degraded).
-//!
-//! The pair can additionally carry a [`SolveCache`]
-//! ([`FallbackSolver::with_cache`]): before either simplex runs, the
-//! model's [`Problem::fingerprint`] is looked up and a hit replays the
-//! earlier outcome — including the degradation bookkeeping, so the
-//! attempt/degradation counters match a cache-off run exactly.
 
-use crate::cache::SolveCache;
 use crate::{LpError, LpSolver, Problem, Solution};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,7 +23,6 @@ pub struct FallbackSolver<P: LpSolver, F: LpSolver> {
     pub fallback: F,
     degradations: AtomicU64,
     attempts: AtomicU64,
-    cache: Option<SolveCache>,
 }
 
 impl<P: LpSolver, F: LpSolver> FallbackSolver<P, F> {
@@ -41,21 +33,7 @@ impl<P: LpSolver, F: LpSolver> FallbackSolver<P, F> {
             fallback,
             degradations: AtomicU64::new(0),
             attempts: AtomicU64::new(0),
-            cache: None,
         }
-    }
-
-    /// Enable the deterministic solve memo: identical models (by
-    /// [`Problem::fingerprint`]) replay their first outcome instead of
-    /// re-running either simplex.
-    pub fn with_cache(mut self) -> Self {
-        self.cache = Some(SolveCache::new());
-        self
-    }
-
-    /// `(hits, misses)` of the solve memo, if one is enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| (c.hits(), c.misses()))
     }
 
     /// How many solves fell back (primary failed, fallback recovered or
@@ -75,19 +53,7 @@ impl<P: LpSolver, F: LpSolver> LpSolver for FallbackSolver<P, F> {
     // the solve outcome depends only on `problem`.
     fn solve(&self, problem: &Problem) -> Result<Solution, LpError> {
         self.attempts.fetch_add(1, Ordering::Relaxed);
-        let keyed = self.cache.as_ref().map(|c| (c, problem.fingerprint()));
-        if let Some((cache, key)) = keyed {
-            if let Some(outcome) = cache.lookup(key) {
-                // A replayed degraded solve (or double failure) still
-                // counts as a degradation: the counters must read the
-                // same whether or not the memo was warm.
-                if !matches!(&outcome, Ok(sol) if !sol.degraded) {
-                    self.degradations.fetch_add(1, Ordering::Relaxed);
-                }
-                return outcome;
-            }
-        }
-        let outcome = match self.primary.solve(problem) {
+        match self.primary.solve(problem) {
             Ok(sol) => Ok(sol),
             Err(_primary_err) => {
                 self.degradations.fetch_add(1, Ordering::Relaxed);
@@ -96,11 +62,7 @@ impl<P: LpSolver, F: LpSolver> LpSolver for FallbackSolver<P, F> {
                     sol
                 })
             }
-        };
-        if let Some((cache, key)) = keyed {
-            cache.insert(key, outcome.clone());
         }
-        outcome
     }
 
     fn name(&self) -> &'static str {
@@ -145,30 +107,6 @@ mod tests {
         assert!((sol.objective - 10.0).abs() < 1e-6, "fallback optimum preserved");
         assert!(sol.degraded, "recovered solution must carry the Degraded tag");
         assert_eq!(s.degradations(), 1);
-    }
-
-    #[test]
-    fn cached_pair_replays_without_resolving() {
-        let s = FallbackSolver::new(RevisedSimplex::default(), DenseSimplex::default())
-            .with_cache();
-        let a = s.solve(&sample_problem()).unwrap();
-        let b = s.solve(&sample_problem()).unwrap();
-        assert_eq!(a.objective, b.objective);
-        assert_eq!(a.iterations, b.iterations, "a hit replays the exact solution");
-        assert_eq!(s.cache_stats(), Some((1, 1)));
-        assert_eq!(s.attempts(), 2);
-        assert_eq!(s.degradations(), 0);
-    }
-
-    #[test]
-    fn cached_degradation_keeps_counters_identical() {
-        let primary = RevisedSimplex { max_iterations: Some(1), ..Default::default() };
-        let s = FallbackSolver::new(primary, DenseSimplex::default()).with_cache();
-        let a = s.solve(&sample_problem()).unwrap();
-        let b = s.solve(&sample_problem()).unwrap();
-        assert!(a.degraded && b.degraded, "replay preserves the Degraded tag");
-        assert_eq!(s.degradations(), 2, "a replayed degradation still counts");
-        assert_eq!(s.cache_stats(), Some((1, 1)));
     }
 
     #[test]

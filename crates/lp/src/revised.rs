@@ -13,7 +13,6 @@
 //! magnitude faster than [`crate::dense::DenseSimplex`] on the
 //! traffic-engineering LPs in this workspace — the gap Table A measures.
 
-use crate::cache::Fnv;
 use crate::presolve::presolve;
 use crate::sparse_lu::{Eta, SparseLu};
 use crate::standard::StandardLp;
@@ -37,38 +36,6 @@ const DEVEX_RESET: f64 = 1e7;
 /// refactorization cost.
 fn eta_limit(m: usize) -> usize {
     64 + m / 4
-}
-
-/// An optimal basis exported from one solve, reusable as a warm start
-/// for the next ([`RevisedSimplex::solve_with_basis`]).
-///
-/// The basis is only valid against a standard form with the *same*
-/// constraint matrix `A` — objective and right-hand side may change
-/// freely (that is exactly the re-solve pattern NCFlow's R1/R2 loops
-/// produce). `structure` fingerprints the post-presolve matrix so a
-/// stale basis is detected and silently ignored rather than misused.
-#[derive(Debug, Clone)]
-pub struct Basis {
-    /// Basis column indices into the standard form (no artificials).
-    cols: Vec<usize>,
-    /// Fingerprint of the standard-form structure the basis came from.
-    structure: u64,
-}
-
-/// Fingerprint of the structural part of a standard form: dimensions
-/// and the exact sparse constraint matrix, but neither `b` nor `c`.
-fn structure_fingerprint(std: &StandardLp) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(std.m as u64);
-    h.write_u64(std.n() as u64);
-    for col in &std.cols {
-        h.write_u64(col.len() as u64);
-        for &(r, v) in col {
-            h.write_u64(r as u64);
-            h.write_f64(v);
-        }
-    }
-    h.finish()
 }
 
 /// The revised-simplex solver. See the module docs.
@@ -133,53 +100,6 @@ impl<'a> Core<'a> {
             degenerate_run: 0,
             devex: vec![1.0; n_total],
         }
-    }
-
-    /// Seed a core from a prior optimal basis instead of the artificial
-    /// identity. Returns `None` when the basis matrix turns out singular
-    /// or the implied point is infeasible for the (possibly new) `b` —
-    /// the caller then falls back to the ordinary two-phase cold start.
-    /// Borrows the candidate columns: nothing is allocated until they
-    /// validate (the warm-start hot loop used to clone per call).
-    fn with_basis(std: &'a StandardLp, cols: &[usize]) -> Option<Self> {
-        let m = std.m;
-        let n_real = std.n();
-        if cols.len() != m || cols.iter().any(|&j| j >= n_real) {
-            return None;
-        }
-        let mut in_basis = vec![false; n_real + m];
-        for &j in cols {
-            if in_basis[j] {
-                return None; // repeated column: not a basis
-            }
-            in_basis[j] = true;
-        }
-        let mut core = Core {
-            std,
-            n_real,
-            basis: cols.to_vec(),
-            in_basis,
-            factor: SparseLu::identity(m),
-            etas: Vec::new(),
-            eta_nnz: 0,
-            xb: std.b.clone(),
-            iterations: 0,
-            degenerate_run: 0,
-            devex: vec![1.0; n_real + m],
-        };
-        // One factorization replaces the whole of phase 1.
-        if !core.refactorise() {
-            return None;
-        }
-        if core.xb.iter().any(|&x| x < -TOL) {
-            return None; // prior basis is primal-infeasible for this b
-        }
-        for x in &mut core.xb {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-        Some(core)
     }
 
     /// Materialize the current basis columns for factorization.
@@ -523,24 +443,19 @@ pub(crate) fn textbook_ratio(w: &[f64], xb: &[f64], basis: &[usize]) -> Option<u
     leave.map(|(i, _)| i)
 }
 
-impl RevisedSimplex {
-    /// Solve `problem`, optionally warm-starting from a [`Basis`]
-    /// exported by a previous solve of a structurally identical model
-    /// (same constraint matrix; objective and RHS may differ).
-    ///
-    /// A valid warm basis replaces the whole of phase 1 with a single
-    /// refactorisation; a stale, singular or infeasible one is ignored
-    /// and the ordinary two-phase cold start runs instead, so the
-    /// returned `Solution` is optimal either way. The second component
-    /// is the optimal basis for chaining into the next solve (`None`
-    /// when the optimum retained an artificial column or the model was
-    /// decided before the simplex ran).
-    pub fn solve_with_basis(
-        &self,
-        problem: &Problem,
-        warm: Option<&Basis>,
-    ) -> Result<(Solution, Option<Basis>), LpError> {
+impl LpSolver for RevisedSimplex {
+    /// Presolve (unless disabled), then a two-phase cold start from the
+    /// artificial identity basis.
+    fn solve(&self, problem: &Problem) -> Result<Solution, LpError> {
         problem.validate()?;
+        // Every outcome but an optimum carries no point.
+        let without_point = |status, iterations| Solution {
+            status,
+            objective: 0.0,
+            values: vec![0.0; problem.num_vars()],
+            iterations,
+            degraded: false,
+        };
         let pre;
         let effective: &Problem = if self.presolve {
             match presolve(problem) {
@@ -548,18 +463,7 @@ impl RevisedSimplex {
                     pre = reduced;
                     &pre
                 }
-                Err(status) => {
-                    return Ok((
-                        Solution {
-                            status,
-                            objective: 0.0,
-                            values: vec![0.0; problem.num_vars()],
-                            iterations: 0,
-                            degraded: false,
-                        },
-                        None,
-                    ))
-                }
+                Err(status) => return Ok(without_point(status, 0)),
             }
         } else {
             problem
@@ -571,97 +475,47 @@ impl RevisedSimplex {
 
         if m == 0 {
             if std.c.iter().any(|&cj| cj < -TOL) {
-                return Ok((
-                    Solution {
-                        status: Status::Unbounded,
-                        objective: 0.0,
-                        values: vec![0.0; problem.num_vars()],
-                        iterations: 0,
-                        degraded: false,
-                    },
-                    None,
-                ));
+                return Ok(without_point(Status::Unbounded, 0));
             }
             let (values, objective) = std.recover(effective, &vec![0.0; n]);
-            return Ok((
-                Solution { status: Status::Optimal, objective, values, iterations: 0, degraded: false },
-                None,
-            ));
+            return Ok(Solution {
+                status: Status::Optimal,
+                objective,
+                values,
+                iterations: 0,
+                degraded: false,
+            });
         }
 
         let limit = self
             .max_iterations
             .unwrap_or_else(|| 50_000u64.max(200 * (m as u64 + n as u64)));
 
-        let structure = structure_fingerprint(&std);
-        let warm_core = warm
-            .filter(|b| b.structure == structure)
-            .and_then(|b| Core::with_basis(&std, &b.cols));
-
-        let mut core = match warm_core {
-            // The prior basis is primal-feasible here: skip phase 1.
-            Some(core) => core,
-            None => {
-                let mut core = Core::new(&std);
-                let n_real = n;
-                let phase1 = move |j: usize| if j >= n_real { 1.0 } else { 0.0 };
-                let finished = core.optimise(&phase1, n, limit)?;
-                debug_assert!(finished, "phase 1 is bounded below by 0");
-                if core.objective(&phase1) > 1e-7 {
-                    return Ok((
-                        Solution {
-                            status: Status::Infeasible,
-                            objective: 0.0,
-                            values: vec![0.0; problem.num_vars()],
-                            iterations: core.iterations,
-                            degraded: false,
-                        },
-                        None,
-                    ));
-                }
-                core
-            }
-        };
+        // Phase 1.
+        let mut core = Core::new(&std);
+        let phase1 = move |j: usize| if j >= n { 1.0 } else { 0.0 };
+        let finished = core.optimise(&phase1, n, limit)?;
+        debug_assert!(finished, "phase 1 is bounded below by 0");
+        if core.objective(&phase1) > 1e-7 {
+            return Ok(without_point(Status::Infeasible, core.iterations));
+        }
 
         // Phase 2.
         let c = std.c.clone();
         let phase2 = move |j: usize| if j < c.len() { c[j] } else { 0.0 };
-        let bounded = core.optimise(&phase2, n, limit)?;
-        if !bounded {
-            return Ok((
-                Solution {
-                    status: Status::Unbounded,
-                    objective: 0.0,
-                    values: vec![0.0; problem.num_vars()],
-                    iterations: core.iterations,
-                    degraded: false,
-                },
-                None,
-            ));
+        if !core.optimise(&phase2, n, limit)? {
+            return Ok(without_point(Status::Unbounded, core.iterations));
         }
 
         let x = core.extract();
         let (values, objective) = std.recover(effective, &x);
-        let iterations = core.iterations;
-        // Export the basis only when fully structural: an artificial
-        // stuck at zero level cannot be reconstructed by `with_basis`.
-        // The core is finished, so the column vector moves out rather
-        // than being cloned (the old per-solve churn).
-        let export = if core.basis.iter().all(|&j| j < n) {
-            Some(Basis { cols: std::mem::take(&mut core.basis), structure })
-        } else {
-            None
-        };
-        Ok((
-            Solution { status: Status::Optimal, objective, values, iterations, degraded: false },
-            export,
-        ))
-    }
-}
-
-impl LpSolver for RevisedSimplex {
-    fn solve(&self, problem: &Problem) -> Result<Solution, LpError> {
-        self.solve_with_basis(problem, None).map(|(sol, _)| sol)
+        Ok(Solution {
+            status: Status::Optimal,
+            objective,
+            values,
+            iterations: core.iterations,
+            degraded: false,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -763,67 +617,6 @@ mod tests {
         let d = crate::dense::DenseSimplex::default().solve(&p).unwrap();
         assert!((s.objective - d.objective).abs() < 1e-4,
             "revised {} vs dense {}", s.objective, d.objective);
-    }
-
-    fn warm_pair() -> Problem {
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
-        p.add_le(&[(x, 1.0), (y, 2.0)], 14.0);
-        p.add_le(&[(x, 3.0), (y, 1.0)], 18.0);
-        p
-    }
-
-    #[test]
-    fn resolving_with_own_basis_takes_zero_pivots() {
-        let solver = RevisedSimplex { presolve: false, ..Default::default() };
-        let p = warm_pair();
-        let (cold, basis) = solver.solve_with_basis(&p, None).unwrap();
-        let (warm, _) = solver.solve_with_basis(&p, basis.as_ref()).unwrap();
-        assert_eq!(warm.status, Status::Optimal);
-        assert_eq!(warm.iterations, 0, "optimal basis needs no pivots");
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_objective_change_matches_cold() {
-        let solver = RevisedSimplex { presolve: false, ..Default::default() };
-        let (_, basis) = solver.solve_with_basis(&warm_pair(), None).unwrap();
-        let basis = basis.expect("structural optimum exports a basis");
-        let mut q = warm_pair();
-        q.set_obj(crate::VarId(0), 1.0);
-        q.set_obj(crate::VarId(1), 4.0);
-        let (cold, _) = solver.solve_with_basis(&q, None).unwrap();
-        let (warm, _) = solver.solve_with_basis(&q, Some(&basis)).unwrap();
-        assert_eq!(warm.status, Status::Optimal);
-        assert!((warm.objective - cold.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_start_rhs_change_matches_cold() {
-        let solver = RevisedSimplex { presolve: false, ..Default::default() };
-        let (_, basis) = solver.solve_with_basis(&warm_pair(), None).unwrap();
-        let basis = basis.expect("basis");
-        let mut q = warm_pair();
-        q.constraints[0].rhs = 10.0;
-        q.constraints[1].rhs = 12.0;
-        let (cold, _) = solver.solve_with_basis(&q, None).unwrap();
-        let (warm, _) = solver.solve_with_basis(&q, Some(&basis)).unwrap();
-        assert_eq!(warm.status, Status::Optimal);
-        assert!((warm.objective - cold.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn stale_basis_is_ignored_not_misused() {
-        let solver = RevisedSimplex { presolve: false, ..Default::default() };
-        let (_, basis) = solver.solve_with_basis(&warm_pair(), None).unwrap();
-        let basis = basis.expect("basis");
-        let mut q = warm_pair();
-        q.add_le(&[(crate::VarId(0), 1.0)], 1.0); // new row: new structure
-        let (warm, _) = solver.solve_with_basis(&q, Some(&basis)).unwrap();
-        let (cold, _) = solver.solve_with_basis(&q, None).unwrap();
-        assert_eq!(warm.status, Status::Optimal);
-        assert!((warm.objective - cold.objective).abs() < 1e-6);
     }
 
     #[test]

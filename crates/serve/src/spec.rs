@@ -10,7 +10,7 @@
 //! the matrix runs via `netrepro sweep` or through the daemon.
 
 use netrepro_core::fault::FaultProfile;
-use netrepro_core::harness::{SweepConfig, TaskLimits, TopoScale};
+use netrepro_core::harness::{SweepConfig, TopoScale};
 use netrepro_core::paper::TargetSystem;
 use netrepro_core::prompt::PromptStyle;
 
@@ -57,10 +57,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Parse a spec token. Unknown keys, empty lists, repeated keys
-    /// and malformed numbers are all errors; omitted keys take the
-    /// same defaults as the CLI flags (`systems=ncflow+arrow+apkeep+ap`,
-    /// `styles=text+pseudo`, `profiles=none+heavy`, `seeds=3`, limits
-    /// from [`TaskLimits::default`]).
+    /// and malformed numbers are all errors; omitted keys keep the
+    /// [`SweepConfig::default`] values, as omitted CLI flags do.
     pub fn parse(token: &str) -> Result<JobSpec, SpecError> {
         if token.len() > MAX_SPEC_LEN {
             return Err(SpecError(format!(
@@ -68,12 +66,7 @@ impl JobSpec {
                 token.len()
             )));
         }
-        let mut systems: Option<Vec<TargetSystem>> = None;
-        let mut styles: Option<Vec<PromptStyle>> = None;
-        let mut profiles: Option<Vec<FaultProfile>> = None;
-        let mut scales: Option<Vec<TopoScale>> = None;
-        let mut seeds: Option<u64> = None;
-        let mut limits = TaskLimits::default();
+        let mut config = SweepConfig::default();
         let mut clock_limit = 0u64;
         let mut seen: Vec<&str> = Vec::new();
         for field in token.split(';').filter(|f| !f.is_empty()) {
@@ -84,17 +77,18 @@ impl JobSpec {
                 return Err(SpecError(format!("repeated key {key:?}")));
             }
             seen.push(key);
+            let limits = &mut config.limits;
             match key {
-                "systems" => systems = Some(parse_list(value, TargetSystem::parse, key)?),
-                "styles" => styles = Some(parse_list(value, PromptStyle::parse, key)?),
-                "profiles" => profiles = Some(parse_list(value, FaultProfile::parse, key)?),
-                "scales" => scales = Some(parse_list(value, TopoScale::parse, key)?),
+                "systems" => config.systems = parse_list(value, TargetSystem::parse, key)?,
+                "styles" => config.styles = parse_list(value, PromptStyle::parse, key)?,
+                "profiles" => config.profiles = parse_list(value, FaultProfile::parse, key)?,
+                "scales" => config.scales = parse_list(value, TopoScale::parse, key)?,
                 "seeds" => {
                     let n: u64 = parse_num(value, key)?;
                     if n == 0 {
                         return Err(SpecError("seeds must be at least 1".into()));
                     }
-                    seeds = Some(n);
+                    config.seeds = (0..n).collect();
                 }
                 "deadline" => limits.deadline_steps = parse_num(value, key)?,
                 "attempts" => limits.max_attempts = parse_num(value, key)?,
@@ -103,22 +97,6 @@ impl JobSpec {
                 _ => return Err(SpecError(format!("unknown key {key:?}"))),
             }
         }
-        let config = SweepConfig {
-            systems: systems.unwrap_or_else(|| {
-                vec![
-                    TargetSystem::NcFlow,
-                    TargetSystem::Arrow,
-                    TargetSystem::ApKeep,
-                    TargetSystem::ApVerifier,
-                ]
-            }),
-            styles: styles
-                .unwrap_or_else(|| vec![PromptStyle::ModularText, PromptStyle::ModularPseudocode]),
-            profiles: profiles.unwrap_or_else(|| vec![FaultProfile::None, FaultProfile::Heavy]),
-            scales: scales.unwrap_or_else(|| vec![TopoScale::Paper]),
-            seeds: (0..seeds.unwrap_or(3)).collect(),
-            limits,
-        };
         Ok(JobSpec { config, clock_limit })
     }
 
@@ -167,6 +145,7 @@ fn parse_num<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, SpecErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netrepro_core::harness::TaskLimits;
 
     #[test]
     fn round_trips_canonically() {
