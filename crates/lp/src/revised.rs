@@ -9,6 +9,10 @@
 //! two-pass ratio test — both with fixed deterministic tie-breaks, so
 //! the pivot sequence is a canonical function of the input — with
 //! Bland's rule taking over when a degenerate run suggests cycling.
+//! Each pivot touches only what changed: reduced costs are cached and
+//! recomputed only for the columns in rows whose dual changed, and the
+//! Devex update visits only the columns meeting the pivot row's
+//! support, with the same arithmetic as a full rescan.
 //! Combined with [`crate::presolve`], it is one to two orders of
 //! magnitude faster than [`crate::dense::DenseSimplex`] on the
 //! traffic-engineering LPs in this workspace — the gap Table A measures.
@@ -70,6 +74,21 @@ struct Core<'a> {
     /// Devex reference weights, indexed like `in_basis` (real columns
     /// then artificials); reset to the unit frame per phase.
     devex: Vec<f64>,
+    /// Row-wise index of `[A | I]` in CSR form: the columns with a
+    /// nonzero in row `r` are `row_cols[row_start[r]..row_start[r + 1]]`,
+    /// ascending, artificial `n_real + r` last.
+    row_start: Vec<u32>,
+    row_cols: Vec<u32>,
+    /// Reduced costs `d_j` of every column below the phase's
+    /// `allow_below`, basic ones included, under the duals `y`.
+    d: Vec<f64>,
+    /// The duals `d` was computed from; empty at the start of a phase.
+    y: Vec<f64>,
+    /// Columns gathered by [`Core::touch_rows`], deduplicated through
+    /// `stamp` (`stamp[j] == stamp_gen` once `j` is gathered).
+    touched: Vec<usize>,
+    stamp: Vec<u32>,
+    stamp_gen: u32,
 }
 
 enum Step {
@@ -87,6 +106,31 @@ impl<'a> Core<'a> {
         for slot in in_basis.iter_mut().skip(n_real) {
             *slot = true;
         }
+        // Count each row's entries (plus its artificial), prefix-sum,
+        // then fill in ascending column order.
+        let mut row_start = vec![0u32; m + 1];
+        for col in &std.cols {
+            for &(r, _) in col {
+                row_start[r + 1] += 1;
+            }
+        }
+        for r in 0..m {
+            row_start[r + 1] += row_start[r] + 1;
+        }
+        let mut fill = row_start[..m].to_vec();
+        let mut row_cols = vec![0u32; row_start[m] as usize];
+        let mut place = |r: usize, j: usize| {
+            row_cols[fill[r] as usize] = j as u32;
+            fill[r] += 1;
+        };
+        for (j, col) in std.cols.iter().enumerate() {
+            for &(r, _) in col {
+                place(r, j);
+            }
+        }
+        for r in 0..m {
+            place(r, n_real + r);
+        }
         Core {
             std,
             n_real,
@@ -99,6 +143,30 @@ impl<'a> Core<'a> {
             iterations: 0,
             degenerate_run: 0,
             devex: vec![1.0; n_total],
+            row_start,
+            row_cols,
+            d: Vec::new(),
+            y: Vec::new(),
+            touched: Vec::new(),
+            stamp: vec![0; n_total],
+            stamp_gen: 0,
+        }
+    }
+
+    /// Gather into `touched` each column below `allow_below` with a
+    /// nonzero in one of `rows`, once each, in first-seen order.
+    fn touch_rows(&mut self, rows: impl Iterator<Item = usize>, allow_below: usize) {
+        self.stamp_gen += 1;
+        self.touched.clear();
+        for r in rows {
+            let span = self.row_start[r] as usize..self.row_start[r + 1] as usize;
+            for &j in &self.row_cols[span] {
+                let j = j as usize;
+                if j < allow_below && self.stamp[j] != self.stamp_gen {
+                    self.stamp[j] = self.stamp_gen;
+                    self.touched.push(j);
+                }
+            }
         }
     }
 
@@ -174,18 +242,39 @@ impl<'a> Core<'a> {
         c(j) - dot
     }
 
-    /// Devex pricing: maximise `r_j² / w_j` over the improving columns.
+    /// Bring `d` up to the duals `y = c_B B⁻¹` of the current basis.
+    /// `d_j` reads `y` only at column `j`'s rows, so only the columns
+    /// in rows whose dual changed bits are recomputed; after a phase
+    /// start (empty `y`) every column is.
+    fn refresh_reduced_costs(&mut self, c: &dyn Fn(usize) -> f64, allow_below: usize) {
+        let y = self.btran(c);
+        let old = std::mem::take(&mut self.y);
+        if old.is_empty() {
+            self.d = (0..allow_below).map(|j| self.reduced_cost(j, &y, c)).collect();
+        } else {
+            let changed = (0..y.len()).filter(|&r| y[r].to_bits() != old[r].to_bits());
+            self.touch_rows(changed, allow_below);
+            let touched = std::mem::take(&mut self.touched);
+            for &j in &touched {
+                self.d[j] = self.reduced_cost(j, &y, c);
+            }
+            self.touched = touched;
+        }
+        self.y = y;
+    }
+
+    /// Devex pricing: maximise `d_j² / w_j` over the improving columns.
     /// Ascending scan with a strict-greater comparison makes the
     /// tie-break "smallest column index" — fixed and deterministic.
-    fn price_devex(&self, y: &[f64], c: &dyn Fn(usize) -> f64, allow_below: usize) -> Option<usize> {
+    fn price_devex(&self, allow_below: usize) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for j in 0..allow_below {
             if self.in_basis[j] {
                 continue;
             }
-            let rj = self.reduced_cost(j, y, c);
-            if rj < -TOL {
-                let score = rj * rj / self.devex[j];
+            let dj = self.d[j];
+            if dj < -TOL {
+                let score = dj * dj / self.devex[j];
                 if best.is_none_or(|(_, s)| score > s) {
                     best = Some((j, score));
                 }
@@ -196,12 +285,16 @@ impl<'a> Core<'a> {
 
     /// Devex reference-weight update after the pivot `(q, lr)`, using
     /// the pivot row `ρ = e_lr B⁻¹` of the *pre-pivot* basis. Must run
-    /// before the eta for this pivot is pushed.
+    /// before the eta for this pivot is pushed. A column with no
+    /// nonzero in a row where `ρ` is nonzero has `α_j = ±0` and keeps
+    /// its weight, so only the columns of `ρ`'s support are visited.
     fn devex_update(&mut self, q: usize, lr: usize, alpha_q: f64, allow_below: usize) {
         let rho = self.btran_unit(lr);
         let wq = self.devex[q].max(1.0);
         let ref_weight = wq / (alpha_q * alpha_q);
-        for j in 0..allow_below {
+        self.touch_rows((0..rho.len()).filter(|&r| rho[r] != 0.0), allow_below);
+        let touched = std::mem::take(&mut self.touched);
+        for &j in &touched {
             if self.in_basis[j] || j == q {
                 continue;
             }
@@ -216,6 +309,7 @@ impl<'a> Core<'a> {
                 }
             }
         }
+        self.touched = touched;
         // The leaving variable re-enters the nonbasic pool with the
         // reference weight; overflow resets the whole frame.
         self.devex[self.basis[lr]] = ref_weight.max(1.0);
@@ -224,36 +318,48 @@ impl<'a> Core<'a> {
         }
     }
 
+    /// The entering column: Devex pricing, or under Bland's rule the
+    /// first improving column.
+    fn entering(&self, use_bland: bool, allow_below: usize) -> Option<usize> {
+        if use_bland {
+            (0..allow_below).find(|&j| !self.in_basis[j] && self.d[j] < -TOL)
+        } else {
+            self.price_devex(allow_below)
+        }
+    }
+
+    /// The leaving row for the entering column's ftran image `w`.
+    fn leaving(&self, w: &[f64], use_bland: bool) -> Option<usize> {
+        if use_bland {
+            textbook_ratio(w, &self.xb, &self.basis)
+        } else {
+            harris_ratio(w, &self.xb, &self.basis)
+        }
+    }
+
     /// One simplex pivot under cost `c`, with entering candidates drawn
     /// from `0..allow_below`.
     fn step(&mut self, c: &dyn Fn(usize) -> f64, allow_below: usize) -> Step {
-        let y = self.btran(c);
+        self.refresh_reduced_costs(c, allow_below);
         let use_bland = self.degenerate_run >= DEGENERATE_SWITCH;
-        let entering = if use_bland {
-            (0..allow_below)
-                .find(|&j| !self.in_basis[j] && self.reduced_cost(j, &y, c) < -TOL)
-        } else {
-            self.price_devex(&y, c, allow_below)
-        };
-        let Some(q) = entering else { return Step::Optimal };
-
+        let Some(q) = self.entering(use_bland, allow_below) else { return Step::Optimal };
         let w = self.ftran(q);
-        let leave = if use_bland {
-            textbook_ratio(&w, &self.xb, &self.basis)
-        } else {
-            harris_ratio(&w, &self.xb, &self.basis)
-        };
-        let Some(lr) = leave else { return Step::Unbounded };
-        let theta = self.xb[lr].max(0.0) / w[lr];
+        let Some(lr) = self.leaving(&w, use_bland) else { return Step::Unbounded };
+        if !use_bland {
+            self.devex_update(q, lr, w[lr], allow_below);
+        }
+        self.pivot(q, lr, &w);
+        Step::Pivoted
+    }
 
+    /// Bring `q` into basis position `lr`: update `x_B`, the basis and
+    /// the eta file, refactorizing as the growth/drift policy says.
+    fn pivot(&mut self, q: usize, lr: usize, w: &[f64]) {
+        let theta = self.xb[lr].max(0.0) / w[lr];
         if theta <= TOL {
             self.degenerate_run += 1;
         } else {
             self.degenerate_run = 0;
-        }
-
-        if !use_bland {
-            self.devex_update(q, lr, w[lr], allow_below);
         }
 
         // Update the solution estimate.
@@ -274,7 +380,7 @@ impl<'a> Core<'a> {
 
         // Product-form update, then the growth/drift-driven
         // refactorization policy (no fixed cadence).
-        match Eta::from_dense(&w, lr) {
+        match Eta::from_dense(w, lr) {
             Some(eta) => {
                 self.eta_nnz += eta.nnz();
                 self.etas.push(eta);
@@ -292,7 +398,6 @@ impl<'a> Core<'a> {
                 self.refactorise();
             }
         }
-        Step::Pivoted
     }
 
     /// `‖B x_B − b‖∞` beyond tolerance means the eta-composed estimate
@@ -343,15 +448,20 @@ impl<'a> Core<'a> {
         true
     }
 
+    /// Fresh Devex reference frame and reduced costs per phase: the
+    /// cost vector both are computed against has changed.
+    fn start_phase(&mut self) {
+        self.devex.fill(1.0);
+        self.y.clear();
+    }
+
     fn optimise(
         &mut self,
         c: &dyn Fn(usize) -> f64,
         allow_below: usize,
         limit: u64,
     ) -> Result<bool, LpError> {
-        // Fresh Devex reference frame per phase (the cost vector the
-        // weights approximate steepest-edge against has changed).
-        self.devex.fill(1.0);
+        self.start_phase();
         loop {
             if self.iterations > limit {
                 return Err(LpError::IterationLimit(limit));
@@ -630,6 +740,209 @@ mod tests {
         let without =
             RevisedSimplex { presolve: false, ..Default::default() }.solve(&p).unwrap();
         assert!((with.objective - without.objective).abs() < 1e-6);
+    }
+
+    /// Independent oracles for the incremental pricing state: the
+    /// full-scan pricing and Devex update each pivot used to run, and a
+    /// fresh `reduced_cost` for every cached `d_j`.
+    mod incremental_oracle {
+        use super::super::*;
+        use crate::model::Sense;
+        use proptest::prelude::*;
+
+        /// Devex pricing over reduced costs recomputed from `y` for
+        /// every nonbasic column.
+        fn reference_price_devex(
+            core: &Core,
+            y: &[f64],
+            c: &dyn Fn(usize) -> f64,
+            allow_below: usize,
+        ) -> Option<usize> {
+            let mut best: Option<(usize, f64)> = None;
+            for j in 0..allow_below {
+                if core.in_basis[j] {
+                    continue;
+                }
+                let rj = core.reduced_cost(j, y, c);
+                if rj < -TOL {
+                    let score = rj * rj / core.devex[j];
+                    if best.is_none_or(|(_, s)| score > s) {
+                        best = Some((j, score));
+                    }
+                }
+            }
+            best.map(|(j, _)| j)
+        }
+
+        /// The Devex update over every nonbasic column, applied to
+        /// `weights` instead of the core's own.
+        fn reference_devex_update(
+            core: &Core,
+            weights: &mut [f64],
+            q: usize,
+            lr: usize,
+            alpha_q: f64,
+            allow_below: usize,
+        ) {
+            let rho = core.btran_unit(lr);
+            let wq = weights[q].max(1.0);
+            let ref_weight = wq / (alpha_q * alpha_q);
+            for (j, weight) in weights.iter_mut().enumerate().take(allow_below) {
+                if core.in_basis[j] || j == q {
+                    continue;
+                }
+                let alpha_j = match core.col(j) {
+                    ColRef::Unit(r) => rho[r],
+                    ColRef::Sparse(col) => col.iter().map(|&(r, v)| rho[r] * v).sum(),
+                };
+                if alpha_j != 0.0 {
+                    let cand = alpha_j * alpha_j * ref_weight;
+                    if cand > *weight {
+                        *weight = cand;
+                    }
+                }
+            }
+            weights[core.basis[lr]] = ref_weight.max(1.0);
+            if ref_weight > DEVEX_RESET {
+                weights.fill(1.0);
+            }
+        }
+
+        /// Runs one phase exactly as `Core::optimise` does, checking
+        /// every pivot against the oracles. Returns how many pivots
+        /// ran under Bland's rule.
+        fn checked_phase(
+            core: &mut Core,
+            c: &dyn Fn(usize) -> f64,
+            allow_below: usize,
+        ) -> Result<u64, TestCaseError> {
+            core.start_phase();
+            let mut bland = 0;
+            while core.iterations < 10_000 {
+                core.refresh_reduced_costs(c, allow_below);
+                let y = core.btran(c);
+                for j in 0..allow_below {
+                    let fresh = core.reduced_cost(j, &y, c);
+                    prop_assert_eq!(core.d[j].to_bits(), fresh.to_bits(), "stale d_{}", j);
+                }
+                let use_bland = core.degenerate_run >= DEGENERATE_SWITCH;
+                let want = if use_bland {
+                    bland += 1;
+                    (0..allow_below)
+                        .find(|&j| !core.in_basis[j] && core.reduced_cost(j, &y, c) < -TOL)
+                } else {
+                    reference_price_devex(core, &y, c, allow_below)
+                };
+                let entering = core.entering(use_bland, allow_below);
+                prop_assert_eq!(entering, want);
+                let Some(q) = entering else { return Ok(bland) };
+                let w = core.ftran(q);
+                let Some(lr) = core.leaving(&w, use_bland) else { return Ok(bland) };
+                if !use_bland {
+                    let mut want = core.devex.clone();
+                    reference_devex_update(core, &mut want, q, lr, w[lr], allow_below);
+                    core.devex_update(q, lr, w[lr], allow_below);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&core.devex), bits(&want));
+                }
+                core.pivot(q, lr, &w);
+            }
+            Err(TestCaseError::fail("no optimum within 10,000 pivots"))
+        }
+
+        /// A random LP with `rows` constraints over `vars` variables.
+        /// Coefficients come from `coef` (zero = absent); when
+        /// `degenerate`, all but every fifth right-hand side is zero, so
+        /// long degenerate runs hand pricing to Bland's rule.
+        fn random_lp(
+            rows: usize,
+            vars: usize,
+            coef: &[i32],
+            costs: &[i32],
+            rhs: &[u32],
+            ops: &[u32],
+            degenerate: bool,
+        ) -> Problem {
+            let mut p = Problem::new(Sense::Maximize);
+            let x: Vec<_> = (0..vars)
+                .map(|v| p.add_var(&format!("x{v}"), 0.0, f64::INFINITY, costs[v] as f64))
+                .collect();
+            for r in 0..rows {
+                let terms: Vec<_> = (0..vars)
+                    .filter(|&v| coef[r * vars + v] != 0)
+                    .map(|v| (x[v], coef[r * vars + v] as f64 / 2.0))
+                    .collect();
+                let b = if degenerate && r % 5 != 0 { 0.0 } else { rhs[r] as f64 };
+                match ops[r] {
+                    0 => p.add_ge(&terms, b),
+                    1 => p.add_eq(&terms, b),
+                    _ => p.add_le(&terms, b),
+                }
+            }
+            p
+        }
+
+        /// Both phases of a cold solve, checked pivot by pivot; returns
+        /// the pivots priced by Bland's rule.
+        fn checked_solve(p: &Problem) -> Result<u64, TestCaseError> {
+            let std = StandardLp::from_problem(p);
+            let n = std.n();
+            let mut core = Core::new(&std);
+            let phase1 = move |j: usize| if j >= n { 1.0 } else { 0.0 };
+            let mut bland = checked_phase(&mut core, &phase1, n)?;
+            if core.objective(&phase1) <= 1e-7 {
+                let c = std.c.clone();
+                let phase2 = move |j: usize| if j < c.len() { c[j] } else { 0.0 };
+                bland += checked_phase(&mut core, &phase2, n)?;
+            }
+            Ok(bland)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// On every pivot of random LPs, degenerate ones included:
+            /// each cached `d_j` has the bits of a fresh reduced cost,
+            /// the entering column is the full rescan's, and the Devex
+            /// weights are the full loop's, bitwise.
+            #[test]
+            fn incremental_pricing_matches_full_rescan(
+                rows in 1usize..48,
+                vars in 1usize..48,
+                coef in proptest::collection::vec(-2i32..5, 48 * 48),
+                costs in proptest::collection::vec(-3i32..6, 48),
+                rhs in proptest::collection::vec(0u32..9, 48),
+                ops in proptest::collection::vec(0u32..4, 48),
+                degenerate in any::<bool>(),
+            ) {
+                // Degenerate runs long enough for Bland's rule need room.
+                let (rows, vars) =
+                    if degenerate { (32 + rows % 16, 32 + vars % 16) } else { (rows, vars) };
+                let p = random_lp(rows, vars, &coef, &costs, &rhs, &ops, degenerate);
+                checked_solve(&p)?;
+            }
+        }
+
+        /// The proptest's degenerate LPs do reach Bland's rule: of
+        /// eight fixed 48 × 48 instances, some price by it.
+        #[test]
+        fn degenerate_lps_reach_blands_rule() {
+            let mut state = 0x2545_f491_4f6c_dd1d_u64;
+            let mut draw = |n: u32| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                ((state >> 33) % n as u64) as u32
+            };
+            let mut bland = 0;
+            for _ in 0..8 {
+                let coef: Vec<i32> = (0..48 * 48).map(|_| draw(7) as i32 - 2).collect();
+                let costs: Vec<i32> = (0..48).map(|_| draw(9) as i32 - 3).collect();
+                let rhs: Vec<u32> = (0..48).map(|_| draw(9)).collect();
+                let ops: Vec<u32> = (0..48).map(|_| draw(4)).collect();
+                let p = random_lp(48, 48, &coef, &costs, &rhs, &ops, true);
+                bland += checked_solve(&p).expect("oracles agree");
+            }
+            assert!(bland > 0, "no pivot priced by Bland's rule");
+        }
     }
 
     mod ratio_equivalence {

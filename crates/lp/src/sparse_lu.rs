@@ -10,6 +10,9 @@
 //! column's ftran image), so ftran/btran cost `O(lu_nnz + eta_nnz)`
 //! instead of the dense `O(m²)` the old explicit `B⁻¹` paid.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// Pivots smaller than this during factorization mean the basis is
 /// numerically singular in that direction.
 const SINGULAR_TOL: f64 = 1e-11;
@@ -114,6 +117,15 @@ impl SparseLu {
     /// Factorize the `m × m` matrix whose `k`-th column's nonzeros are
     /// `cols[k]` (original-row index, value). Returns `None` when a
     /// pivot column goes numerically singular.
+    ///
+    /// Each column is eliminated against only the earlier pivots whose
+    /// pivot row it reaches: a row's pivot position joins a min-heap the
+    /// first time the row is written, so positions come off in
+    /// ascending order, after every earlier update to their row has
+    /// landed. The pivot search and `L` column read only the written
+    /// rows, in ascending row order. Every subtraction, comparison and
+    /// tie-break thus happens as in a full scan of all earlier pivots
+    /// and all rows, and the factor is bitwise the same.
     pub fn factorize(m: usize, cols: &[Vec<(usize, f64)>]) -> Option<SparseLu> {
         debug_assert_eq!(cols.len(), m);
         const UNSET: usize = usize::MAX;
@@ -123,19 +135,29 @@ impl SparseLu {
         let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
         let mut u_diag = Vec::with_capacity(m);
         let mut nnz = 0usize;
-        // Dense scatter workspace in original-row space.
+        // Dense scatter workspace in original-row space; the rows the
+        // current column has written (`seen[row] == k + 1` once row
+        // joins `rows` for column `k`); the earlier pivot positions
+        // still to eliminate.
         let mut x = vec![0.0; m];
+        let mut seen = vec![0usize; m];
+        let mut rows: Vec<usize> = Vec::new();
+        let mut pending: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
 
-        for col in cols.iter() {
+        for (k, col) in cols.iter().enumerate() {
             for &(r, v) in col {
                 x[r] += v;
+                if seen[r] != k + 1 {
+                    seen[r] = k + 1;
+                    rows.push(r);
+                    if pos[r] != UNSET {
+                        pending.push(Reverse(pos[r]));
+                    }
+                }
             }
-            // Left-looking elimination: subtract the contribution of
-            // every earlier pivot column whose pivot row carries a
-            // nonzero. Scanning steps in order keeps the arithmetic
-            // sequence (and thus the factor) deterministic.
             let mut ucol = Vec::new();
-            for (j, &lrow) in perm.iter().enumerate() {
+            while let Some(Reverse(j)) = pending.pop() {
+                let lrow = perm[j];
                 let ujk: f64 = x[lrow];
                 if ujk == 0.0 {
                     continue;
@@ -145,14 +167,24 @@ impl SparseLu {
                     ucol.push((j, ujk));
                     for &(row, l) in &l_cols[j] {
                         x[row] -= l * ujk;
+                        // `l_cols[j]` rows pivot after `j`, if at all.
+                        if seen[row] != k + 1 {
+                            seen[row] = k + 1;
+                            rows.push(row);
+                            if pos[row] != UNSET {
+                                pending.push(Reverse(pos[row]));
+                            }
+                        }
                     }
                 }
             }
             // Partial pivoting over the unpivoted rows: max |value|,
             // ties to the smallest original row index.
+            rows.sort_unstable();
             let mut prow = UNSET;
             let mut pval = 0.0f64;
-            for (row, &v) in x.iter().enumerate() {
+            for &row in &rows {
+                let v = x[row];
                 if pos[row] == UNSET && v.abs() > pval.abs() {
                     prow = row;
                     pval = v;
@@ -162,19 +194,17 @@ impl SparseLu {
                 return None;
             }
             let mut lcol = Vec::new();
-            for (row, v) in x.iter_mut().enumerate() {
-                if *v == 0.0 {
-                    continue;
-                }
-                if row != prow && pos[row] == UNSET {
-                    let l = *v / pval;
+            for &row in &rows {
+                let v = x[row];
+                if v != 0.0 && row != prow && pos[row] == UNSET {
+                    let l = v / pval;
                     if l.abs() > DROP_TOL {
                         lcol.push((row, l));
                     }
                 }
-                *v = 0.0;
+                x[row] = 0.0;
             }
-            let k = perm.len();
+            rows.clear();
             pos[prow] = k;
             perm.push(prow);
             nnz += lcol.len() + ucol.len() + 1;
@@ -348,6 +378,117 @@ mod tests {
             }
         }
         cols
+    }
+
+    /// The full-scan left-looking factorization: every column is
+    /// eliminated against every earlier pivot in order, and the pivot
+    /// search and `L` column scan all `m` rows. `O(m²)` per column;
+    /// the oracle for [`SparseLu::factorize`].
+    fn factorize_reference(m: usize, cols: &[Vec<(usize, f64)>]) -> Option<SparseLu> {
+        const UNSET: usize = usize::MAX;
+        let mut perm = Vec::with_capacity(m);
+        let mut pos = vec![UNSET; m];
+        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_diag = Vec::with_capacity(m);
+        let mut nnz = 0usize;
+        let mut x = vec![0.0; m];
+        for col in cols.iter() {
+            for &(r, v) in col {
+                x[r] += v;
+            }
+            let mut ucol = Vec::new();
+            for (j, &lrow) in perm.iter().enumerate() {
+                let ujk: f64 = x[lrow];
+                if ujk == 0.0 {
+                    continue;
+                }
+                x[lrow] = 0.0;
+                if ujk.abs() > DROP_TOL {
+                    ucol.push((j, ujk));
+                    for &(row, l) in &l_cols[j] {
+                        x[row] -= l * ujk;
+                    }
+                }
+            }
+            let mut prow = UNSET;
+            let mut pval = 0.0f64;
+            for (row, &v) in x.iter().enumerate() {
+                if pos[row] == UNSET && v.abs() > pval.abs() {
+                    prow = row;
+                    pval = v;
+                }
+            }
+            if prow == UNSET || pval.abs() < SINGULAR_TOL {
+                return None;
+            }
+            let mut lcol = Vec::new();
+            for (row, v) in x.iter_mut().enumerate() {
+                if *v == 0.0 {
+                    continue;
+                }
+                if row != prow && pos[row] == UNSET {
+                    let l = *v / pval;
+                    if l.abs() > DROP_TOL {
+                        lcol.push((row, l));
+                    }
+                }
+                *v = 0.0;
+            }
+            let k = perm.len();
+            pos[prow] = k;
+            perm.push(prow);
+            nnz += lcol.len() + ucol.len() + 1;
+            l_cols.push(lcol);
+            u_cols.push(ucol);
+            u_diag.push(pval);
+        }
+        Some(SparseLu { m, perm, l_cols, u_cols, u_diag, nnz })
+    }
+
+    /// `(index, value bits)` of a sparse factor column.
+    fn bits(entries: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        entries.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The heap-driven factorization must reproduce the full scan
+        /// bit for bit: same `perm`, same `L` and `U` entries in the
+        /// same order, same diagonal, and `None` on the same inputs.
+        /// Small integer entries make pivot-magnitude ties common, a
+        /// diagonal that is often missing makes singular matrices
+        /// common, and random off-diagonals cause fill-in.
+        #[test]
+        fn factorize_matches_full_scan_bitwise(
+            mraw in 1u32..16,
+            entries in proptest::collection::vec((0u32..16, 0u32..16, -3i32..4), 0..80),
+            diag in proptest::collection::vec(-3i32..4, 16),
+            scale in proptest::collection::vec(1u32..8, 16),
+        ) {
+            let m = mraw as usize;
+            let mut cols: Vec<Vec<(usize, f64)>> = (0..m)
+                .map(|k| if diag[k] != 0 { vec![(k, diag[k] as f64)] } else { Vec::new() })
+                .collect();
+            for &(r, k, v) in &entries {
+                let (r, k) = (r as usize % m, k as usize % m);
+                // Odd scales give inexact multipliers, hence rounding
+                // that the two orders would have to agree on.
+                cols[k].push((r, v as f64 / scale[r] as f64));
+            }
+            let got = SparseLu::factorize(m, &cols);
+            let want = factorize_reference(m, &cols);
+            prop_assert_eq!(got.is_some(), want.is_some());
+            let (Some(got), Some(want)) = (got, want) else { return Ok(()) };
+            prop_assert_eq!(&got.perm, &want.perm);
+            prop_assert_eq!(got.nnz, want.nnz);
+            for k in 0..m {
+                prop_assert_eq!(bits(&got.l_cols[k]), bits(&want.l_cols[k]));
+                prop_assert_eq!(bits(&got.u_cols[k]), bits(&want.u_cols[k]));
+                prop_assert_eq!(got.u_diag[k].to_bits(), want.u_diag[k].to_bits());
+            }
+        }
     }
 
     proptest! {

@@ -9,6 +9,7 @@
 //! cargo test --release --test perf_gates -- --include-ignored --test-threads=1
 //! ```
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,6 +21,7 @@ use netrepro::core::prompt::PromptStyle;
 use netrepro::core::validate::{lp_scale_instance, lp_scale_specs};
 use netrepro::lp::dense::DenseSimplex;
 use netrepro::lp::revised::RevisedSimplex;
+use netrepro::lp::{LpError, LpSolver, Problem, Solution};
 use netrepro::te::mcf::solve_mcf;
 
 /// Warm/cold sweep speedup floor at every worker count.
@@ -123,4 +125,58 @@ fn lp_scale_solvers_agree_and_revised_clears_the_floor() {
         }
     }
     assert!(checked_floor, "the 10x rung must run both solvers");
+}
+
+/// `RevisedSimplex::default()` that sums the pivots of every LP it
+/// solves.
+struct CountingSimplex {
+    inner: RevisedSimplex,
+    pivots: Cell<u64>,
+}
+
+impl LpSolver for CountingSimplex {
+    fn solve(&self, problem: &Problem) -> Result<Solution, LpError> {
+        let sol = self.inner.solve(problem)?;
+        self.pivots.set(self.pivots.get() + sol.iterations);
+        Ok(sol)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// Solve one `lp_scale` rung's MCF and check its pivot count and the
+/// bits of its objective. Pricing, ratio test and refactorization are
+/// all deterministic, so any change to the pivot path, however
+/// harmless numerically, shows up here.
+fn assert_pivot_path(label: &str, pivots: u64, objective_bits: u64) {
+    let spec = lp_scale_specs()
+        .into_iter()
+        .find(|s| s.label == label)
+        .expect("rung exists");
+    let solver = CountingSimplex { inner: RevisedSimplex::default(), pivots: Cell::new(0) };
+    let sol = solve_mcf(&lp_scale_instance(&spec), &solver).expect("revised solves");
+    assert_eq!(
+        (solver.pivots.get(), sol.total_flow.to_bits()),
+        (pivots, objective_bits),
+        "lp_scale {label}: pivot path moved (objective {})",
+        sol.total_flow
+    );
+}
+
+#[test]
+fn lp_scale_1x_pivot_path_is_pinned() {
+    assert_pivot_path("1x", 54, 0x4065_2868_a0e4_0511);
+}
+
+#[test]
+fn lp_scale_10x_pivot_path_is_pinned() {
+    assert_pivot_path("10x", 552, 0x407d_0e73_649e_5297);
+}
+
+#[test]
+#[ignore = "slow in debug builds: run with --release --include-ignored --test-threads=1"]
+fn lp_scale_100x_pivot_path_is_pinned() {
+    assert_pivot_path("100x", 4383, 0x409d_018d_1abb_eaae);
 }
