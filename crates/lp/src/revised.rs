@@ -9,16 +9,18 @@
 //! two-pass ratio test — both with fixed deterministic tie-breaks, so
 //! the pivot sequence is a canonical function of the input — with
 //! Bland's rule taking over when a degenerate run suggests cycling.
-//! Each pivot touches only what changed: reduced costs are cached and
-//! recomputed only for the columns in rows whose dual changed, and the
-//! Devex update visits only the columns meeting the pivot row's
-//! support, with the same arithmetic as a full rescan.
+//! Each pivot touches only what changed, with the same arithmetic as
+//! the dense passes it replaces: `ftran` and the pivot-row `btran`
+//! follow the nonzeros, the duals are recomputed only where their
+//! inputs changed bits, reduced costs only in the rows whose dual
+//! changed, pricing walks a bitmap of the improving columns, and the
+//! ratio tests and the Devex update read only the supports.
 //! Combined with [`crate::presolve`], it is one to two orders of
 //! magnitude faster than [`crate::dense::DenseSimplex`] on the
 //! traffic-engineering LPs in this workspace — the gap Table A measures.
 
 use crate::presolve::presolve;
-use crate::sparse_lu::{Eta, SparseLu};
+use crate::sparse_lu::{csr, transpose, Eta, SparseLu, Workspace};
 use crate::standard::StandardLp;
 use crate::{LpError, LpSolver, Problem, Solution, Status};
 
@@ -68,22 +70,51 @@ struct Core<'a> {
     /// …composed with one eta per pivot since.
     etas: Vec<Eta>,
     eta_nnz: usize,
+    /// The distinct positions the etas replaced (`eta_row[k]` once `k`
+    /// is listed): the only entries of `c_B` the eta pass rewrites.
+    eta_rows: Vec<usize>,
+    eta_row: Vec<bool>,
+    /// Scratch of the solves, reused across refactorizations.
+    ws: Workspace,
     xb: Vec<f64>,
     iterations: u64,
     degenerate_run: u32,
     /// Devex reference weights, indexed like `in_basis` (real columns
     /// then artificials); reset to the unit frame per phase.
     devex: Vec<f64>,
-    /// Row-wise index of `[A | I]` in CSR form: the columns with a
-    /// nonzero in row `r` are `row_cols[row_start[r]..row_start[r + 1]]`,
-    /// ascending, artificial `n_real + r` last.
+    /// Row-wise index of `A` in CSR form: the columns with a nonzero in
+    /// row `r` are `row_cols[row_start[r]..row_start[r + 1]]`,
+    /// ascending. Artificials are left out: no phase prices them.
     row_start: Vec<u32>,
     row_cols: Vec<u32>,
     /// Reduced costs `d_j` of every column below the phase's
-    /// `allow_below`, basic ones included, under the duals `y`.
+    /// `allow_below`, basic ones included, under the duals `y`; empty
+    /// at the start of a phase.
     d: Vec<f64>,
-    /// The duals `d` was computed from; empty at the start of a phase.
+    /// Bit `j` set iff column `j` is nonbasic and `d_j < -TOL`: the
+    /// columns pricing may pick.
+    cand: Vec<u64>,
+    /// The dual solve `yᵀ B = c_Bᵀ`, in stages: `z` is `c_B` after the
+    /// eta file, `zz` the `Uᵀ` solve of `z`, and `y` the duals by
+    /// original row. `duals_fresh` says they match the factor and the
+    /// costs, up to the last pivot.
+    z: Vec<f64>,
+    zz: Vec<f64>,
     y: Vec<f64>,
+    duals_fresh: bool,
+    /// The entering column's ftran image `w` and its ascending support.
+    w: Vec<f64>,
+    w_supp: Vec<usize>,
+    /// The pivot row `ρ = e_lr B⁻¹` by original row (`+0.0` off
+    /// `rho_supp`), and the basis-position scratch its solve starts in.
+    rho: Vec<f64>,
+    rho_supp: Vec<usize>,
+    unit: Vec<f64>,
+    /// Rows whose dual changed bits; the positions seeding a sparse
+    /// solve; the bits of `z` at the eta rows before a pivot's update.
+    changed: Vec<usize>,
+    seeds: Vec<usize>,
+    z_old: Vec<u64>,
     /// Columns gathered by [`Core::touch_rows`], deduplicated through
     /// `stamp` (`stamp[j] == stamp_gen` once `j` is gathered).
     touched: Vec<usize>,
@@ -106,31 +137,7 @@ impl<'a> Core<'a> {
         for slot in in_basis.iter_mut().skip(n_real) {
             *slot = true;
         }
-        // Count each row's entries (plus its artificial), prefix-sum,
-        // then fill in ascending column order.
-        let mut row_start = vec![0u32; m + 1];
-        for col in &std.cols {
-            for &(r, _) in col {
-                row_start[r + 1] += 1;
-            }
-        }
-        for r in 0..m {
-            row_start[r + 1] += row_start[r] + 1;
-        }
-        let mut fill = row_start[..m].to_vec();
-        let mut row_cols = vec![0u32; row_start[m] as usize];
-        let mut place = |r: usize, j: usize| {
-            row_cols[fill[r] as usize] = j as u32;
-            fill[r] += 1;
-        };
-        for (j, col) in std.cols.iter().enumerate() {
-            for &(r, _) in col {
-                place(r, j);
-            }
-        }
-        for r in 0..m {
-            place(r, n_real + r);
-        }
+        let (row_start, row_cols) = transpose(m, &std.cols);
         Core {
             std,
             n_real,
@@ -139,6 +146,9 @@ impl<'a> Core<'a> {
             factor: SparseLu::identity(m),
             etas: Vec::new(),
             eta_nnz: 0,
+            eta_rows: Vec::new(),
+            eta_row: vec![false; m],
+            ws: Workspace::new(m),
             xb: std.b.clone(),
             iterations: 0,
             degenerate_run: 0,
@@ -146,7 +156,19 @@ impl<'a> Core<'a> {
             row_start,
             row_cols,
             d: Vec::new(),
-            y: Vec::new(),
+            cand: Vec::new(),
+            z: vec![0.0; m],
+            zz: vec![0.0; m],
+            y: vec![0.0; m],
+            duals_fresh: false,
+            w: vec![0.0; m],
+            w_supp: Vec::new(),
+            rho: vec![0.0; m],
+            rho_supp: Vec::new(),
+            unit: vec![0.0; m],
+            changed: Vec::new(),
+            seeds: Vec::new(),
+            z_old: Vec::new(),
             touched: Vec::new(),
             stamp: vec![0; n_total],
             stamp_gen: 0,
@@ -159,9 +181,7 @@ impl<'a> Core<'a> {
         self.stamp_gen += 1;
         self.touched.clear();
         for r in rows {
-            let span = self.row_start[r] as usize..self.row_start[r + 1] as usize;
-            for &j in &self.row_cols[span] {
-                let j = j as usize;
+            for j in csr(&self.row_start, &self.row_cols, r) {
                 if j < allow_below && self.stamp[j] != self.stamp_gen {
                     self.stamp[j] = self.stamp_gen;
                     self.touched.push(j);
@@ -190,48 +210,43 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// `w = B⁻¹ a_j`: sparse gather, LU forward/back solve, then the
-    /// eta file in creation order. Result in basis-position space.
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let m = self.std.m;
-        let mut w = vec![0.0; m];
-        match self.col(j) {
-            ColRef::Unit(r) => w[r] = 1.0,
-            ColRef::Sparse(col) => {
-                for &(r, v) in col {
-                    w[r] += v;
-                }
+    /// `w = B⁻¹ a_j` into `self.w`, with its ascending support in
+    /// `self.w_supp`: the LU solve, then the eta file in creation order.
+    /// An eta applied with `w[r] == 0` changes only signs of zeros, so
+    /// only the others add their rows to the support.
+    fn ftran(&mut self, j: usize) {
+        let std = self.std;
+        let unit;
+        let a: &[(usize, f64)] = if j < self.n_real {
+            &std.cols[j]
+        } else {
+            unit = [(j - self.n_real, 1.0)];
+            &unit
+        };
+        self.factor.ftran(&mut self.ws, a.iter().copied(), &mut self.w, &mut self.w_supp);
+        for eta in &self.etas {
+            if eta.apply_ftran(&mut self.w) {
+                self.w_supp.extend(eta.w.iter().map(|&(i, _)| i));
             }
         }
-        self.factor.ftran(&mut w);
-        for eta in &self.etas {
-            eta.apply_ftran(&mut w);
-        }
-        w
+        self.w_supp.sort_unstable();
+        self.w_supp.dedup();
     }
 
-    /// `y = c_B B⁻¹`: eta file in reverse creation order, then the LU
-    /// transpose solves. Result in original-row space (the duals).
-    fn btran(&self, c: &dyn Fn(usize) -> f64) -> Vec<f64> {
-        let mut y: Vec<f64> = Vec::with_capacity(self.std.m);
-        y.extend(self.basis.iter().map(|&b| c(b)));
+    /// `ρ = e_lr B⁻¹` into `self.rho`, nonzero only at the rows of
+    /// `self.rho_supp` — the pivot row of the inverse, needed by the
+    /// Devex weight update. The eta file, in reverse creation order,
+    /// writes only the eta rows, so they and `lr` seed the LU solve.
+    fn btran_unit(&mut self, lr: usize) {
+        self.unit[lr] = 1.0;
         for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut y);
+            eta.apply_btran(&mut self.unit);
         }
-        self.factor.btran(&mut y);
-        y
-    }
-
-    /// `ρ = e_lr B⁻¹` — the pivot row of the inverse, needed by the
-    /// Devex weight update.
-    fn btran_unit(&self, lr: usize) -> Vec<f64> {
-        let mut y = vec![0.0; self.std.m];
-        y[lr] = 1.0;
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut y);
-        }
-        self.factor.btran(&mut y);
-        y
+        self.seeds.clear();
+        self.seeds.push(lr);
+        self.seeds.extend_from_slice(&self.eta_rows);
+        let (rho, supp) = (&mut self.rho, &mut self.rho_supp);
+        self.factor.btran(&mut self.ws, &mut self.unit, &self.seeds, rho, supp);
     }
 
     fn reduced_cost(&self, j: usize, y: &[f64], c: &dyn Fn(usize) -> f64) -> f64 {
@@ -242,42 +257,98 @@ impl<'a> Core<'a> {
         c(j) - dot
     }
 
-    /// Bring `d` up to the duals `y = c_B B⁻¹` of the current basis.
-    /// `d_j` reads `y` only at column `j`'s rows, so only the columns
-    /// in rows whose dual changed bits are recomputed; after a phase
-    /// start (empty `y`) every column is.
-    fn refresh_reduced_costs(&mut self, c: &dyn Fn(usize) -> f64, allow_below: usize) {
-        let y = self.btran(c);
-        let old = std::mem::take(&mut self.y);
-        if old.is_empty() {
-            self.d = (0..allow_below).map(|j| self.reduced_cost(j, &y, c)).collect();
+    /// Set or clear column `j`'s pricing candidate bit.
+    fn update_candidate(&mut self, j: usize) {
+        let bit = 1u64 << (j % 64);
+        if !self.in_basis[j] && self.d[j] < -TOL {
+            self.cand[j / 64] |= bit;
         } else {
-            let changed = (0..y.len()).filter(|&r| y[r].to_bits() != old[r].to_bits());
-            self.touch_rows(changed, allow_below);
+            self.cand[j / 64] &= !bit;
+        }
+    }
+
+    /// The pricing candidates, ascending.
+    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cand.iter().enumerate().flat_map(|(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let j = i * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    j
+                })
+            })
+        })
+    }
+
+    /// Bring the duals `y = c_B B⁻¹` of the current basis, `d` and the
+    /// candidate bitmap up to date.
+    ///
+    /// The eta file writes `c_B` only at the eta rows, so after a pivot
+    /// that kept the factor only `z` at those rows can have changed (the
+    /// pivot's own position is one of them): they are reset to `c_B`,
+    /// the eta pass reruns, and the rows whose `z` changed bits seed
+    /// [`SparseLu::btran_update`]. After a refactorization or a phase
+    /// start the whole solve reruns. `d_j` reads `y` only at column
+    /// `j`'s rows, so only the columns in rows whose dual changed bits
+    /// are recomputed; after a phase start every column is.
+    fn refresh_reduced_costs(&mut self, c: &dyn Fn(usize) -> f64, allow_below: usize) {
+        if self.duals_fresh {
+            self.z_old.clear();
+            for &k in &self.eta_rows {
+                self.z_old.push(self.z[k].to_bits());
+                self.z[k] = c(self.basis[k]);
+            }
+        } else {
+            for (z, &b) in self.z.iter_mut().zip(&self.basis) {
+                *z = c(b);
+            }
+        }
+        for eta in self.etas.iter().rev() {
+            eta.apply_btran(&mut self.z);
+        }
+        self.changed.clear();
+        let seeds = if self.duals_fresh {
+            self.seeds.clear();
+            for (&k, &old) in self.eta_rows.iter().zip(&self.z_old) {
+                if self.z[k].to_bits() != old {
+                    self.seeds.push(k);
+                }
+            }
+            Some(&self.seeds[..])
+        } else {
+            self.duals_fresh = true;
+            None
+        };
+        let (zz, y) = (&mut self.zz, &mut self.y);
+        self.factor.btran_update(&mut self.ws, &self.z, seeds, zz, y, &mut self.changed);
+        if self.d.is_empty() {
+            self.d = (0..allow_below).map(|j| self.reduced_cost(j, &self.y, c)).collect();
+            self.cand = vec![0; allow_below.div_ceil(64)];
+            (0..allow_below).for_each(|j| self.update_candidate(j));
+        } else {
+            let changed = std::mem::take(&mut self.changed);
+            self.touch_rows(changed.iter().copied(), allow_below);
+            self.changed = changed;
             let touched = std::mem::take(&mut self.touched);
             for &j in &touched {
-                self.d[j] = self.reduced_cost(j, &y, c);
+                self.d[j] = self.reduced_cost(j, &self.y, c);
+                self.update_candidate(j);
             }
             self.touched = touched;
         }
-        self.y = y;
     }
 
     /// Devex pricing: maximise `d_j² / w_j` over the improving columns.
     /// Ascending scan with a strict-greater comparison makes the
     /// tie-break "smallest column index" — fixed and deterministic.
-    fn price_devex(&self, allow_below: usize) -> Option<usize> {
+    fn price_devex(&self) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        for j in 0..allow_below {
-            if self.in_basis[j] {
-                continue;
-            }
+        for j in self.candidates() {
             let dj = self.d[j];
-            if dj < -TOL {
-                let score = dj * dj / self.devex[j];
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((j, score));
-                }
+            let score = dj * dj / self.devex[j];
+            if best.is_none_or(|(_, s)| score > s) {
+                best = Some((j, score));
             }
         }
         best.map(|(j, _)| j)
@@ -289,10 +360,12 @@ impl<'a> Core<'a> {
     /// nonzero in a row where `ρ` is nonzero has `α_j = ±0` and keeps
     /// its weight, so only the columns of `ρ`'s support are visited.
     fn devex_update(&mut self, q: usize, lr: usize, alpha_q: f64, allow_below: usize) {
-        let rho = self.btran_unit(lr);
+        self.btran_unit(lr);
         let wq = self.devex[q].max(1.0);
         let ref_weight = wq / (alpha_q * alpha_q);
-        self.touch_rows((0..rho.len()).filter(|&r| rho[r] != 0.0), allow_below);
+        let mut rho = std::mem::take(&mut self.rho);
+        let supp = std::mem::take(&mut self.rho_supp);
+        self.touch_rows(supp.iter().copied().filter(|&r| rho[r] != 0.0), allow_below);
         let touched = std::mem::take(&mut self.touched);
         for &j in &touched {
             if self.in_basis[j] || j == q {
@@ -310,6 +383,11 @@ impl<'a> Core<'a> {
             }
         }
         self.touched = touched;
+        for &r in &supp {
+            rho[r] = 0.0;
+        }
+        self.rho = rho;
+        self.rho_supp = supp;
         // The leaving variable re-enters the nonbasic pool with the
         // reference weight; overflow resets the whole frame.
         self.devex[self.basis[lr]] = ref_weight.max(1.0);
@@ -320,20 +398,20 @@ impl<'a> Core<'a> {
 
     /// The entering column: Devex pricing, or under Bland's rule the
     /// first improving column.
-    fn entering(&self, use_bland: bool, allow_below: usize) -> Option<usize> {
+    fn entering(&self, use_bland: bool) -> Option<usize> {
         if use_bland {
-            (0..allow_below).find(|&j| !self.in_basis[j] && self.d[j] < -TOL)
+            self.candidates().next()
         } else {
-            self.price_devex(allow_below)
+            self.price_devex()
         }
     }
 
-    /// The leaving row for the entering column's ftran image `w`.
-    fn leaving(&self, w: &[f64], use_bland: bool) -> Option<usize> {
+    /// The leaving row for the entering column's ftran image.
+    fn leaving(&self, use_bland: bool) -> Option<usize> {
         if use_bland {
-            textbook_ratio(w, &self.xb, &self.basis)
+            textbook_ratio(&self.w, &self.w_supp, &self.xb, &self.basis)
         } else {
-            harris_ratio(w, &self.xb, &self.basis)
+            harris_ratio(&self.w, &self.w_supp, &self.xb, &self.basis)
         }
     }
 
@@ -342,19 +420,21 @@ impl<'a> Core<'a> {
     fn step(&mut self, c: &dyn Fn(usize) -> f64, allow_below: usize) -> Step {
         self.refresh_reduced_costs(c, allow_below);
         let use_bland = self.degenerate_run >= DEGENERATE_SWITCH;
-        let Some(q) = self.entering(use_bland, allow_below) else { return Step::Optimal };
-        let w = self.ftran(q);
-        let Some(lr) = self.leaving(&w, use_bland) else { return Step::Unbounded };
+        let Some(q) = self.entering(use_bland) else { return Step::Optimal };
+        self.ftran(q);
+        let Some(lr) = self.leaving(use_bland) else { return Step::Unbounded };
         if !use_bland {
-            self.devex_update(q, lr, w[lr], allow_below);
+            self.devex_update(q, lr, self.w[lr], allow_below);
         }
-        self.pivot(q, lr, &w);
+        self.pivot(q, lr);
         Step::Pivoted
     }
 
-    /// Bring `q` into basis position `lr`: update `x_B`, the basis and
-    /// the eta file, refactorizing as the growth/drift policy says.
-    fn pivot(&mut self, q: usize, lr: usize, w: &[f64]) {
+    /// Bring `q` into basis position `lr` along `self.w`: update `x_B`,
+    /// the basis, the candidate bitmap and the eta file, refactorizing
+    /// as the growth/drift policy says.
+    fn pivot(&mut self, q: usize, lr: usize) {
+        let w = &self.w;
         let theta = self.xb[lr].max(0.0) / w[lr];
         if theta <= TOL {
             self.degenerate_run += 1;
@@ -362,41 +442,38 @@ impl<'a> Core<'a> {
             self.degenerate_run = 0;
         }
 
-        // Update the solution estimate.
-        for (i, &wi) in w.iter().enumerate().take(self.std.m) {
-            if i != lr {
-                self.xb[i] -= theta * wi;
-                if self.xb[i] < 0.0 && self.xb[i] > -TOL {
-                    self.xb[i] = 0.0;
-                }
-            }
+        // Update the solution estimate. Every entry, zeros included:
+        // `x − θ·(−0.0)` can turn a −0.0 into +0.0. Position `lr` is
+        // overwritten afterwards, so the loop need not skip it.
+        for (x, &wi) in self.xb.iter_mut().zip(w) {
+            let v = *x - theta * wi;
+            *x = if v < 0.0 && v > -TOL { 0.0 } else { v };
         }
         self.xb[lr] = theta;
 
-        self.in_basis[self.basis[lr]] = false;
+        let leaving = self.basis[lr];
+        self.in_basis[leaving] = false;
         self.in_basis[q] = true;
         self.basis[lr] = q;
+        self.update_candidate(q);
+        if leaving < self.d.len() {
+            self.update_candidate(leaving);
+        }
         self.iterations += 1;
 
         // Product-form update, then the growth/drift-driven
         // refactorization policy (no fixed cadence).
-        match Eta::from_dense(w, lr) {
-            Some(eta) => {
-                self.eta_nnz += eta.nnz();
-                self.etas.push(eta);
-                let grown = self.etas.len() >= eta_limit(self.std.m)
-                    || self.eta_nnz > 2 * self.factor.nnz() + 64;
-                if grown
-                    || (self.iterations.is_multiple_of(DRIFT_CHECK_EVERY)
-                        && self.drift_exceeded())
-                {
-                    self.refactorise();
-                }
-            }
-            // Pivot too small for a stable eta: rebuild from scratch.
-            None => {
-                self.refactorise();
-            }
+        let eta = Eta::new(&self.w, &self.w_supp, lr);
+        self.eta_nnz += eta.nnz();
+        self.etas.push(eta);
+        if !self.eta_row[lr] {
+            self.eta_row[lr] = true;
+            self.eta_rows.push(lr);
+        }
+        let grown = self.etas.len() >= eta_limit(self.std.m)
+            || self.eta_nnz > 2 * self.factor.nnz() + 64;
+        if grown || (self.iterations.is_multiple_of(DRIFT_CHECK_EVERY) && self.drift_exceeded()) {
+            self.refactorise();
         }
     }
 
@@ -437,22 +514,29 @@ impl<'a> Core<'a> {
         self.factor = factor;
         self.etas.clear();
         self.eta_nnz = 0;
-        let mut xb = self.std.b.clone();
-        self.factor.ftran(&mut xb);
-        for x in &mut xb {
+        for &k in &self.eta_rows {
+            self.eta_row[k] = false;
+        }
+        self.eta_rows.clear();
+        self.duals_fresh = false;
+        // Zeros of `b` are left out: they only decide signs of zeros,
+        // which the clean-up below erases.
+        let b = self.std.b.iter().copied().enumerate().filter(|&(_, v)| v != 0.0);
+        self.factor.ftran(&mut self.ws, b, &mut self.xb, &mut self.w_supp);
+        for x in &mut self.xb {
             if x.abs() < TOL {
                 *x = 0.0;
             }
         }
-        self.xb = xb;
         true
     }
 
-    /// Fresh Devex reference frame and reduced costs per phase: the
-    /// cost vector both are computed against has changed.
+    /// Fresh Devex reference frame, duals and reduced costs per phase:
+    /// the cost vector they are computed against has changed.
     fn start_phase(&mut self) {
         self.devex.fill(1.0);
-        self.y.clear();
+        self.duals_fresh = false;
+        self.d.clear();
     }
 
     fn optimise(
@@ -461,6 +545,7 @@ impl<'a> Core<'a> {
         allow_below: usize,
         limit: u64,
     ) -> Result<bool, LpError> {
+        debug_assert!(allow_below <= self.n_real, "the row index has no artificials");
         self.start_phase();
         loop {
             if self.iterations > limit {
@@ -494,16 +579,24 @@ enum ColRef<'a> {
     Unit(usize),
 }
 
-/// Harris two-pass ratio test. Pass 1 relaxes each binding row by
-/// [`FEAS_TOL`] to compute the loosest admissible step `θ_max`; pass 2
-/// picks, among the rows whose exact ratio fits under `θ_max`, the one
-/// with the **largest pivot magnitude** (numerical stability), breaking
-/// ties toward the smallest basis variable index. Returns the leaving
-/// row, or `None` when the direction is unbounded.
-pub(crate) fn harris_ratio(w: &[f64], xb: &[f64], basis: &[usize]) -> Option<usize> {
+/// Harris two-pass ratio test over the ascending support `supp` of the
+/// entering column's ftran image `w` (a row off it has `w_i = 0` and
+/// cannot bind). Pass 1 relaxes each binding row by [`FEAS_TOL`] to
+/// compute the loosest admissible step `θ_max`; pass 2 picks, among the
+/// rows whose exact ratio fits under `θ_max`, the one with the
+/// **largest pivot magnitude** (numerical stability), breaking ties
+/// toward the smallest basis variable index. Returns the leaving row,
+/// or `None` when the direction is unbounded.
+pub(crate) fn harris_ratio(
+    w: &[f64],
+    supp: &[usize],
+    xb: &[f64],
+    basis: &[usize],
+) -> Option<usize> {
     let mut theta_max = f64::INFINITY;
     let mut any = false;
-    for (i, &wi) in w.iter().enumerate() {
+    for &i in supp {
+        let wi = w[i];
         if wi > RATIO_PIVOT_TOL {
             any = true;
             let bound = (xb[i].max(0.0) + FEAS_TOL) / wi;
@@ -516,7 +609,8 @@ pub(crate) fn harris_ratio(w: &[f64], xb: &[f64], basis: &[usize]) -> Option<usi
         return None;
     }
     let mut best: Option<usize> = None;
-    for (i, &wi) in w.iter().enumerate() {
+    for &i in supp {
+        let wi = w[i];
         if wi > RATIO_PIVOT_TOL && xb[i].max(0.0) / wi <= theta_max {
             let better = match best {
                 None => true,
@@ -532,11 +626,19 @@ pub(crate) fn harris_ratio(w: &[f64], xb: &[f64], basis: &[usize]) -> Option<usi
 
 /// The textbook single-pass minimum-ratio test (with the smallest-
 /// basis-index tie-break the solver has always used under Bland's
-/// rule). Kept both as the degenerate-run fallback and as the oracle
-/// the Harris test is proptested against.
-pub(crate) fn textbook_ratio(w: &[f64], xb: &[f64], basis: &[usize]) -> Option<usize> {
+/// rule), over the same ascending support as [`harris_ratio`]: the
+/// tolerance tie-break depends on the scan order. Kept both as the
+/// degenerate-run fallback and as the oracle the Harris test is
+/// proptested against.
+pub(crate) fn textbook_ratio(
+    w: &[f64],
+    supp: &[usize],
+    xb: &[f64],
+    basis: &[usize],
+) -> Option<usize> {
     let mut leave: Option<(usize, f64)> = None;
-    for (i, &wi) in w.iter().enumerate() {
+    for &i in supp {
+        let wi = w[i];
         if wi > TOL {
             let theta = xb[i] / wi;
             let better = match leave {
@@ -774,8 +876,20 @@ mod tests {
             best.map(|(j, _)| j)
         }
 
+        /// The duals `c_B B⁻¹` of the current basis by the dense solves:
+        /// the eta file in reverse creation order, then the dense `btran`.
+        fn dense_duals(core: &Core, c: &dyn Fn(usize) -> f64) -> Vec<f64> {
+            let mut y: Vec<f64> = core.basis.iter().map(|&b| c(b)).collect();
+            for eta in core.etas.iter().rev() {
+                eta.apply_btran(&mut y);
+            }
+            core.factor.btran_dense(&mut y);
+            y
+        }
+
         /// The Devex update over every nonbasic column, applied to
-        /// `weights` instead of the core's own.
+        /// `weights` instead of the core's own, with `ρ` from the dense
+        /// solves.
         fn reference_devex_update(
             core: &Core,
             weights: &mut [f64],
@@ -784,7 +898,12 @@ mod tests {
             alpha_q: f64,
             allow_below: usize,
         ) {
-            let rho = core.btran_unit(lr);
+            let mut rho = vec![0.0; core.std.m];
+            rho[lr] = 1.0;
+            for eta in core.etas.iter().rev() {
+                eta.apply_btran(&mut rho);
+            }
+            core.factor.btran_dense(&mut rho);
             let wq = weights[q].max(1.0);
             let ref_weight = wq / (alpha_q * alpha_q);
             for (j, weight) in weights.iter_mut().enumerate().take(allow_below) {
@@ -808,6 +927,21 @@ mod tests {
             }
         }
 
+        /// `B⁻¹ a_q` by the dense solves: the dense `ftran`, then the
+        /// eta file in creation order.
+        fn dense_ftran(core: &Core, q: usize) -> Vec<f64> {
+            let mut w = vec![0.0; core.std.m];
+            match core.col(q) {
+                ColRef::Unit(r) => w[r] = 1.0,
+                ColRef::Sparse(col) => col.iter().for_each(|&(r, v)| w[r] += v),
+            }
+            core.factor.ftran_dense(&mut w);
+            for eta in &core.etas {
+                eta.apply_ftran(&mut w);
+            }
+            w
+        }
+
         /// Runs one phase exactly as `Core::optimise` does, checking
         /// every pivot against the oracles. Returns how many pivots
         /// ran under Bland's rule.
@@ -816,36 +950,45 @@ mod tests {
             c: &dyn Fn(usize) -> f64,
             allow_below: usize,
         ) -> Result<u64, TestCaseError> {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             core.start_phase();
             let mut bland = 0;
             while core.iterations < 10_000 {
                 core.refresh_reduced_costs(c, allow_below);
-                let y = core.btran(c);
+                let y = dense_duals(core, c);
+                prop_assert_eq!(bits(&core.y), bits(&y), "incremental duals drifted");
                 for j in 0..allow_below {
                     let fresh = core.reduced_cost(j, &y, c);
                     prop_assert_eq!(core.d[j].to_bits(), fresh.to_bits(), "stale d_{}", j);
                 }
+                let improving: Vec<usize> = (0..allow_below)
+                    .filter(|&j| !core.in_basis[j] && core.reduced_cost(j, &y, c) < -TOL)
+                    .collect();
+                prop_assert_eq!(core.candidates().collect::<Vec<_>>(), improving.clone());
                 let use_bland = core.degenerate_run >= DEGENERATE_SWITCH;
                 let want = if use_bland {
                     bland += 1;
-                    (0..allow_below)
-                        .find(|&j| !core.in_basis[j] && core.reduced_cost(j, &y, c) < -TOL)
+                    improving.first().copied()
                 } else {
                     reference_price_devex(core, &y, c, allow_below)
                 };
-                let entering = core.entering(use_bland, allow_below);
+                let entering = core.entering(use_bland);
                 prop_assert_eq!(entering, want);
                 let Some(q) = entering else { return Ok(bland) };
-                let w = core.ftran(q);
-                let Some(lr) = core.leaving(&w, use_bland) else { return Ok(bland) };
+                core.ftran(q);
+                let w = dense_ftran(core, q);
+                prop_assert_eq!(bits(&core.w), bits(&w), "ftran drifted");
+                prop_assert!(core.w_supp.windows(2).all(|p| p[0] < p[1]), "support unsorted");
+                let off = (0..w.len()).find(|&i| w[i] != 0.0 && !core.w_supp.contains(&i));
+                prop_assert_eq!(off, None, "nonzero of w off its support");
+                let Some(lr) = core.leaving(use_bland) else { return Ok(bland) };
                 if !use_bland {
                     let mut want = core.devex.clone();
                     reference_devex_update(core, &mut want, q, lr, w[lr], allow_below);
                     core.devex_update(q, lr, w[lr], allow_below);
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(bits(&core.devex), bits(&want));
                 }
-                core.pivot(q, lr, &w);
+                core.pivot(q, lr);
             }
             Err(TestCaseError::fail("no optimum within 10,000 pivots"))
         }
@@ -902,9 +1045,11 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// On every pivot of random LPs, degenerate ones included:
-            /// each cached `d_j` has the bits of a fresh reduced cost,
-            /// the entering column is the full rescan's, and the Devex
-            /// weights are the full loop's, bitwise.
+            /// the incremental duals and each cached `d_j` have the bits
+            /// of the dense solve, the candidate bitmap is the full
+            /// scan's set, the entering column is the full rescan's, the
+            /// hypersparse `w` is the dense one with a covering support,
+            /// and the Devex weights are the full loop's, bitwise.
             #[test]
             fn incremental_pricing_matches_full_rescan(
                 rows in 1usize..48,
@@ -984,8 +1129,8 @@ mod tests {
                     xb[i] = (1.0 + rank as f64 * 0.5) * w[i];
                 }
                 let basis: Vec<usize> = (0..m).collect();
-                let h = harris_ratio(&w, &xb, &basis);
-                let t = textbook_ratio(&w, &xb, &basis);
+                let h = harris_ratio(&w, &basis, &xb, &basis);
+                let t = textbook_ratio(&w, &basis, &xb, &basis);
                 prop_assert_eq!(h, t);
                 prop_assert_eq!(h, Some(ranked[0]));
             }

@@ -1,6 +1,11 @@
 //! Performance gates: the invariants the memoized sweep and the LP
 //! kernels must keep, with their floors.
 //!
+//! The pivot-path pins hold every LP caller's pivot count and objective
+//! bits fixed: `solve_mcf` and NCFlow on each `lp_scale` rung, and both
+//! ARROW formulations on Table B's instances. No sweep cell reaches the
+//! LP, so the sweep goldens cannot catch a change to its pivot path.
+//!
 //! The warm-memo count gate is exact and runs with every `cargo test`.
 //! The timing gates are `#[ignore]`d because they need an optimized
 //! build and a quiet host; run them with
@@ -18,11 +23,14 @@ use netrepro::core::fault::FaultProfile;
 use netrepro::core::harness::{GateFn, MemoryJournal, Sweep, SweepConfig, TaskLimits, TopoScale};
 use netrepro::core::paper::TargetSystem;
 use netrepro::core::prompt::PromptStyle;
-use netrepro::core::validate::{lp_scale_instance, lp_scale_specs};
+use netrepro::core::validate::{lp_scale_instance, lp_scale_specs, te_instance};
+use netrepro::graph::gen::TopologySpec;
 use netrepro::lp::dense::DenseSimplex;
 use netrepro::lp::revised::RevisedSimplex;
 use netrepro::lp::{LpError, LpSolver, Problem, Solution};
+use netrepro::te::arrow::{multi_fiber_scenarios, solve_arrow, ArrowInstance, ArrowVariant};
 use netrepro::te::mcf::solve_mcf;
+use netrepro::te::ncflow::{solve_ncflow, NcFlowConfig};
 
 /// Warm/cold sweep speedup floor at every worker count.
 const WARM_SPEEDUP_FLOOR: f64 = 1.5;
@@ -179,4 +187,80 @@ fn lp_scale_10x_pivot_path_is_pinned() {
 #[ignore = "slow in debug builds: run with --release --include-ignored --test-threads=1"]
 fn lp_scale_100x_pivot_path_is_pinned() {
     assert_pivot_path("100x", 4383, 0x409d_018d_1abb_eaae);
+}
+
+/// Solve one `lp_scale` rung with NCFlow (its default configuration)
+/// and check the summed pivots of its R1 and R2 LPs and the bits of its
+/// total flow.
+fn assert_ncflow_path(label: &str, pivots: u64, objective_bits: u64) {
+    let spec = lp_scale_specs()
+        .into_iter()
+        .find(|s| s.label == label)
+        .expect("rung exists");
+    let inst = lp_scale_instance(&spec);
+    let sol = solve_ncflow(&inst, &NcFlowConfig::for_instance(&inst), &RevisedSimplex::default())
+        .expect("ncflow solves");
+    assert_eq!(
+        (sol.lp_iterations, sol.total_flow.to_bits()),
+        (pivots, objective_bits),
+        "ncflow {label}: pivot path moved (objective {})",
+        sol.total_flow
+    );
+}
+
+#[test]
+fn ncflow_1x_pivot_path_is_pinned() {
+    assert_ncflow_path("1x", 88, 0x4065_2868_a0e4_0511);
+}
+
+#[test]
+fn ncflow_10x_pivot_path_is_pinned() {
+    assert_ncflow_path("10x", 637, 0x407d_0e73_649e_5296);
+}
+
+#[test]
+#[ignore = "slow in debug builds: run with --release --include-ignored --test-threads=1"]
+fn ncflow_100x_pivot_path_is_pinned() {
+    assert_ncflow_path("100x", 2159, 0x4098_7d00_bd44_d5ea);
+}
+
+/// Table B's ARROW instance `index` (0-based), built as the
+/// `table_b_arrow` bin builds it: demand scaled 4× so restoration
+/// binds, three 3-fiber cut scenarios, half the lost capacity
+/// restorable.
+fn table_b_arrow_instance(index: usize) -> ArrowInstance {
+    let spec = match index {
+        0 => TopologySpec::new("OpticalA", 16, 2023 + 100),
+        _ => TopologySpec::new("OpticalB", 24, 2023 + 101),
+    };
+    let mut te = te_instance(&spec, 10, 3);
+    te.tm.scale(4.0);
+    let scenarios = multi_fiber_scenarios(&te, 3, 3);
+    ArrowInstance { te, scenarios, restoration_fraction: 0.5 }
+}
+
+/// Solve Table B's ARROW instance `index` in both formulations and
+/// check each one's pivots and committed-bandwidth bits.
+fn assert_arrow_paths(index: usize, open: (u64, u64), faithful: (u64, u64)) {
+    let inst = table_b_arrow_instance(index);
+    for (variant, want) in [(ArrowVariant::OpenSource, open), (ArrowVariant::Faithful, faithful)] {
+        let sol = solve_arrow(&inst, variant, &RevisedSimplex::default()).expect("arrow solves");
+        assert_eq!(
+            (sol.lp_iterations, sol.committed.to_bits()),
+            want,
+            "arrow instance {} {variant:?}: pivot path moved (committed {})",
+            index + 1,
+            sol.committed
+        );
+    }
+}
+
+#[test]
+fn arrow_instance_1_pivot_paths_are_pinned() {
+    assert_arrow_paths(0, (276, 0x4085_ab60_d67a_69c8), (258, 0x4085_ab60_d67a_69c8));
+}
+
+#[test]
+fn arrow_instance_2_pivot_paths_are_pinned() {
+    assert_arrow_paths(1, (362, 0x4079_e0a7_b790_049b), (332, 0x4079_e0a7_b790_049a));
 }
