@@ -282,6 +282,12 @@ impl EffectConfig {
                     "restart must rebuild state purely from ledger + journal bytes",
                 ),
                 root(
+                    "core::wal::parse",
+                    &[],
+                    "every journal and ledger recovers through this one prefix parser; \
+                     it must be a pure function of the log's bytes",
+                ),
+                root(
                     "serve::ledger::parse_ledger",
                     &[],
                     "ledger replay is pure parse; any effect here breaks crash recovery",

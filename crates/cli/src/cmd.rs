@@ -14,6 +14,7 @@ use netrepro_core::prompt::PromptStyle;
 use netrepro_core::student::Participant;
 use netrepro_core::survey::{build_corpus, SurveyStats};
 use netrepro_core::validate as val;
+use netrepro_core::wal;
 use netrepro_core::{FaultInjector, FaultPlan, ReproductionSession};
 use netrepro_dpv::ap::ApVerifier;
 use netrepro_dpv::dataset::{generate, DatasetOpts};
@@ -619,15 +620,12 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// Write-ahead journal sink over a real file. Each line is written and
-/// flushed before the sweep moves on, so a `SIGKILL` between appends
-/// loses at most the line being written — exactly the torn-trailing
-/// case `parse_journal` recovers from.
+/// The sweep's [`wal::FileSink`] plus two crash-test hooks.
 struct FileJournal {
-    file: std::fs::File,
+    sink: wal::FileSink,
     lines_written: u64,
     /// Crash-simulation aid: write only the first half of line K (no
-    /// newline), sync, and exit(3) — a deterministic torn write.
+    /// newline) and exit(3) — a deterministic torn write.
     halt_after: Option<u64>,
     /// Sleep per appended line so an external test can land a SIGKILL
     /// mid-run.
@@ -635,14 +633,13 @@ struct FileJournal {
 }
 
 impl FileJournal {
-    fn new(file: std::fs::File, halt_after: Option<u64>, throttle_ms: u64) -> FileJournal {
-        FileJournal { file, lines_written: 0, halt_after, throttle_ms }
+    fn new(sink: wal::FileSink, halt_after: Option<u64>, throttle_ms: u64) -> FileJournal {
+        FileJournal { sink, lines_written: 0, halt_after, throttle_ms }
     }
 }
 
 impl JournalSink for FileJournal {
     fn append(&mut self, line: &str) -> Result<(), String> {
-        use std::io::Write;
         if self.throttle_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(self.throttle_ms));
         }
@@ -651,12 +648,10 @@ impl JournalSink for FileJournal {
             while cut > 0 && !line.is_char_boundary(cut) {
                 cut -= 1;
             }
-            let _ = self.file.write_all(&line.as_bytes()[..cut]);
-            let _ = self.file.sync_all();
+            let _ = self.sink.append(&line[..cut]);
             std::process::exit(3);
         }
-        self.file.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-        self.file.flush().map_err(|e| e.to_string())?;
+        self.sink.append(line)?;
         self.lines_written += 1;
         Ok(())
     }
@@ -847,8 +842,7 @@ pub fn sweep(a: &Args) -> CmdResult {
     let throttle_ms: u64 = a.get_or("throttle-ms", 0)?;
 
     let report = if let Some(path) = a.get("resume") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read journal {path}: {e}")))?;
+        let text = read_resumed(path, "journal")?;
         let replay = harness::parse_journal(&text, &config).map_err(|e| ArgError(e.to_string()))?;
         if replay.dropped_partial {
             eprintln!("journal {path}: dropped a torn trailing record; its cell re-runs");
@@ -858,18 +852,7 @@ pub fn sweep(a: &Args) -> CmdResult {
             replay.records.len(),
             config.total_cells()
         );
-        // Truncate the torn tail so appended lines continue the valid
-        // prefix, then hand the append handle to the sweep.
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| ArgError(format!("cannot reopen {path}: {e}")))?;
-        file.set_len(replay.valid_bytes).map_err(|e| ArgError(format!("truncate {path}: {e}")))?;
-        drop(file);
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| ArgError(format!("cannot append to {path}: {e}")))?;
+        let file = wal::reopen(path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
         let mut sink = FileJournal::new(file, halt_after, throttle_ms);
         runtime.run_from(&replay, &mut sink).map_err(ArgError)?
     } else {
@@ -880,12 +863,20 @@ pub fn sweep(a: &Args) -> CmdResult {
                     .map_err(|e| ArgError(format!("{}: {e}", parent.display())))?;
             }
         }
-        let file = std::fs::File::create(path)
-            .map_err(|e| ArgError(format!("cannot create {path}: {e}")))?;
+        let file = wal::reopen(path.as_ref(), 0).map_err(ArgError)?;
         let mut sink = FileJournal::new(file, halt_after, throttle_ms);
         runtime.run(&mut sink).map_err(ArgError)?
     };
     emit_sweep_report(a, &report)
+}
+
+/// Read the log that `--resume` names. Unlike a shard journal, which a
+/// fresh lease has yet to write, it must exist.
+fn read_resumed(path: &str, what: &str) -> Result<String, ArgError> {
+    if !std::path::Path::new(path).exists() {
+        return Err(ArgError(format!("cannot read {what} {path}: no such file")));
+    }
+    wal::read(path.as_ref()).map_err(ArgError)
 }
 
 /// Comma-join flag values (the inverse of [`parse_csv`]).
@@ -976,11 +967,8 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
     let to_run: Vec<Lease>;
 
     if resuming.is_some() {
-        let text = std::fs::read_to_string(&coord_path).map_err(|e| {
-            ArgError(format!(
-                "cannot read coordinator ledger {coord_path}: {e} \
-                 (was this journal written with --shards?)"
-            ))
+        let text = read_resumed(&coord_path, "coordinator ledger").map_err(|e| {
+            ArgError(format!("{} (was this journal written with --shards?)", e.0))
         })?;
         let replay = shard::parse_coord_journal(&text, config, shards)
             .map_err(|e| ArgError(e.to_string()))?;
@@ -992,7 +980,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
         // whose file is a torn header) simply contributes nothing.
         for lease in &replay.leases {
             let sp = shard_file(&dir, lease.seq);
-            let stext = std::fs::read_to_string(&sp).unwrap_or_default();
+            let stext = wal::read(sp.as_ref()).map_err(ArgError)?;
             let sr = shard::parse_shard_journal(&stext, config, *lease)
                 .map_err(|e| ArgError(format!("{sp}: {e}")))?;
             shard::collect_works(*lease, &sr, &mut works);
@@ -1006,18 +994,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             replay.leases.len(),
             to_run.len()
         );
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&coord_path)
-            .map_err(|e| ArgError(format!("cannot reopen {coord_path}: {e}")))?;
-        file.set_len(replay.valid_bytes)
-            .map_err(|e| ArgError(format!("truncate {coord_path}: {e}")))?;
-        drop(file);
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&coord_path)
-            .map_err(|e| ArgError(format!("cannot append to {coord_path}: {e}")))?;
-        ledger = FileJournal::new(file, None, 0);
+        ledger = wal::reopen(coord_path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
         if !replay.has_header {
             ledger
                 .append(&shard::CoordHeader::new(config, shards).line().map_err(ArgError)?)
@@ -1030,9 +1007,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             std::fs::remove_dir_all(&dir).map_err(|e| ArgError(format!("{dir}: {e}")))?;
         }
         std::fs::create_dir_all(&dir).map_err(|e| ArgError(format!("{dir}: {e}")))?;
-        let file = std::fs::File::create(&coord_path)
-            .map_err(|e| ArgError(format!("cannot create {coord_path}: {e}")))?;
-        ledger = FileJournal::new(file, None, 0);
+        ledger = wal::reopen(coord_path.as_ref(), 0).map_err(ArgError)?;
         ledger
             .append(&shard::CoordHeader::new(config, shards).line().map_err(ArgError)?)
             .map_err(ArgError)?;
@@ -1074,7 +1049,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             };
             slot.child = None;
             let sp = shard_file(&dir, slot.lease.seq);
-            let stext = std::fs::read_to_string(&sp).unwrap_or_default();
+            let stext = wal::read(sp.as_ref()).map_err(ArgError)?;
             let journaled = shard::parse_shard_journal(&stext, config, slot.lease)
                 .map(|sr| sr.works.len())
                 .unwrap_or(0);
@@ -1120,7 +1095,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
 
     for slot in &slots {
         let sp = shard_file(&dir, slot.lease.seq);
-        let stext = std::fs::read_to_string(&sp).unwrap_or_default();
+        let stext = wal::read(sp.as_ref()).map_err(ArgError)?;
         if let Ok(sr) = shard::parse_shard_journal(&stext, config, slot.lease) {
             shard::collect_works(slot.lease, &sr, &mut works);
         }
@@ -1140,9 +1115,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
     // The final journal is derived state, recomputed wholesale from the
     // shard journals — so an interrupted merge is simply overwritten.
     let merger = sweep_runtime(config, workers, false);
-    let file = std::fs::File::create(path)
-        .map_err(|e| ArgError(format!("cannot create {path}: {e}")))?;
-    let mut sink = FileJournal::new(file, None, 0);
+    let mut sink = wal::reopen(path.as_ref(), 0).map_err(ArgError)?;
     let report = shard::merge(&merger, &works, &mut sink).map_err(ArgError)?;
     emit_sweep_report(a, &report)
 }
@@ -1172,26 +1145,13 @@ pub fn sweep_shard(a: &Args) -> CmdResult {
             cells.len()
         )));
     }
-    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let text = wal::read(path.as_ref()).map_err(ArgError)?;
     let replay =
         shard::parse_shard_journal(&text, &config, lease).map_err(|e| ArgError(e.to_string()))?;
     if replay.dropped_partial {
         eprintln!("shard journal {path}: dropped a torn trailing record; its cell re-runs");
     }
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        // Keep the valid prefix: the explicit set_len below is the only
-        // truncation a resume performs.
-        .truncate(false)
-        .open(path)
-        .map_err(|e| ArgError(format!("cannot open {path}: {e}")))?;
-    file.set_len(replay.valid_bytes).map_err(|e| ArgError(format!("truncate {path}: {e}")))?;
-    drop(file);
-    let file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(|e| ArgError(format!("cannot append to {path}: {e}")))?;
+    let file = wal::reopen(path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
 
     // Injected shard faults are rolled up front for the cells this
     // generation will journal — pure in (cell, generation), so a

@@ -581,6 +581,27 @@ fn sweep_sharded_restart_cap_reports_partial_coverage_then_resumes() {
 }
 
 #[test]
+fn sweep_shard_reports_an_unreadable_journal_instead_of_emptying_it() {
+    // Invalid UTF-8 before the last newline is damage, not a torn
+    // write: the shard must refuse it and leave the file untouched.
+    let matrix: &[&str] =
+        &["--systems", "rps", "--styles", "text", "--seeds", "2", "--profiles", "none"];
+    let j = scratch("shard-utf8.jsonl");
+    let shard: &[&str] =
+        &["sweep-shard", "--seq", "0", "--start", "0", "--end", "2", "--journal", &j];
+    let (_, stderr, ok) = run(&[shard, matrix].concat());
+    assert!(ok, "shard runs: {stderr}");
+    let mut bytes = std::fs::read(&j).unwrap();
+    let first_record = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes.insert(first_record + 1, 0xFF);
+    std::fs::write(&j, &bytes).unwrap();
+    let (_, stderr, code) = run_code(&[shard, matrix].concat());
+    assert_eq!(code, Some(2), "damaged shard journal must be refused: {stderr}");
+    assert!(stderr.contains("invalid UTF-8"), "{stderr}");
+    assert_eq!(std::fs::read(&j).unwrap(), bytes, "the journal must be left as it was");
+}
+
+#[test]
 fn sweep_sharded_resume_rejects_changed_shard_count() {
     let matrix: &[&str] =
         &["--systems", "rps", "--styles", "text", "--seeds", "2", "--profiles", "none"];

@@ -675,6 +675,12 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+impl From<crate::wal::Corrupt> for JournalError {
+    fn from(c: crate::wal::Corrupt) -> Self {
+        JournalError::Corrupt { line: c.line, message: c.message }
+    }
+}
+
 /// The replayable prefix of a journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Replay {
@@ -695,28 +701,6 @@ impl Replay {
     pub fn empty() -> Self {
         Replay { records: Vec::new(), valid_bytes: 0, dropped_partial: false, has_header: false }
     }
-}
-
-/// Split `text` into lines, keeping byte offsets and whether each line
-/// is newline-terminated (an unterminated final line is a torn write).
-/// Shared with the shard and coordinator journal parsers.
-pub(crate) fn split_lines(text: &str) -> Vec<(&str, u64, bool)> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < text.len() {
-        match text[start..].find('\n') {
-            Some(i) => {
-                let end = start + i + 1;
-                out.push((&text[start..start + i], end as u64, true));
-                start = end;
-            }
-            None => {
-                out.push((&text[start..], text.len() as u64, false));
-                break;
-            }
-        }
-    }
-    out
 }
 
 /// Validate the fields every journal header shares (version,
@@ -759,92 +743,34 @@ pub(crate) fn check_header(
     Ok(())
 }
 
-/// Parse a journal against `config`, returning the replayable prefix.
-///
-/// Recovery policy: the *trailing* line may be torn (the process died
-/// mid-append) or corrupt — it is dropped and its cell re-runs. Any
-/// earlier damage means the file is not an execution prefix and is
-/// rejected as [`JournalError::Corrupt`]; a header whose fingerprint,
-/// version or matrix size disagrees with `config` is rejected as
-/// [`JournalError::Mismatch`].
+/// Parse a journal against `config`, returning the replayable prefix
+/// under [`crate::wal`]'s recovery policy: a dropped trailing record's
+/// cell re-runs, earlier damage is [`JournalError::Corrupt`], and a
+/// header whose fingerprint, version or matrix size disagrees with
+/// `config` is [`JournalError::Mismatch`]. Record `i` must carry index
+/// `i` and the matrix's `i`-th cell.
 pub fn parse_journal(text: &str, config: &SweepConfig) -> Result<Replay, JournalError> {
-    let lines = split_lines(text);
-    if lines.is_empty() {
-        return Ok(Replay::empty());
-    }
     let cells = config.expand();
-    let last = lines.len() - 1;
-
-    // Header line.
-    let (head_text, head_end, head_terminated) = lines[0];
-    let header: JournalHeader = match serde_json::from_str(head_text) {
-        Ok(h) => h,
-        Err(e) => {
-            if last == 0 && !head_terminated {
-                // Torn header: nothing valid yet, start over.
-                return Ok(Replay {
-                    records: Vec::new(),
-                    valid_bytes: 0,
-                    dropped_partial: true,
-                    has_header: false,
-                });
+    let prefix = crate::wal::parse(
+        text,
+        |header: &JournalHeader| check_header(header, config, cells.len()),
+        |i, cl: CellLine| {
+            if cl.index != i as u64 {
+                return Err(format!("index {} out of order (expected {i})", cl.index));
             }
-            return Err(JournalError::Corrupt { line: 0, message: e.to_string() });
-        }
-    };
-    if !head_terminated {
-        // Parsed but torn — the trailing newline is part of the record.
-        return Ok(Replay {
-            records: Vec::new(),
-            valid_bytes: 0,
-            dropped_partial: true,
-            has_header: false,
-        });
-    }
-    check_header(&header, config, cells.len())?;
-
-    let mut records = Vec::new();
-    let mut valid_bytes = head_end;
-    let mut dropped_partial = false;
-    for (n, &(line, end, terminated)) in lines.iter().enumerate().skip(1) {
-        let trailing = n == last;
-        let parsed: Result<CellLine, String> = serde_json::from_str(line)
-            .map_err(|e| e.to_string())
-            .and_then(|cl: CellLine| {
-                let i = records.len();
-                if cl.index != i as u64 {
-                    return Err(format!("index {} out of order (expected {i})", cl.index));
-                }
-                match cells.get(i) {
-                    Some(cell) if *cell == cl.record.cell => Ok(cl),
-                    Some(cell) => {
-                        Err(format!("cell {} (expected {})", cl.record.cell.key(), cell.key()))
-                    }
-                    None => Err(format!("{} records but the matrix has {} cells", i + 1, cells.len())),
-                }
-            })
-            .and_then(|cl| {
-                if terminated {
-                    Ok(cl)
-                } else {
-                    Err("torn write (missing trailing newline)".to_string())
-                }
-            });
-        match parsed {
-            Ok(cl) => {
-                records.push(cl.record);
-                valid_bytes = end;
+            match cells.get(i) {
+                Some(cell) if *cell == cl.record.cell => Ok(cl.record),
+                Some(cell) => Err(format!("cell {} (expected {})", cl.record.cell.key(), cell.key())),
+                None => Err(format!("{} records but the matrix has {} cells", i + 1, cells.len())),
             }
-            Err(_) if trailing => {
-                dropped_partial = true;
-                break;
-            }
-            Err(message) => {
-                return Err(JournalError::Corrupt { line: n, message });
-            }
-        }
-    }
-    Ok(Replay { records, valid_bytes, dropped_partial, has_header: true })
+        },
+    )?;
+    Ok(Replay {
+        records: prefix.lines,
+        valid_bytes: prefix.valid_bytes,
+        dropped_partial: prefix.dropped_partial,
+        has_header: prefix.header.is_some(),
+    })
 }
 
 /// Hook the CLI uses to wire the static auditor gate in without making
@@ -981,15 +907,6 @@ impl SweepReport {
     }
 }
 
-pub(crate) fn json_line<T: Serialize>(value: &T) -> Result<String, String> {
-    serde_json::to_string(value)
-        .map(|mut s| {
-            s.push('\n');
-            s
-        })
-        .map_err(|e| e.to_string())
-}
-
 /// Append committed `record` as journal line `index` and hand it back
 /// once the line is durable: with [`Sweep::commit_cell`], the one
 /// commit-and-append step behind every journal, whether
@@ -1000,7 +917,7 @@ pub(crate) fn append_record(
     record: CellRecord,
 ) -> Result<CellRecord, String> {
     let line = CellLine { index: index as u64, record };
-    sink.append(&json_line(&line)?)?;
+    sink.append(&crate::wal::line(&line)?)?;
     Ok(line.record)
 }
 
@@ -1192,7 +1109,7 @@ impl Sweep {
             ));
         }
         if !replay.has_header {
-            sink.append(&json_line(&JournalHeader::for_config(&self.config))?)?;
+            sink.append(&crate::wal::line(&JournalHeader::for_config(&self.config))?)?;
         }
         let clock = replay.records.last().map_or(0, |r| r.clock_end);
         let mut breaker = BreakerCounts::new();
@@ -2032,7 +1949,7 @@ mod tests {
             total_cells: 48,
             cache: crate::cache::SCHEME.to_string(),
         };
-        let line = json_line(&h).unwrap();
+        let line = crate::wal::line(&h).unwrap();
         assert!(line.ends_with('\n'));
         let back: JournalHeader = serde_json::from_str(line.trim_end()).unwrap();
         assert_eq!(h, back);

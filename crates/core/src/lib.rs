@@ -54,7 +54,10 @@
 //! * [`shard`] — the sharded sweep runtime: contiguous shard ranges,
 //!   per-shard write-ahead journals, a coordinator lease ledger, and
 //!   the deterministic merge that reconstructs the canonical journal
-//!   byte-identical to a serial run.
+//!   byte-identical to a serial run;
+//! * [`wal`] — the write-ahead log format and its recovery policy,
+//!   shared by the sweep and shard journals, the coordinator ledger
+//!   and the serve daemon's ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,9 +78,8 @@ pub mod session;
 pub mod shard;
 pub mod student;
 pub mod survey;
-pub mod timeline;
-pub mod transcript;
 pub mod validate;
+pub mod wal;
 
 pub use fault::{FaultInjector, FaultPlan, FaultProfile, ResilienceReport};
 pub use harness::{Sweep, SweepConfig, SweepReport};

@@ -40,10 +40,10 @@
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::harness::{
-    append_record, check_header, derive_seed, json_line, split_lines, CellId, CellWork,
-    JournalError, JournalHeader, JournalSink, MemoryJournal, MismatchField, Sweep, SweepConfig,
-    SweepReport, SALT_SHARD,
+    append_record, check_header, derive_seed, CellId, CellWork, JournalError, JournalHeader,
+    JournalSink, MemoryJournal, MismatchField, Sweep, SweepConfig, SweepReport, SALT_SHARD,
 };
+use crate::wal;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -161,7 +161,7 @@ impl ShardHeader {
 
     /// The newline-terminated journal line.
     pub fn line(&self) -> Result<String, String> {
-        json_line(self)
+        wal::line(self)
     }
 }
 
@@ -181,7 +181,7 @@ pub struct WorkLine {
 impl WorkLine {
     /// The newline-terminated journal line.
     pub fn line(&self) -> Result<String, String> {
-        json_line(self)
+        wal::line(self)
     }
 }
 
@@ -208,104 +208,57 @@ impl ShardReplay {
 }
 
 /// Parse one shard journal against `config` and the lease it must
-/// belong to. Same recovery policy as the main journal: the trailing
-/// line may be torn or corrupt (dropped; its cell re-runs), earlier
-/// damage is [`JournalError::Corrupt`], and a header that names a
-/// different lease or range is a typed [`JournalError::Mismatch`].
+/// belong to, under [`crate::wal`]'s recovery policy (a dropped
+/// trailing line's cell re-runs). A header that names a different
+/// lease or range is a typed [`JournalError::Mismatch`]; line `i` must
+/// carry cell `lease.start + i`, inside the lease.
 pub fn parse_shard_journal(
     text: &str,
     config: &SweepConfig,
     lease: Lease,
 ) -> Result<ShardReplay, JournalError> {
-    let lines = split_lines(text);
-    if lines.is_empty() {
-        return Ok(ShardReplay::empty());
-    }
     let cells = config.expand();
-    let last = lines.len() - 1;
-
-    let (head_text, head_end, head_terminated) = lines[0];
-    let header: ShardHeader = match serde_json::from_str(head_text) {
-        Ok(h) => h,
-        Err(e) => {
-            if last == 0 && !head_terminated {
-                return Ok(ShardReplay {
-                    works: Vec::new(),
-                    valid_bytes: 0,
-                    dropped_partial: true,
-                    has_header: false,
-                });
+    let prefix = wal::parse(
+        text,
+        |header: &ShardHeader| {
+            check_header(&header.base(), config, cells.len())?;
+            if header.seq != lease.seq {
+                return Err(JournalError::mismatch(
+                    MismatchField::ShardLease,
+                    format!("lease {}", header.seq),
+                    format!("lease {}", lease.seq),
+                ));
             }
-            return Err(JournalError::Corrupt { line: 0, message: e.to_string() });
-        }
-    };
-    if !head_terminated {
-        return Ok(ShardReplay {
-            works: Vec::new(),
-            valid_bytes: 0,
-            dropped_partial: true,
-            has_header: false,
-        });
-    }
-    check_header(&header.base(), config, cells.len())?;
-    if header.seq != lease.seq {
-        return Err(JournalError::mismatch(
-            MismatchField::ShardLease,
-            format!("lease {}", header.seq),
-            format!("lease {}", lease.seq),
-        ));
-    }
-    if header.start != lease.start || header.end != lease.end {
-        return Err(JournalError::mismatch(
-            MismatchField::ShardRange,
-            ShardRange { start: header.start, end: header.end }.to_string(),
-            lease.range().to_string(),
-        ));
-    }
-
-    let mut works = Vec::new();
-    let mut valid_bytes = head_end;
-    let mut dropped_partial = false;
-    for (n, &(line, end, terminated)) in lines.iter().enumerate().skip(1) {
-        let trailing = n == last;
-        let parsed: Result<WorkLine, String> = serde_json::from_str(line)
-            .map_err(|e| e.to_string())
-            .and_then(|wl: WorkLine| {
-                let expect = lease.start + works.len() as u64;
-                if wl.index != expect {
-                    return Err(format!("index {} out of order (expected {expect})", wl.index));
-                }
-                if wl.index >= lease.end {
-                    return Err(format!("index {} outside lease range {}", wl.index, lease.range()));
-                }
-                match cells.get(wl.index as usize) {
-                    Some(cell) if *cell == wl.cell => Ok(wl),
-                    Some(cell) => {
-                        Err(format!("cell {} (expected {})", wl.cell.key(), cell.key()))
-                    }
-                    None => Err(format!("index {} outside the matrix", wl.index)),
-                }
-            })
-            .and_then(|wl| {
-                if terminated {
-                    Ok(wl)
-                } else {
-                    Err("torn write (missing trailing newline)".to_string())
-                }
-            });
-        match parsed {
-            Ok(wl) => {
-                works.push(wl.work);
-                valid_bytes = end;
+            if header.start != lease.start || header.end != lease.end {
+                return Err(JournalError::mismatch(
+                    MismatchField::ShardRange,
+                    ShardRange { start: header.start, end: header.end }.to_string(),
+                    lease.range().to_string(),
+                ));
             }
-            Err(_) if trailing => {
-                dropped_partial = true;
-                break;
+            Ok(())
+        },
+        |i, wl: WorkLine| {
+            let expect = lease.start + i as u64;
+            if wl.index != expect {
+                return Err(format!("index {} out of order (expected {expect})", wl.index));
             }
-            Err(message) => return Err(JournalError::Corrupt { line: n, message }),
-        }
-    }
-    Ok(ShardReplay { works, valid_bytes, dropped_partial, has_header: true })
+            if wl.index >= lease.end {
+                return Err(format!("index {} outside lease range {}", wl.index, lease.range()));
+            }
+            match cells.get(wl.index as usize) {
+                Some(cell) if *cell == wl.cell => Ok(wl.work),
+                Some(cell) => Err(format!("cell {} (expected {})", wl.cell.key(), cell.key())),
+                None => Err(format!("index {} outside the matrix", wl.index)),
+            }
+        },
+    )?;
+    Ok(ShardReplay {
+        works: prefix.lines,
+        valid_bytes: prefix.valid_bytes,
+        dropped_partial: prefix.dropped_partial,
+        has_header: prefix.header.is_some(),
+    })
 }
 
 /// Execute the unfinished remainder of `lease`, appending one
@@ -392,7 +345,7 @@ impl CoordHeader {
 
     /// The newline-terminated journal line.
     pub fn line(&self) -> Result<String, String> {
-        json_line(self)
+        wal::line(self)
     }
 }
 
@@ -415,7 +368,7 @@ pub enum CoordLine {
 impl CoordLine {
     /// The newline-terminated journal line.
     pub fn line(&self) -> Result<String, String> {
-        json_line(self)
+        wal::line(self)
     }
 }
 
@@ -436,17 +389,6 @@ pub struct CoordReplay {
 }
 
 impl CoordReplay {
-    /// The empty replay (fresh coordinator).
-    pub fn empty() -> Self {
-        CoordReplay {
-            leases: Vec::new(),
-            done: BTreeSet::new(),
-            valid_bytes: 0,
-            dropped_partial: false,
-            has_header: false,
-        }
-    }
-
     /// The next unused lease number.
     pub fn next_seq(&self) -> u64 {
         self.leases.len() as u64
@@ -454,60 +396,35 @@ impl CoordReplay {
 }
 
 /// Parse a coordinator journal against `config` and the requested
-/// shard count. Recovery policy mirrors the other journals: trailing
-/// tear dropped, earlier damage is [`JournalError::Corrupt`], and a
-/// header disagreement — including a different shard count — is a
-/// typed [`JournalError::Mismatch`].
+/// shard count, under [`crate::wal`]'s recovery policy. A header
+/// disagreement — including a different shard count — is a typed
+/// [`JournalError::Mismatch`]; leases must be issued in seq order
+/// inside the matrix, and a `Done` line must name an issued lease.
 pub fn parse_coord_journal(
     text: &str,
     config: &SweepConfig,
     shards: usize,
 ) -> Result<CoordReplay, JournalError> {
-    let lines = split_lines(text);
-    if lines.is_empty() {
-        return Ok(CoordReplay::empty());
-    }
     let total = config.total_cells() as u64;
-    let last = lines.len() - 1;
-
-    let (head_text, head_end, head_terminated) = lines[0];
-    let header: CoordHeader = match serde_json::from_str(head_text) {
-        Ok(h) => h,
-        Err(e) => {
-            if last == 0 && !head_terminated {
-                return Ok(CoordReplay { dropped_partial: true, ..CoordReplay::empty() });
+    let mut issued = 0u64;
+    let prefix = wal::parse(
+        text,
+        |header: &CoordHeader| {
+            check_header(&header.base(), config, config.total_cells())?;
+            if header.shards != shards as u64 {
+                return Err(JournalError::mismatch(
+                    MismatchField::ShardCount,
+                    header.shards.to_string(),
+                    shards.to_string(),
+                ));
             }
-            return Err(JournalError::Corrupt { line: 0, message: e.to_string() });
-        }
-    };
-    if !head_terminated {
-        return Ok(CoordReplay { dropped_partial: true, ..CoordReplay::empty() });
-    }
-    check_header(&header.base(), config, config.total_cells())?;
-    if header.shards != shards as u64 {
-        return Err(JournalError::mismatch(
-            MismatchField::ShardCount,
-            header.shards.to_string(),
-            shards.to_string(),
-        ));
-    }
-
-    let mut replay = CoordReplay {
-        leases: Vec::new(),
-        done: BTreeSet::new(),
-        valid_bytes: head_end,
-        dropped_partial: false,
-        has_header: true,
-    };
-    for (n, &(line, end, terminated)) in lines.iter().enumerate().skip(1) {
-        let trailing = n == last;
-        let parsed: Result<CoordLine, String> = serde_json::from_str(line)
-            .map_err(|e| e.to_string())
-            .and_then(|cl: CoordLine| match cl {
+            Ok(())
+        },
+        |_, cl: CoordLine| {
+            match cl {
                 CoordLine::Lease { lease } => {
-                    let expect = replay.leases.len() as u64;
-                    if lease.seq != expect {
-                        return Err(format!("lease {} out of order (expected {expect})", lease.seq));
+                    if lease.seq != issued {
+                        return Err(format!("lease {} out of order (expected {issued})", lease.seq));
                     }
                     if lease.start > lease.end || lease.end > total {
                         return Err(format!(
@@ -516,36 +433,29 @@ pub fn parse_coord_journal(
                             lease.range()
                         ));
                     }
-                    Ok(cl)
+                    issued += 1;
                 }
-                CoordLine::Done { seq } => {
-                    if seq >= replay.leases.len() as u64 {
-                        return Err(format!("done line for unissued lease {seq}"));
-                    }
-                    Ok(cl)
+                CoordLine::Done { seq } if seq >= issued => {
+                    return Err(format!("done line for unissued lease {seq}"));
                 }
-            })
-            .and_then(|cl| {
-                if terminated {
-                    Ok(cl)
-                } else {
-                    Err("torn write (missing trailing newline)".to_string())
-                }
-            });
-        match parsed {
-            Ok(CoordLine::Lease { lease }) => {
-                replay.leases.push(lease);
-                replay.valid_bytes = end;
+                CoordLine::Done { .. } => {}
             }
-            Ok(CoordLine::Done { seq }) => {
+            Ok(cl)
+        },
+    )?;
+    let mut replay = CoordReplay {
+        leases: Vec::new(),
+        done: BTreeSet::new(),
+        valid_bytes: prefix.valid_bytes,
+        dropped_partial: prefix.dropped_partial,
+        has_header: prefix.header.is_some(),
+    };
+    for cl in prefix.lines {
+        match cl {
+            CoordLine::Lease { lease } => replay.leases.push(lease),
+            CoordLine::Done { seq } => {
                 replay.done.insert(seq);
-                replay.valid_bytes = end;
             }
-            Err(_) if trailing => {
-                replay.dropped_partial = true;
-                break;
-            }
-            Err(message) => return Err(JournalError::Corrupt { line: n, message }),
         }
     }
     Ok(replay)
@@ -654,7 +564,7 @@ pub fn merge(
     sink: &mut dyn JournalSink,
 ) -> Result<SweepReport, String> {
     let cells = sweep.config().expand();
-    sink.append(&json_line(&JournalHeader::for_config(sweep.config()))?)?;
+    sink.append(&wal::line(&JournalHeader::for_config(sweep.config()))?)?;
     let mut records = Vec::with_capacity(cells.len());
     let mut clock = 0u64;
     let mut breaker: BTreeMap<String, u32> = BTreeMap::new();

@@ -32,7 +32,6 @@ pub mod dataset;
 pub mod fabric;
 pub mod header;
 pub mod network;
-pub mod queries;
 pub mod reach;
 pub mod scale;
 pub mod sim;

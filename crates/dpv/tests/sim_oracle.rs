@@ -4,10 +4,10 @@
 //! packet-walking simulator on where every packet is delivered.
 
 use netrepro_bdd::EngineProfile;
-use netrepro_dpv::ap::ApVerifier;
+use netrepro_dpv::ap::{ApVerifier, AtomSet};
 use netrepro_dpv::dataset::{generate, DatasetOpts};
 use netrepro_dpv::header::HeaderLayout;
-use netrepro_dpv::queries::ReachMatrix;
+use netrepro_dpv::reach::selective_bfs;
 use netrepro_dpv::sim::{simulate, Packet, Verdict};
 use netrepro_graph::gen::{waxman, TopologySpec};
 use netrepro_graph::NodeId;
@@ -36,10 +36,17 @@ proptest! {
             &DatasetOpts { prefixes_per_device: 1, fault_rate: faults, seed },
         );
         let mut v = ApVerifier::build(&ds.network, EngineProfile::Cached);
-        let matrix = ReachMatrix::compute(&v);
+        // delivered[s][d]: the atoms injected at s that are delivered at d.
+        let delivered: Vec<Vec<AtomSet>> = (0..nodes)
+            .map(|s| {
+                (0..nodes)
+                    .map(|d| selective_bfs(&v, NodeId(s as u32), NodeId(d as u32)).delivered)
+                    .collect()
+            })
+            .collect();
 
         for &addr in &addrs {
-            for s in 0..nodes {
+            for (s, from_s) in delivered.iter().enumerate() {
                 let verdict = simulate(
                     &ds.network,
                     NodeId(s as u32),
@@ -48,10 +55,9 @@ proptest! {
                 );
                 match verdict {
                     Verdict::Delivered(at) => {
-                        // The symbolic matrix must contain this packet in
+                        // The symbolic sets must contain this packet in
                         // exactly the (s, at) delivered set.
-                        for d in 0..nodes {
-                            let set = matrix.get(NodeId(s as u32), NodeId(d as u32));
+                        for (d, set) in from_s.iter().enumerate() {
                             let bdd = v.atoms.to_bdd(&mut v.manager, set);
                             let member = v.manager.eval(bdd, &packet_bits(addr)) == Ok(true);
                             prop_assert_eq!(
@@ -64,8 +70,7 @@ proptest! {
                     }
                     Verdict::Dropped(_) | Verdict::Looping(_) => {
                         // The packet must appear in no delivered set from s.
-                        for d in 0..nodes {
-                            let set = matrix.get(NodeId(s as u32), NodeId(d as u32));
+                        for (d, set) in from_s.iter().enumerate() {
                             let bdd = v.atoms.to_bdd(&mut v.manager, set);
                             prop_assert!(
                                 v.manager.eval(bdd, &packet_bits(addr)) != Ok(true),

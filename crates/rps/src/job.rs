@@ -24,8 +24,7 @@
 //! is opaque to this crate (the serve crate defines its grammar). The
 //! `<nonce>` makes submission idempotent: a client that retries a
 //! `SUBMIT` whose `ACCEPTED` reply was lost gets the *same* job id
-//! back instead of enqueueing the job twice — the same discipline the
-//! UDP client uses for retried datagrams.
+//! back instead of enqueueing the job twice.
 
 use crate::protocol::no_space;
 

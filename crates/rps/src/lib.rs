@@ -45,14 +45,12 @@ pub mod error;
 pub mod job;
 pub mod protocol;
 pub mod server;
-pub mod udp;
 
 pub use client::RpsClient;
 pub use error::{ProtocolError, MAX_FRAME, MAX_JOB_FRAME};
 pub use job::{JobRequest, JobResponse, JobState, RejectReason};
 pub use protocol::{Move, Outcome};
 pub use server::RpsServer;
-pub use udp::{UdpRpsClient, UdpRpsServer};
 
 /// Read one newline-terminated job-service frame (cap
 /// [`MAX_JOB_FRAME`]) from a buffered reader. Same contract as the

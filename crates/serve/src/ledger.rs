@@ -9,10 +9,13 @@
 //! between resumes from its own journal's valid prefix and re-runs
 //! byte-identically (cells are pure functions of the cell id).
 //!
-//! This module is pure parse/format — all file I/O lives at the
-//! daemon boundary so the effects analyzer can budget these paths
-//! without an `Io` grant.
+//! The file is a `core::wal` log — versioned header, one JSON line per
+//! record — and [`parse_ledger`] recovers it under that module's policy,
+//! like every other journal. This module is pure parse/format — all
+//! file I/O lives in `core::wal`'s file layer, so the effects analyzer
+//! can budget these paths without an `Io` grant.
 
+use netrepro_core::wal;
 use serde::{Deserialize, Serialize};
 
 /// Ledger layout version.
@@ -28,7 +31,7 @@ pub struct LedgerHeader {
 impl LedgerHeader {
     /// The newline-terminated header line.
     pub fn line() -> Result<String, String> {
-        json_line(&LedgerHeader { version: LEDGER_VERSION })
+        wal::line(&LedgerHeader { version: LEDGER_VERSION })
     }
 }
 
@@ -60,7 +63,7 @@ pub enum LedgerLine {
 impl LedgerLine {
     /// The newline-terminated ledger line.
     pub fn line(&self) -> Result<String, String> {
-        json_line(self)
+        wal::line(self)
     }
 }
 
@@ -69,62 +72,35 @@ impl LedgerLine {
 pub struct LedgerReplay {
     /// Records in write order.
     pub lines: Vec<LedgerLine>,
-    /// Byte length of the valid prefix (everything up to and
-    /// including the last terminated line) — the truncation point
-    /// after a torn tail.
+    /// Byte length of the valid prefix — the truncation point after a
+    /// dropped tail.
     pub valid_bytes: u64,
-    /// Whether a torn (unterminated) trailing line was dropped.
+    /// Whether a torn or corrupt trailing line was dropped.
     pub dropped_partial: bool,
     /// Whether the header line is present and valid.
     pub has_header: bool,
 }
 
-fn json_line<T: Serialize>(value: &T) -> Result<String, String> {
-    serde_json::to_string(value)
-        .map(|mut s| {
-            s.push('\n');
-            s
-        })
-        .map_err(|e| e.to_string())
-}
-
-/// Parse a ledger file's text. The torn-tail policy mirrors
-/// `core::harness::parse_journal`: an unterminated final line (the
-/// write the crash interrupted) is silently dropped; any *terminated*
-/// line that fails to parse is a hard error — the file is corrupt,
-/// not merely torn.
+/// Parse a ledger file's text under `core::wal`'s recovery policy: a
+/// torn or unparseable *trailing* line (the write the crash
+/// interrupted) is dropped; an unparseable earlier line, or a header of
+/// another [`LEDGER_VERSION`], is an error.
 pub fn parse_ledger(text: &str) -> Result<LedgerReplay, String> {
-    if text.is_empty() {
-        return Ok(LedgerReplay::default());
-    }
-    let mut parts: Vec<&str> = text.split('\n').collect();
-    // split leaves a final "" for terminated text, or the torn tail.
-    let tail = parts.pop().unwrap_or("");
-    let dropped_partial = !tail.is_empty();
-    let valid_bytes = (text.len() - tail.len()) as u64;
-    let mut lines = Vec::new();
-    let mut has_header = false;
-    for (i, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            continue;
-        }
-        if i == 0 {
-            let header: LedgerHeader = serde_json::from_str(part)
-                .map_err(|e| format!("ledger header: {e}"))?;
-            if header.version != LEDGER_VERSION {
-                return Err(format!(
-                    "ledger version {} (this build writes {LEDGER_VERSION})",
-                    header.version
-                ));
-            }
-            has_header = true;
-            continue;
-        }
-        let line: LedgerLine =
-            serde_json::from_str(part).map_err(|e| format!("ledger line {}: {e}", i + 1))?;
-        lines.push(line);
-    }
-    Ok(LedgerReplay { lines, valid_bytes, dropped_partial, has_header })
+    let prefix = wal::parse(
+        text,
+        |header: &LedgerHeader| match header.version {
+            LEDGER_VERSION => Ok(()),
+            v => Err(format!("version {v} (this build writes {LEDGER_VERSION})")),
+        },
+        |_, line: LedgerLine| Ok(line),
+    )
+    .map_err(|e: String| format!("ledger {e}"))?;
+    Ok(LedgerReplay {
+        lines: prefix.lines,
+        valid_bytes: prefix.valid_bytes,
+        dropped_partial: prefix.dropped_partial,
+        has_header: prefix.header.is_some(),
+    })
 }
 
 #[cfg(test)]
@@ -174,6 +150,16 @@ mod tests {
         let lines: Vec<&str> = sample.lines().collect();
         let text = format!("{}\nnot json\n{}\n", lines[0], lines[2]);
         assert!(parse_ledger(&text).is_err());
+    }
+
+    #[test]
+    fn corrupt_trailing_line_with_newline_is_dropped() {
+        let clean = sample();
+        let text = format!("{clean}{{\"Submitted\": garbage\n");
+        let replay = parse_ledger(&text).unwrap();
+        assert!(replay.dropped_partial);
+        assert_eq!(replay.lines.len(), 2);
+        assert_eq!(replay.valid_bytes, clean.len() as u64);
     }
 
     #[test]

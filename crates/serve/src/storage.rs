@@ -4,11 +4,13 @@
 //! The scheduler talks to a [`JobStorage`] trait so its decision paths
 //! stay free of file-system effects; [`FileStorage`] is the real
 //! implementation (one directory, `ledger.jsonl` plus
-//! `job-<id>.jsonl`), [`MemStorage`] backs unit and property tests.
+//! `job-<id>.jsonl`, each read, truncated and appended through
+//! `core::wal`'s file layer), [`MemStorage`] backs unit and property
+//! tests.
 
 use netrepro_core::harness::JournalSink;
+use netrepro_core::wal;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -129,8 +131,6 @@ pub struct FileStorage {
 
 impl FileStorage {
     /// Use (and create) `dir` as the daemon's state directory.
-    // effect-allow(Io): creating the state directory is the storage
-    // boundary's explicit job; nothing upstream of the daemon calls it.
     pub fn open(dir: impl Into<PathBuf>) -> Result<FileStorage, String> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -145,86 +145,30 @@ impl FileStorage {
     fn ledger_path(&self) -> PathBuf {
         self.dir.join("ledger.jsonl")
     }
-
-    // effect-allow(Io): reading a state file at the storage boundary.
-    fn load(path: &PathBuf) -> Result<String, String> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Ok(text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
-            Err(e) => Err(format!("{}: {e}", path.display())),
-        }
-    }
-
-    // effect-allow(Io): truncating a torn state file at the storage
-    // boundary (the crash-recovery path).
-    fn truncate(path: &PathBuf, valid_bytes: u64) -> Result<(), String> {
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        f.set_len(valid_bytes).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    // effect-allow(Io): the write-ahead append at the storage
-    // boundary; flushed before return so an acked line survives
-    // SIGKILL.
-    fn append(path: &PathBuf, line: &str) -> Result<(), String> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        f.write_all(line.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
-        f.flush().map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
-struct FileSink {
-    file: std::fs::File,
-    path: PathBuf,
-}
-
-impl JournalSink for FileSink {
-    // effect-allow(Io): per-line flushed journal append at the
-    // storage boundary (same discipline as the CLI's FileJournal).
-    fn append(&mut self, line: &str) -> Result<(), String> {
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|_| self.file.flush())
-            .map_err(|e| format!("{}: {e}", self.path.display()))
-    }
 }
 
 impl JobStorage for FileStorage {
     fn ledger_load(&self) -> Result<String, String> {
-        FileStorage::load(&self.ledger_path())
+        wal::read(&self.ledger_path())
     }
 
     fn ledger_truncate(&self, valid_bytes: u64) -> Result<(), String> {
-        FileStorage::truncate(&self.ledger_path(), valid_bytes)
+        wal::reopen(&self.ledger_path(), valid_bytes).map(drop)
     }
 
     fn ledger_append(&self, line: &str) -> Result<(), String> {
-        FileStorage::append(&self.ledger_path(), line)
+        wal::FileSink::open(&self.ledger_path())?.append(line)
     }
 
     fn journal_load(&self, job: u64) -> Result<String, String> {
-        FileStorage::load(&self.journal_path(job))
+        wal::read(&self.journal_path(job))
     }
 
     fn journal_truncate(&self, job: u64, valid_bytes: u64) -> Result<(), String> {
-        FileStorage::truncate(&self.journal_path(job), valid_bytes)
+        wal::reopen(&self.journal_path(job), valid_bytes).map(drop)
     }
 
-    // effect-allow(Io): opening the append handle at the storage
-    // boundary.
     fn journal_sink(&self, job: u64) -> Result<Box<dyn JournalSink + Send>, String> {
-        let path = self.journal_path(job);
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Box::new(FileSink { file, path }))
+        Ok(Box::new(wal::FileSink::open(&self.journal_path(job))?))
     }
 }

@@ -8,10 +8,10 @@
 use netrepro_core::cache::CellMemo;
 use netrepro_core::harness::{parse_journal, MemoryJournal, Sweep, SweepConfig};
 use netrepro_rps::{JobState, RejectReason};
-use netrepro_serve::ledger::{LedgerHeader, LedgerLine};
+use netrepro_serve::ledger::{parse_ledger, LedgerHeader, LedgerLine};
 use netrepro_serve::sched::{Admission, RuntimeFactory, SchedConfig, Scheduler};
 use netrepro_serve::spec::JobSpec;
-use netrepro_serve::storage::{JobStorage, MemStorage};
+use netrepro_serve::storage::{FileStorage, JobStorage, MemStorage};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -350,4 +350,35 @@ fn a_warm_memo_is_invisible_in_the_bytes() {
     let (journal, _) = direct(MEDIUM);
     assert_eq!(storage.journal_text(first), journal);
     assert_eq!(storage.journal_text(second), journal);
+}
+
+#[test]
+fn ledger_torn_inside_a_utf8_character_recovers() {
+    // A daemon killed mid-append can cut the ledger inside a multi-byte
+    // character; restart must drop that tail like any other torn write.
+    let dir = std::env::temp_dir().join(format!("netrepro-serve-utf8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let storage = Arc::new(FileStorage::open(&dir).expect("state dir"));
+    let sched = Scheduler::recover(SchedConfig::default(), plain_factory(), storage.clone())
+        .expect("fresh daemon");
+    submit_ok(&sched, "café", 1, SMALL);
+    drop(sched);
+    let path = dir.join("ledger.jsonl");
+    let full = std::fs::read(&path).unwrap();
+    let header_end = full.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let cut = full.windows(2).position(|w| w == "é".as_bytes()).expect("tenant in ledger") + 1;
+    std::fs::write(&path, &full[..cut]).unwrap();
+
+    let sched = Scheduler::recover(SchedConfig::default(), plain_factory(), storage.clone())
+        .expect("restart over a ledger torn inside a character");
+    assert_eq!(std::fs::read(&path).unwrap(), &full[..header_end], "cut to the last newline");
+    let id = submit_ok(&sched, "café", 1, SMALL);
+    let replay = parse_ledger(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert!(!replay.dropped_partial);
+    assert!(
+        matches!(&replay.lines[..], [LedgerLine::Submitted { job, tenant, .. }] if *job == id && tenant == "café"),
+        "{:?}",
+        replay.lines
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
