@@ -130,6 +130,13 @@ pub fn te(a: &Args) -> CmdResult {
     let seed: u64 = a.get_or("seed", 2023)?;
     let commodities: usize = a.get_or("commodities", 20)?;
     let paths: usize = a.get_or("paths", 4)?;
+    if paths == 0 {
+        return Err(ArgError("--paths must be at least 1".into()));
+    }
+    let clusters: Option<usize> = if a.has("ncflow") { Some(a.get_or("ncflow", 4)?) } else { None };
+    if clusters == Some(0) {
+        return Err(ArgError("--ncflow must be at least 1".into()));
+    }
     let solver = solver_from(a)?;
 
     let graph = waxman(&TopologySpec::new("cli", nodes, seed));
@@ -149,8 +156,7 @@ pub fn te(a: &Args) -> CmdResult {
         format_flow(inst.total_demand())
     );
 
-    if a.has("ncflow") {
-        let k: usize = a.get_or("ncflow", 4)?;
+    if let Some(k) = clusters {
         let cfg = NcFlowConfig { num_clusters: k, paths_per_commodity: paths, parallel_r2: true };
         let s = solve_ncflow(&inst, &cfg, solver.as_ref())
             .map_err(|e| ArgError(format!("ncflow: {e}")))?;
@@ -191,6 +197,8 @@ pub fn te(a: &Args) -> CmdResult {
 }
 
 fn format_flow(f: f64) -> String {
+    // An empty sum is -0.0; print every zero flow unsigned.
+    let f = if f == 0.0 { 0.0 } else { f };
     format!("{f:.2} Gbps")
 }
 

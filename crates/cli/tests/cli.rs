@@ -116,6 +116,23 @@ fn te_rejects_bad_solver() {
 }
 
 #[test]
+fn te_rejects_zero_paths_and_zero_clusters() {
+    for args in [["te", "--paths", "0"], ["te", "--ncflow", "0"]] {
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, Some(2), "{args:?} must be refused: {stdout}");
+        assert!(stderr.contains(args[1]), "{args:?}: error must name the flag: {stderr}");
+    }
+}
+
+#[test]
+fn te_prints_an_empty_instance_as_unsigned_zero() {
+    let (stdout, _, ok) = run(&["te", "--nodes", "12", "--commodities", "0"]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("0.00 Gbps demand"), "{stdout}");
+    assert!(!stdout.contains("-0.00"), "{stdout}");
+}
+
+#[test]
 fn dpv_reach_requires_endpoints() {
     let (_, stderr, ok) = run(&["dpv", "--check", "reach"]);
     assert!(!ok);

@@ -5,7 +5,7 @@ use netrepro_graph::cuts::cut_structure;
 use netrepro_graph::gen::{waxman, TopologySpec};
 use netrepro_graph::maxflow::max_flow_value;
 use netrepro_graph::partition::partition;
-use netrepro_graph::paths::{bfs_path, dijkstra_path, k_shortest_paths};
+use netrepro_graph::paths::{bfs_path, dijkstra_path, KShortest};
 use netrepro_graph::NodeId;
 use proptest::prelude::*;
 
@@ -21,7 +21,7 @@ proptest! {
         let g = wan(nodes, seed);
         let (s, d) = (NodeId(0), NodeId((nodes - 1) as u32));
         let best = dijkstra_path(&g, s, d, &vec![false; nodes], &vec![false; g.num_edges()]);
-        let ks = k_shortest_paths(&g, s, d, 4);
+        let ks = KShortest::new(&g).paths(s, d, 4);
         if let Some(best) = best {
             prop_assert!(!ks.is_empty());
             for p in &ks {
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn k_paths_are_simple_and_distinct(seed in 0u64..1000, nodes in 6usize..20) {
         let g = wan(nodes, seed);
-        let ks = k_shortest_paths(&g, NodeId(0), NodeId((nodes / 2) as u32), 5);
+        let ks = KShortest::new(&g).paths(NodeId(0), NodeId((nodes / 2) as u32), 5);
         for (i, p) in ks.iter().enumerate() {
             let nodes_on = p.nodes(&g);
             let mut dedup = nodes_on.clone();

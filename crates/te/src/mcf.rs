@@ -6,7 +6,7 @@
 //! maximise total admitted flow — NCFlow's objective.
 
 use crate::TeError;
-use netrepro_graph::paths::{k_shortest_paths, Path};
+use netrepro_graph::paths::{KShortest, Path};
 use netrepro_graph::{DiGraph, NodeId, TrafficMatrix};
 use netrepro_lp::{LpSolver, Problem, Sense, Status, VarId};
 use std::time::Instant;
@@ -80,16 +80,16 @@ pub struct TunnelSet {
     pub tunnels: Vec<Vec<Path>>,
 }
 
-/// Compute the k-shortest-path tunnels for each commodity.
+/// Compute the k-shortest-path tunnels for each commodity (none when
+/// `k == 0`). One generator serves every commodity, so commodities that
+/// share a destination share its reverse shortest-path tree.
 pub fn build_tunnels(
     graph: &DiGraph,
     commodities: &[(NodeId, NodeId, f64)],
     k: usize,
 ) -> TunnelSet {
-    let tunnels = commodities
-        .iter()
-        .map(|&(s, d, _)| k_shortest_paths(graph, s, d, k))
-        .collect();
+    let mut yen = KShortest::new(graph);
+    let tunnels = commodities.iter().map(|&(s, d, _)| yen.paths(s, d, k)).collect();
     TunnelSet { tunnels }
 }
 
@@ -98,7 +98,7 @@ pub fn solve_mcf(inst: &TeInstance, solver: &dyn LpSolver) -> Result<McfSolution
     let start = Instant::now();
     let commodities = inst.commodities();
     let tunnels = build_tunnels(&inst.graph, &commodities, inst.paths_per_commodity);
-    solve_mcf_with_tunnels(inst, &commodities, &tunnels, solver, start)
+    solve_mcf_with_tunnels(&inst.graph, &commodities, &tunnels, solver, start)
 }
 
 /// Solve the flat MCF under an explicit objective.
@@ -142,19 +142,7 @@ fn solve_max_concurrent(inst: &TeInstance, solver: &dyn LpSolver) -> Result<McfS
         p.add_le(&floor, 0.0); // t·demand − Σx <= 0
         vars.push(vs);
     }
-    let mut edge_rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); inst.graph.num_edges()];
-    for (ci, paths) in tunnels.tunnels.iter().enumerate() {
-        for (pi, path) in paths.iter().enumerate() {
-            for &e in &path.edges {
-                edge_rows[e.index()].push((vars[ci][pi], 1.0));
-            }
-        }
-    }
-    for (ei, row) in edge_rows.iter().enumerate() {
-        if !row.is_empty() {
-            p.add_le(row, inst.graph.capacity(netrepro_graph::EdgeId(ei as u32)));
-        }
-    }
+    add_capacity_rows(&mut p, &inst.graph, &tunnels, &vars);
 
     let sol = solver.solve(&p)?;
     if sol.status != Status::Optimal {
@@ -173,8 +161,29 @@ fn solve_max_concurrent(inst: &TeInstance, solver: &dyn LpSolver) -> Result<McfS
     })
 }
 
+/// Edge capacity caps, one row per edge some tunnel crosses, in edge
+/// order: the flow of every (commodity, tunnel) over the edge is at
+/// most its capacity.
+fn add_capacity_rows(p: &mut Problem, graph: &DiGraph, tunnels: &TunnelSet, vars: &[Vec<VarId>]) {
+    let mut edge_rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); graph.num_edges()];
+    for (ci, paths) in tunnels.tunnels.iter().enumerate() {
+        for (pi, path) in paths.iter().enumerate() {
+            for &e in &path.edges {
+                edge_rows[e.index()].push((vars[ci][pi], 1.0));
+            }
+        }
+    }
+    for (e, row) in graph.edges().zip(&edge_rows) {
+        if !row.is_empty() {
+            p.add_le(row, graph.capacity(e));
+        }
+    }
+}
+
+/// The total-flow MCF over `graph` with the given tunnels, which must
+/// hold at least one path per commodity.
 pub(crate) fn solve_mcf_with_tunnels(
-    inst: &TeInstance,
+    graph: &DiGraph,
     commodities: &[(NodeId, NodeId, f64)],
     tunnels: &TunnelSet,
     solver: &dyn LpSolver,
@@ -198,20 +207,7 @@ pub(crate) fn solve_mcf_with_tunnels(
         p.add_le(&row, demand);
         vars.push(vs);
     }
-    // Edge capacity caps.
-    let mut edge_rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); inst.graph.num_edges()];
-    for (ci, paths) in tunnels.tunnels.iter().enumerate() {
-        for (pi, path) in paths.iter().enumerate() {
-            for &e in &path.edges {
-                edge_rows[e.index()].push((vars[ci][pi], 1.0));
-            }
-        }
-    }
-    for (ei, row) in edge_rows.iter().enumerate() {
-        if !row.is_empty() {
-            p.add_le(row, inst.graph.capacity(netrepro_graph::EdgeId(ei as u32)));
-        }
-    }
+    add_capacity_rows(&mut p, graph, tunnels, &vars);
 
     let sol = solver.solve(&p)?;
     if sol.status != Status::Optimal {
@@ -333,6 +329,17 @@ mod tests {
             solve_mcf(&inst, &RevisedSimplex::default()),
             Err(TeError::NoTunnels { .. })
         ));
+    }
+
+    #[test]
+    fn zero_tunnel_budget_is_an_error() {
+        let inst = TeInstance { paths_per_commodity: 0, ..single_commodity_instance() };
+        for objective in [McfObjective::TotalFlow, McfObjective::MaxConcurrent] {
+            assert!(matches!(
+                solve_mcf_with_objective(&inst, objective, &RevisedSimplex::default()),
+                Err(TeError::NoTunnels { .. })
+            ));
+        }
     }
 }
 

@@ -101,13 +101,6 @@ pub fn solve_ncflow(
         agg_tm.set(NodeId(cs as u32), NodeId(cd as u32), cur + dem);
     }
     let agg_commodities = agg_tm.commodities();
-    let agg_inst = TeInstance {
-        name: format!("{}-contracted", inst.name),
-        graph: contracted.graph.clone(),
-        tm: agg_tm,
-        paths_per_commodity: cfg.paths_per_commodity,
-        max_commodities: usize::MAX,
-    };
     let (r1, agg_tunnels): (McfSolution, TunnelSet) = if agg_commodities.is_empty() {
         (
             McfSolution {
@@ -121,8 +114,9 @@ pub fn solve_ncflow(
             TunnelSet { tunnels: Vec::new() },
         )
     } else {
-        let tunnels = build_tunnels(&agg_inst.graph, &agg_commodities, cfg.paths_per_commodity);
-        let sol = solve_mcf_with_tunnels(&agg_inst, &agg_commodities, &tunnels, solver, Instant::now())?;
+        let tunnels = build_tunnels(&contracted.graph, &agg_commodities, cfg.paths_per_commodity);
+        let sol =
+            solve_mcf_with_tunnels(&contracted.graph, &agg_commodities, &tunnels, solver, Instant::now())?;
         (sol, tunnels)
     };
     let r1_time = r1_start.elapsed();
@@ -395,17 +389,6 @@ impl LocalProblem {
         if self.commodities.is_empty() {
             return Ok((Vec::new(), Vec::new(), 0));
         }
-        let mut tm = TrafficMatrix::zeros(self.graph.num_nodes());
-        // We can't push parallel commodities into a TrafficMatrix (same
-        // (s,d) pairs merge), so we call the tunnel/LP layer directly.
-        let _ = &mut tm;
-        let inst = TeInstance {
-            name: "local".into(),
-            graph: self.graph.clone(),
-            tm: TrafficMatrix::zeros(self.graph.num_nodes()),
-            paths_per_commodity,
-            max_commodities: usize::MAX,
-        };
         // Commodities with no local path are skipped (admission 0).
         // The kept tunnels are moved out of `tunnels_all`, not cloned:
         // this runs once per cluster per R2 solve.
@@ -424,7 +407,7 @@ impl LocalProblem {
             return Ok((vec![0.0; self.num_intra], Vec::new(), 0));
         }
         let tunnels = TunnelSet { tunnels: kept_tunnels };
-        let sol = solve_mcf_with_tunnels(&inst, &kept, &tunnels, solver, Instant::now())?;
+        let sol = solve_mcf_with_tunnels(&self.graph, &kept, &tunnels, solver, Instant::now())?;
         // Scatter admissions back to original commodity indexes.
         let mut adm = vec![0.0; self.commodities.len()];
         for (ki, &i) in kept_idx.iter().enumerate() {

@@ -6,6 +6,9 @@
 //! ARROW formulations on Table B's instances. No sweep cell reaches the
 //! LP, so the sweep goldens cannot catch a change to its pivot path.
 //!
+//! The tunnel gate holds `build_tunnels` to the reference Yen's output
+//! on the 100× rung and to a speed-up floor over it.
+//!
 //! The warm-memo count gate is exact and runs with every `cargo test`.
 //! The timing gates are `#[ignore]`d because they need an optimized
 //! build and a quiet host; run them with
@@ -25,18 +28,28 @@ use netrepro::core::paper::TargetSystem;
 use netrepro::core::prompt::PromptStyle;
 use netrepro::core::validate::{lp_scale_instance, lp_scale_specs, te_instance};
 use netrepro::graph::gen::TopologySpec;
+use netrepro::graph::paths::Path;
+use netrepro::graph::{DiGraph, EdgeId, NodeId};
 use netrepro::lp::dense::DenseSimplex;
 use netrepro::lp::revised::RevisedSimplex;
 use netrepro::lp::{LpError, LpSolver, Problem, Solution};
 use netrepro::te::arrow::{multi_fiber_scenarios, solve_arrow, ArrowInstance, ArrowVariant};
-use netrepro::te::mcf::solve_mcf;
+use netrepro::te::mcf::{build_tunnels, solve_mcf};
 use netrepro::te::ncflow::{solve_ncflow, NcFlowConfig};
+
+#[path = "../crates/graph/tests/support/yen_reference.rs"]
+mod yen_reference;
 
 /// Warm/cold sweep speedup floor at every worker count.
 const WARM_SPEEDUP_FLOOR: f64 = 1.5;
 /// Dense/revised solve-time floor on the 10× `lp_scale` rung: the
 /// sparse-LU kernel must keep the fast-vs-slow solver gap wide open.
 const LP_SCALE_FLOOR: f64 = 5.0;
+/// Reference-Yen/`build_tunnels` time floor on the 100× `lp_scale`
+/// rung: one reverse tree per destination must keep the tunnels well
+/// ahead of a fresh unbounded Dijkstra per search (10–14× measured on a
+/// 2-vCPU host, release build).
+const TUNNEL_FLOOR: f64 = 4.0;
 /// Relative objective agreement between the two LP solvers.
 const OBJECTIVE_TOL: f64 = 1e-6;
 
@@ -152,6 +165,49 @@ impl LpSolver for CountingSimplex {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
+}
+
+#[test]
+#[ignore = "timing gate: run with --release --include-ignored --test-threads=1"]
+fn lp_scale_100x_tunnels_match_reference_and_clear_the_floor() {
+    let spec = lp_scale_specs()
+        .into_iter()
+        .find(|s| s.label == "100x")
+        .expect("rung exists");
+    let inst = lp_scale_instance(&spec);
+    let commodities = inst.commodities();
+    let key = |ps: &[Path]| -> Vec<(Vec<EdgeId>, u64)> {
+        ps.iter().map(|p| (p.edges.clone(), p.cost.to_bits())).collect()
+    };
+    // Best of three of each: one timing is tens of milliseconds and
+    // mostly at the mercy of the scheduler.
+    let mut reference = Vec::new();
+    let mut best_reference = Duration::MAX;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        reference = commodities
+            .iter()
+            .map(|&(s, d, _)| yen_reference::k_shortest_paths(&inst.graph, s, d, spec.paths))
+            .collect::<Vec<_>>();
+        best_reference = best_reference.min(t0.elapsed());
+    }
+    let mut tunnels = Vec::new();
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        tunnels = build_tunnels(&inst.graph, &commodities, spec.paths).tunnels;
+        best = best.min(t0.elapsed());
+    }
+    assert_eq!(tunnels.len(), reference.len());
+    for (i, (got, want)) in tunnels.iter().zip(&reference).enumerate() {
+        assert_eq!(key(got), key(want), "lp_scale 100x: commodity {i} tunnels differ");
+    }
+    let speedup = best_reference.as_secs_f64() / best.as_secs_f64().max(1e-9);
+    assert!(
+        speedup >= TUNNEL_FLOOR,
+        "lp_scale 100x: reference/build_tunnels {speedup:.1}x below the {TUNNEL_FLOOR}x floor \
+         (reference {best_reference:?}, build_tunnels {best:?})"
+    );
 }
 
 /// Solve one `lp_scale` rung's MCF and check its pivot count and the

@@ -2,14 +2,20 @@
 //! (greedy ≤ NCFlow ≤ flat LP ≤ total demand) must hold on arbitrary
 //! seeded instances, with both LP solvers agreeing throughout.
 
+use netrepro::core::validate::{lp_scale_instance, lp_scale_specs};
 use netrepro::graph::gen::{waxman, TopologySpec};
+use netrepro::graph::paths::Path;
 use netrepro::graph::traffic;
+use netrepro::graph::{DiGraph, EdgeId, NodeId};
 use netrepro::lp::dense::DenseSimplex;
 use netrepro::lp::revised::RevisedSimplex;
 use netrepro::te::baseline::solve_greedy;
-use netrepro::te::mcf::{solve_mcf, TeInstance};
+use netrepro::te::mcf::{build_tunnels, solve_mcf, TeInstance};
 use netrepro::te::ncflow::{solve_ncflow, NcFlowConfig};
 use proptest::prelude::*;
+
+#[path = "../crates/graph/tests/support/yen_reference.rs"]
+mod yen_reference;
 
 fn instance(nodes: usize, seed: u64, commodities: usize, demand_scale: f64) -> TeInstance {
     let graph = waxman(&TopologySpec::new("prop", nodes, seed));
@@ -73,5 +79,25 @@ proptest! {
         }
         let sum: f64 = sol.per_commodity.iter().sum();
         prop_assert!((sum - sol.total_flow).abs() < 1e-6);
+    }
+}
+
+/// `build_tunnels` (one reverse tree per destination, bounded spur
+/// searches) yields the reference Yen's tunnels on the 1× and 10×
+/// `lp_scale` rungs: same edges, same cost bits, same order.
+#[test]
+fn tunnels_match_reference_yen_on_lp_scale_rungs() {
+    for spec in lp_scale_specs().into_iter().filter(|s| s.label != "100x") {
+        let inst = lp_scale_instance(&spec);
+        let commodities = inst.commodities();
+        let got = build_tunnels(&inst.graph, &commodities, spec.paths);
+        assert_eq!(got.tunnels.len(), commodities.len());
+        for (paths, &(s, d, _)) in got.tunnels.iter().zip(&commodities) {
+            let want = yen_reference::k_shortest_paths(&inst.graph, s, d, spec.paths);
+            let key = |ps: &[Path]| -> Vec<(Vec<EdgeId>, u64)> {
+                ps.iter().map(|p| (p.edges.clone(), p.cost.to_bits())).collect()
+            };
+            assert_eq!(key(paths), key(&want), "lp_scale {}: {s:?} -> {d:?}", spec.label);
+        }
     }
 }
