@@ -318,11 +318,6 @@ impl BddManager {
         self.table.live_count()
     }
 
-    /// Allocated slots in the node arena (live + reclaimable).
-    pub fn table_capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
     /// The BDD for the single variable `var`.
     ///
     /// # Panics

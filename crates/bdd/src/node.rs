@@ -262,10 +262,6 @@ impl NodeTable {
         self.nodes.iter().skip(2).filter(|n| n.alive).count()
     }
 
-    pub fn capacity(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Mark-and-sweep garbage collection. Roots are all nodes with a
     /// positive external reference count. Returns the number of reclaimed
     /// nodes. The caller is responsible for clearing any memo caches that

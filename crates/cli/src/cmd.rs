@@ -9,7 +9,7 @@ use netrepro_core::fault::{FaultOutcome, FaultProfile};
 use netrepro_core::framework::AutoEngineer;
 use netrepro_core::harness::{self, CellWork, JournalSink, Sweep, SweepConfig, SweepReport};
 use netrepro_core::paper::TargetSystem;
-use netrepro_core::shard::{self, Lease, ShardFault};
+use netrepro_core::shard::{self, CoordLine, Lease, ShardFault};
 use netrepro_core::prompt::PromptStyle;
 use netrepro_core::student::Participant;
 use netrepro_core::survey::{build_corpus, SurveyStats};
@@ -898,6 +898,26 @@ fn shard_file(dir: &str, seq: u64) -> String {
     format!("{dir}/shard-{seq}.jsonl")
 }
 
+/// Read `lease`'s shard journal in `dir`, add its works to `works`, and
+/// return how many it holds; a missing file holds none. The one way the
+/// coordinator reads a shard journal — on resume and after each child
+/// exit — so a journal that does not parse is always an error naming
+/// the file, never a lease silently counted as empty.
+fn harvest_shard(
+    dir: &str,
+    config: &SweepConfig,
+    lease: Lease,
+    works: &mut std::collections::BTreeMap<u64, CellWork>,
+) -> Result<usize, ArgError> {
+    let path = shard_file(dir, lease.seq);
+    let text = wal::read(path.as_ref()).map_err(ArgError)?;
+    let replay = shard::parse_shard_journal(&text, config, lease)
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    let journaled = replay.records.len();
+    works.extend((lease.start..).zip(replay.records));
+    Ok(journaled)
+}
+
 /// The argv for one `sweep-shard` child: the lease identity plus the
 /// matrix/limit flags that rebuild the coordinator's exact config,
 /// written from that resolved config. Any drift is caught by the shard
@@ -970,11 +990,8 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
     let dir = format!("{path}.shards");
     let coord_path = format!("{dir}/coordinator.jsonl");
 
-    let mut works: std::collections::BTreeMap<u64, CellWork> = std::collections::BTreeMap::new();
-    let mut ledger;
-    let to_run: Vec<Lease>;
-
-    if resuming.is_some() {
+    let mut works = std::collections::BTreeMap::new();
+    let (replay, to_run) = if resuming.is_some() {
         let text = read_resumed(&coord_path, "coordinator ledger").map_err(|e| {
             ArgError(format!("{} (was this journal written with --shards?)", e.0))
         })?;
@@ -983,31 +1000,24 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
         if replay.dropped_partial {
             eprintln!("coordinator ledger {coord_path}: dropped a torn trailing record");
         }
-        // Harvest every journaled work from the shard files of every
-        // issued lease — a lease whose child never wrote a byte (or
-        // whose file is a torn header) simply contributes nothing.
-        for lease in &replay.leases {
-            let sp = shard_file(&dir, lease.seq);
-            let stext = wal::read(sp.as_ref()).map_err(ArgError)?;
-            let sr = shard::parse_shard_journal(&stext, config, *lease)
-                .map_err(|e| ArgError(format!("{sp}: {e}")))?;
-            shard::collect_works(*lease, &sr, &mut works);
+        // Resume reads only the Lease lines: it harvests the shard file
+        // of every issued lease — a lease whose child never wrote a byte
+        // (or whose file is a torn header) simply contributes nothing.
+        let mut issued = 0u64;
+        for line in &replay.records {
+            if let CoordLine::Lease { lease } = *line {
+                harvest_shard(&dir, config, lease, &mut works)?;
+                issued += 1;
+            }
         }
-        let runs = shard::remaining_runs(total, &works);
-        to_run = shard::plan_leases(&runs, shards, replay.next_seq());
+        let to_run = shard::plan_leases(&shard::remaining_runs(total, &works), shards, issued);
         eprintln!(
-            "resuming {path}: {} of {total} cells journaled across {} shard journal(s); \
+            "resuming {path}: {} of {total} cells journaled across {issued} shard journal(s); \
              {} fresh lease(s)",
             works.len(),
-            replay.leases.len(),
             to_run.len()
         );
-        ledger = wal::reopen(coord_path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
-        if !replay.has_header {
-            ledger
-                .append(&shard::CoordHeader::new(config, shards).line().map_err(ArgError)?)
-                .map_err(ArgError)?;
-        }
+        (replay, to_run)
     } else {
         // A fresh run owns the shard directory: stale journals from an
         // abandoned run must not be harvested into this one.
@@ -1015,15 +1025,18 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             std::fs::remove_dir_all(&dir).map_err(|e| ArgError(format!("{dir}: {e}")))?;
         }
         std::fs::create_dir_all(&dir).map_err(|e| ArgError(format!("{dir}: {e}")))?;
-        ledger = wal::reopen(coord_path.as_ref(), 0).map_err(ArgError)?;
-        ledger
-            .append(&shard::CoordHeader::new(config, shards).line().map_err(ArgError)?)
-            .map_err(ArgError)?;
-        to_run = shard::partition(total, shards)
+        let to_run: Vec<Lease> = shard::partition(total, shards)
             .iter()
             .enumerate()
             .map(|(i, r)| Lease { seq: i as u64, start: r.start, end: r.end })
             .collect();
+        (wal::Prefix::default(), to_run)
+    };
+    let mut ledger = wal::reopen(coord_path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
+    if replay.header.is_none() {
+        ledger
+            .append(&wal::line(&shard::CoordHeader::new(config, shards)).map_err(ArgError)?)
+            .map_err(ArgError)?;
     }
 
     struct Slot {
@@ -1036,7 +1049,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
     }
     let mut slots: Vec<Slot> = Vec::new();
     for lease in to_run {
-        ledger.append(&shard::CoordLine::Lease { lease }.line().map_err(ArgError)?).map_err(ArgError)?;
+        ledger.append(&wal::line(&CoordLine::Lease { lease }).map_err(ArgError)?).map_err(ArgError)?;
         let sp = shard_file(&dir, lease.seq);
         let child = std::process::Command::new(&exe)
             .args(child_args(a, config, workers, lease, 0, &sp))
@@ -1056,14 +1069,12 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
                 Err(e) => return Err(ArgError(format!("wait on shard {}: {e}", slot.lease.seq))),
             };
             slot.child = None;
-            let sp = shard_file(&dir, slot.lease.seq);
-            let stext = wal::read(sp.as_ref()).map_err(ArgError)?;
-            let journaled = shard::parse_shard_journal(&stext, config, slot.lease)
-                .map(|sr| sr.works.len())
-                .unwrap_or(0);
+            // Each exit harvests the journal as the child left it, so
+            // the last exit of every lease leaves `works` complete.
+            let journaled = harvest_shard(&dir, config, slot.lease, &mut works)?;
             if status.success() && journaled as u64 == slot.lease.range().len() {
                 ledger
-                    .append(&shard::CoordLine::Done { seq: slot.lease.seq }.line().map_err(ArgError)?)
+                    .append(&wal::line(&CoordLine::Done { seq: slot.lease.seq }).map_err(ArgError)?)
                     .map_err(ArgError)?;
                 continue;
             }
@@ -1093,6 +1104,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             );
             std::thread::sleep(std::time::Duration::from_millis(wait));
             slot.generation += 1;
+            let sp = shard_file(&dir, slot.lease.seq);
             let child = std::process::Command::new(&exe)
                 .args(child_args(a, config, workers, slot.lease, slot.generation, &sp))
                 .spawn()
@@ -1101,13 +1113,6 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
         }
     }
 
-    for slot in &slots {
-        let sp = shard_file(&dir, slot.lease.seq);
-        let stext = wal::read(sp.as_ref()).map_err(ArgError)?;
-        if let Ok(sr) = shard::parse_shard_journal(&stext, config, slot.lease) {
-            shard::collect_works(slot.lease, &sr, &mut works);
-        }
-    }
     let (covered, missing) = shard::coverage_of(total, &works);
     if !missing.is_empty() {
         eprintln!("partial coverage: {covered} of {total} cells journaled; missing runs:");
@@ -1165,13 +1170,13 @@ pub fn sweep_shard(a: &Args) -> CmdResult {
     // generation will journal — pure in (cell, generation), so a
     // respawned child rolls a fresh schedule instead of replaying the
     // exact crash that killed it.
-    let todo = &cells[lease.start as usize + replay.works.len()..lease.end as usize];
+    let todo = &cells[lease.start as usize + replay.records.len()..lease.end as usize];
     let actions = todo.iter().map(|&c| shard::roll_shard_fault(c, generation)).collect();
 
     let sweep = sweep_runtime(&config, workers, !a.has("no-cache"));
     let mut sink = ShardFaultSink {
         inner: FileJournal::new(file, halt_after, throttle_ms),
-        header_pending: !replay.has_header,
+        header_pending: replay.header.is_none(),
         actions,
     };
     shard::run_shard(&sweep, lease, &replay, &mut sink).map_err(ArgError)

@@ -619,6 +619,43 @@ fn sweep_shard_reports_an_unreadable_journal_instead_of_emptying_it() {
 }
 
 #[test]
+fn sweep_sharded_resume_reports_a_damaged_shard_journal_and_touches_nothing() {
+    // Interior damage in a shard journal is not a torn write: the
+    // coordinator's harvest must name the file and the line and exit 2
+    // before it truncates, appends to or merges anything.
+    let matrix: &[&str] =
+        &["--systems", "rps", "--styles", "text", "--seeds", "4", "--profiles", "none"];
+    let j = scratch("harvest.jsonl");
+    let (_, stderr, ok) =
+        run(&[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--journal", &j]].concat());
+    assert!(ok, "sharded sweep runs: {stderr}");
+    let dir = format!("{j}.shards");
+    let shard0 = format!("{dir}/shard-0.jsonl");
+    let text = std::fs::read_to_string(&shard0).unwrap();
+    let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+    assert_eq!(lines.len(), 3, "header and two works: {text}");
+    lines[1] = "not json\n";
+    std::fs::write(&shard0, lines.concat()).unwrap();
+    let snapshot = || -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path().to_string_lossy().into_owned())
+            .collect();
+        files.push(j.clone());
+        files.sort();
+        files.into_iter().map(|f| (f.clone(), std::fs::read(&f).unwrap())).collect()
+    };
+    let before = snapshot();
+    let (_, stderr, code) = run_code(
+        &[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--resume", &j]].concat(),
+    );
+    assert_eq!(code, Some(2), "a damaged shard journal must stop the resume: {stderr}");
+    assert!(stderr.contains(&shard0), "the error must name the shard file: {stderr}");
+    assert!(stderr.contains("journal corrupt at line 1"), "and the bad line: {stderr}");
+    assert_eq!(snapshot(), before, "the ledger and every journal must be left as they were");
+}
+
+#[test]
 fn sweep_sharded_resume_rejects_changed_shard_count() {
     let matrix: &[&str] =
         &["--systems", "rps", "--styles", "text", "--seeds", "2", "--profiles", "none"];

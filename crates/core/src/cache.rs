@@ -59,18 +59,6 @@ pub struct MemoStats {
     pub misses: u64,
 }
 
-impl MemoStats {
-    /// Hit fraction in `[0, 1]` (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The per-sweep memoization store. Shared across pool workers
 /// (`Mutex` + atomics — [`crate::pool::run_ordered`] requires the
 /// execute closure to be `Sync`) and across consecutive sweeps when the
@@ -223,12 +211,5 @@ mod tests {
         assert_eq!(memo.work_len(), 1);
         // A different seed is a different cell.
         assert!(memo.lookup_work(cell(1)).is_none());
-    }
-
-    #[test]
-    fn hit_rate_is_well_defined() {
-        assert_eq!(MemoStats::default().hit_rate(), 0.0);
-        let s = MemoStats { hits: 3, misses: 1 };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

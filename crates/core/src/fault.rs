@@ -41,8 +41,6 @@ pub enum FaultSite {
     BddTable,
     /// The synthesised FIB dataset.
     DpvDataset,
-    /// The RPS socket pair.
-    RpsSocket,
     /// The sweep harness supervising a task (crash/wedge of a whole
     /// matrix cell, as opposed to a failure inside the session).
     Harness,
@@ -68,7 +66,6 @@ impl FaultSite {
             FaultSite::LpSolver => "lp-solver",
             FaultSite::BddTable => "bdd-table",
             FaultSite::DpvDataset => "dpv-dataset",
-            FaultSite::RpsSocket => "rps-socket",
             FaultSite::Harness => "harness",
             FaultSite::Worker => "worker",
             FaultSite::Shard => "shard",
@@ -77,13 +74,12 @@ impl FaultSite {
     }
 
     /// Every site, in report order.
-    pub const ALL: [FaultSite; 10] = [
+    pub const ALL: [FaultSite; 9] = [
         FaultSite::LlmResponse,
         FaultSite::Session,
         FaultSite::LpSolver,
         FaultSite::BddTable,
         FaultSite::DpvDataset,
-        FaultSite::RpsSocket,
         FaultSite::Harness,
         FaultSite::Worker,
         FaultSite::Shard,
@@ -113,12 +109,6 @@ pub enum FaultKind {
     LinkCorruption,
     /// FIB rules are corrupted in place.
     FibCorruption,
-    /// A datagram or connection is dropped.
-    SocketDrop,
-    /// A socket read stalls past its deadline.
-    SocketTimeout,
-    /// A malformed frame arrives on the wire.
-    MalformedFrame,
     /// A whole sweep task crashes (the harness catches the panic).
     TaskPanic,
     /// A whole sweep task wedges and never finishes (the harness's
@@ -163,9 +153,6 @@ impl FaultKind {
             FaultKind::TableExhaustion => "table-exhaustion",
             FaultKind::LinkCorruption => "link-corruption",
             FaultKind::FibCorruption => "fib-corruption",
-            FaultKind::SocketDrop => "socket-drop",
-            FaultKind::SocketTimeout => "socket-timeout",
-            FaultKind::MalformedFrame => "malformed-frame",
             FaultKind::TaskPanic => "task-panic",
             FaultKind::TaskWedge => "task-wedge",
             FaultKind::WorkerCrash => "worker-crash",
@@ -231,7 +218,6 @@ impl FaultProfile {
             FaultKind::SolverStall | FaultKind::IterationExplosion => 0.8,
             FaultKind::TableExhaustion => 0.8,
             FaultKind::LinkCorruption | FaultKind::FibCorruption => 0.6,
-            FaultKind::SocketDrop | FaultKind::SocketTimeout | FaultKind::MalformedFrame => 1.0,
             // Whole-task crashes/wedges are rarer than in-session
             // failures but cost a full attempt each.
             FaultKind::TaskPanic => 0.6,
@@ -586,12 +572,12 @@ mod tests {
         let mut inj = FaultPlan::new(FaultProfile::Chaos, 5).injector();
         let mut first = None;
         while first.is_none() {
-            first = inj.roll(FaultSite::RpsSocket, FaultKind::SocketDrop);
+            first = inj.roll(FaultSite::Harness, FaultKind::TaskPanic);
         }
         let r = inj.report();
         assert_eq!(r.escaped, r.injected);
         assert_eq!(r.by_site.len(), 1);
-        assert_eq!(r.by_site[0].site, "rps-socket");
+        assert_eq!(r.by_site[0].site, "harness");
         let _ = first;
     }
 

@@ -681,27 +681,9 @@ impl From<crate::wal::Corrupt> for JournalError {
     }
 }
 
-/// The replayable prefix of a journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Replay {
-    /// Completed cell records, in canonical order.
-    pub records: Vec<CellRecord>,
-    /// Byte length of the valid prefix; a resuming caller truncates
-    /// the journal file to this length before appending.
-    pub valid_bytes: u64,
-    /// Whether a truncated or corrupt trailing record was dropped (its
-    /// cell re-runs).
-    pub dropped_partial: bool,
-    /// Whether the valid prefix includes the header line.
-    pub has_header: bool,
-}
-
-impl Replay {
-    /// The empty replay (fresh run).
-    pub fn empty() -> Self {
-        Replay { records: Vec::new(), valid_bytes: 0, dropped_partial: false, has_header: false }
-    }
-}
+/// The replayable prefix of a journal: its header and the committed
+/// cell records, in canonical order.
+pub type Replay = crate::wal::Prefix<JournalHeader, CellRecord>;
 
 /// Validate the fields every journal header shares (version,
 /// fingerprint, matrix size, cache scheme) against `config`. The shard
@@ -751,7 +733,7 @@ pub(crate) fn check_header(
 /// `i` and the matrix's `i`-th cell.
 pub fn parse_journal(text: &str, config: &SweepConfig) -> Result<Replay, JournalError> {
     let cells = config.expand();
-    let prefix = crate::wal::parse(
+    crate::wal::parse(
         text,
         |header: &JournalHeader| check_header(header, config, cells.len()),
         |i, cl: CellLine| {
@@ -764,13 +746,7 @@ pub fn parse_journal(text: &str, config: &SweepConfig) -> Result<Replay, Journal
                 None => Err(format!("{} records but the matrix has {} cells", i + 1, cells.len())),
             }
         },
-    )?;
-    Ok(Replay {
-        records: prefix.lines,
-        valid_bytes: prefix.valid_bytes,
-        dropped_partial: prefix.dropped_partial,
-        has_header: prefix.header.is_some(),
-    })
+    )
 }
 
 /// Hook the CLI uses to wire the static auditor gate in without making
@@ -1004,7 +980,7 @@ impl Sweep {
 
     /// Run the whole matrix from scratch, journaling into `sink`.
     pub fn run(&self, sink: &mut dyn JournalSink) -> Result<SweepReport, String> {
-        self.run_from(&Replay::empty(), sink)
+        self.run_from(&Replay::default(), sink)
     }
 
     /// Replay `replay` and execute every remaining cell, appending each
@@ -1034,13 +1010,13 @@ impl Sweep {
     /// no skipped cell at all.
     ///
     /// `replay` is the caller's in-memory copy of the journal and the
-    /// slice keeps it in step with the sink: writing the header sets
-    /// `has_header`, and each committed record is pushed onto
+    /// slice keeps it in step with the sink: the header it writes is
+    /// stored in `header`, and each committed record is pushed onto
     /// `records` only after its append succeeded (`valid_bytes` and
     /// `dropped_partial` still describe the journal as parsed). A
     /// caller that holds the replay between slices therefore never
     /// re-reads the journal; [`parse_journal`] (after a restart) or
-    /// [`Replay::empty`] (a fresh job) starts the chain. When the last
+    /// `Replay::default()` (a fresh job) starts the chain. When the last
     /// cell commits, the records move into the report and `records`
     /// is left empty.
     ///
@@ -1058,7 +1034,6 @@ impl Sweep {
         budget: u64,
     ) -> Result<JobStep, String> {
         let (cells, mut clock, breaker) = self.open_journal(replay, sink)?;
-        replay.has_header = true;
         let start = replay.records.len();
         let stop = cells.len().min(start.saturating_add(budget as usize));
         // Pre-size: the commit callback pushes here, where a
@@ -1092,11 +1067,12 @@ impl Sweep {
     }
 
     /// The prologue of [`Sweep::run_slice`]: check `replay` against the
-    /// matrix, append the header if the journal has none, and rebuild
-    /// the virtual clock and breaker counts from the committed prefix.
+    /// matrix, append the header if the journal has none (storing it in
+    /// `replay`), and rebuild the virtual clock and breaker counts from
+    /// the committed prefix.
     fn open_journal(
         &self,
-        replay: &Replay,
+        replay: &mut Replay,
         sink: &mut dyn JournalSink,
     ) -> Result<(Vec<CellId>, u64, BreakerCounts), String> {
         install_quiet_hook();
@@ -1108,8 +1084,10 @@ impl Sweep {
                 cells.len()
             ));
         }
-        if !replay.has_header {
-            sink.append(&crate::wal::line(&JournalHeader::for_config(&self.config))?)?;
+        if replay.header.is_none() {
+            let header = JournalHeader::for_config(&self.config);
+            sink.append(&crate::wal::line(&header)?)?;
+            replay.header = Some(header);
         }
         let clock = replay.records.last().map_or(0, |r| r.clock_end);
         let mut breaker = BreakerCounts::new();
@@ -1812,7 +1790,7 @@ mod tests {
 
         let memo = std::sync::Arc::new(crate::cache::CellMemo::new());
         let sweep = Sweep::new(cfg).with_cache(std::sync::Arc::clone(&memo));
-        let (mut replay, mut sink) = (Replay::empty(), MemoryJournal::new());
+        let (mut replay, mut sink) = (Replay::default(), MemoryJournal::new());
         let report = loop {
             if let Some(report) = sweep.run_slice(&mut replay, &mut sink, 1).unwrap().report {
                 break report;
@@ -1857,7 +1835,7 @@ mod tests {
             let replay = parse_journal(torn, &cfg)
                 .unwrap_or_else(|e| panic!("torn header prefix ({cut} bytes) must parse: {e}"));
             assert!(replay.dropped_partial, "cut {cut}");
-            assert!(!replay.has_header, "cut {cut}");
+            assert!(replay.header.is_none(), "cut {cut}");
             assert_eq!(replay.valid_bytes, 0, "cut {cut}");
             assert!(replay.records.is_empty(), "cut {cut}");
             // And the resume is a full, byte-identical fresh run.
@@ -1871,7 +1849,7 @@ mod tests {
         // terminator.
         let unterminated = header_line.trim_end_matches('\n');
         let replay = parse_journal(unterminated, &cfg).unwrap();
-        assert!(replay.dropped_partial && !replay.has_header);
+        assert!(replay.dropped_partial && replay.header.is_none());
         assert_eq!(replay.valid_bytes, 0);
     }
 
@@ -1958,7 +1936,7 @@ mod tests {
     #[test]
     fn empty_journal_text_is_a_fresh_run() {
         let replay = parse_journal("", &tiny_config()).unwrap();
-        assert_eq!(replay, Replay::empty());
+        assert_eq!(replay, Replay::default());
     }
 
     #[test]

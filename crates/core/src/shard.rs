@@ -20,9 +20,16 @@
 //!   commits.
 //! * **Coordinator ledger** — the coordinator journals a [`CoordLine`]
 //!   per lease *before* spawning the shard (write-ahead: no shard file
-//!   can exist without a durable lease) and a completion line when a
-//!   shard exits cleanly. Resume re-reads the ledger, truncates every
-//!   journal to its valid prefix, and re-leases whatever is missing.
+//!   can exist without a durable lease) and a `Done` line when a shard
+//!   exits cleanly. Resume reads only the `Lease` lines: the shard
+//!   journals, not the ledger, say how much of each lease is done, so
+//!   it harvests every issued lease's journal (its valid prefix) and
+//!   re-leases whatever is missing.
+//! * **One replay type** — [`parse_shard_journal`] and
+//!   [`parse_coord_journal`] return the [`wal::Prefix`] every log's
+//!   parser returns: the header, if present, and the kept `records` (a
+//!   shard's [`CellWork`]s, the ledger's [`CoordLine`]s). Lines are
+//!   written with [`wal::line`].
 //! * **Work-stealing** — [`plan_leases`] splits the largest remaining
 //!   run of unjournaled cells until every shard slot has work, so a
 //!   nearly-finished resume still uses all its processes.
@@ -45,7 +52,7 @@ use crate::harness::{
 };
 use crate::wal;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A contiguous half-open range `[start, end)` of canonical cell
 /// indices owned by one shard lease.
@@ -158,11 +165,6 @@ impl ShardHeader {
             cache: self.cache.clone(),
         }
     }
-
-    /// The newline-terminated journal line.
-    pub fn line(&self) -> Result<String, String> {
-        wal::line(self)
-    }
 }
 
 /// One journaled cell execution: the write-ahead unit of a shard
@@ -178,47 +180,19 @@ pub struct WorkLine {
     pub work: CellWork,
 }
 
-impl WorkLine {
-    /// The newline-terminated journal line.
-    pub fn line(&self) -> Result<String, String> {
-        wal::line(self)
-    }
-}
-
-/// The replayable prefix of one shard journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardReplay {
-    /// Journaled works, contiguous from the lease's `start` (the i-th
-    /// entry is cell index `start + i`).
-    pub works: Vec<CellWork>,
-    /// Byte length of the valid prefix; truncate the file to this
-    /// before appending.
-    pub valid_bytes: u64,
-    /// Whether a torn or corrupt trailing line was dropped.
-    pub dropped_partial: bool,
-    /// Whether the valid prefix includes the header line.
-    pub has_header: bool,
-}
-
-impl ShardReplay {
-    /// The empty replay (fresh shard).
-    pub fn empty() -> Self {
-        ShardReplay { works: Vec::new(), valid_bytes: 0, dropped_partial: false, has_header: false }
-    }
-}
-
 /// Parse one shard journal against `config` and the lease it must
 /// belong to, under [`crate::wal`]'s recovery policy (a dropped
 /// trailing line's cell re-runs). A header that names a different
 /// lease or range is a typed [`JournalError::Mismatch`]; line `i` must
-/// carry cell `lease.start + i`, inside the lease.
+/// carry cell `lease.start + i`, inside the lease. The `i`-th record is
+/// that cell's journaled work.
 pub fn parse_shard_journal(
     text: &str,
     config: &SweepConfig,
     lease: Lease,
-) -> Result<ShardReplay, JournalError> {
+) -> Result<wal::Prefix<ShardHeader, CellWork>, JournalError> {
     let cells = config.expand();
-    let prefix = wal::parse(
+    wal::parse(
         text,
         |header: &ShardHeader| {
             check_header(&header.base(), config, cells.len())?;
@@ -252,13 +226,7 @@ pub fn parse_shard_journal(
                 None => Err(format!("index {} outside the matrix", wl.index)),
             }
         },
-    )?;
-    Ok(ShardReplay {
-        works: prefix.lines,
-        valid_bytes: prefix.valid_bytes,
-        dropped_partial: prefix.dropped_partial,
-        has_header: prefix.header.is_some(),
-    })
+    )
 }
 
 /// Execute the unfinished remainder of `lease`, appending one
@@ -270,7 +238,7 @@ pub fn parse_shard_journal(
 pub fn run_shard(
     sweep: &Sweep,
     lease: Lease,
-    replay: &ShardReplay,
+    replay: &wal::Prefix<ShardHeader, CellWork>,
     sink: &mut dyn JournalSink,
 ) -> Result<(), String> {
     crate::harness::install_quiet_hook();
@@ -283,18 +251,18 @@ pub fn run_shard(
             cells.len()
         ));
     }
-    if lease.start + replay.works.len() as u64 > lease.end {
+    if lease.start + replay.records.len() as u64 > lease.end {
         return Err(format!(
             "lease {} has {} journaled works but only {} cells",
             lease.seq,
-            replay.works.len(),
+            replay.records.len(),
             lease.range().len()
         ));
     }
-    if !replay.has_header {
-        sink.append(&ShardHeader::for_lease(sweep.config(), lease).line()?)?;
+    if replay.header.is_none() {
+        sink.append(&wal::line(&ShardHeader::for_lease(sweep.config(), lease))?)?;
     }
-    let start_at = (lease.start as usize) + replay.works.len();
+    let start_at = (lease.start as usize) + replay.records.len();
     let slice = &cells[start_at..lease.end as usize];
     crate::pool::run_ordered(
         sweep.workers(),
@@ -302,7 +270,7 @@ pub fn run_shard(
         |cell| sweep.execute_cell(cell),
         |offset, work| {
             let index = (start_at + offset) as u64;
-            sink.append(&WorkLine { index, cell: slice[offset], work }.line()?)
+            sink.append(&wal::line(&WorkLine { index, cell: slice[offset], work })?)
         },
     )?;
     Ok(())
@@ -342,11 +310,6 @@ impl CoordHeader {
             cache: self.cache.clone(),
         }
     }
-
-    /// The newline-terminated journal line.
-    pub fn line(&self) -> Result<String, String> {
-        wal::line(self)
-    }
 }
 
 /// One line of the coordinator's lease ledger.
@@ -365,36 +328,6 @@ pub enum CoordLine {
     },
 }
 
-impl CoordLine {
-    /// The newline-terminated journal line.
-    pub fn line(&self) -> Result<String, String> {
-        wal::line(self)
-    }
-}
-
-/// The replayable prefix of a coordinator journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoordReplay {
-    /// Every issued lease, in seq order.
-    pub leases: Vec<Lease>,
-    /// Seqs of leases whose shard exited cleanly.
-    pub done: BTreeSet<u64>,
-    /// Byte length of the valid prefix; truncate the file to this
-    /// before appending.
-    pub valid_bytes: u64,
-    /// Whether a torn or corrupt trailing line was dropped.
-    pub dropped_partial: bool,
-    /// Whether the valid prefix includes the header line.
-    pub has_header: bool,
-}
-
-impl CoordReplay {
-    /// The next unused lease number.
-    pub fn next_seq(&self) -> u64 {
-        self.leases.len() as u64
-    }
-}
-
 /// Parse a coordinator journal against `config` and the requested
 /// shard count, under [`crate::wal`]'s recovery policy. A header
 /// disagreement — including a different shard count — is a typed
@@ -404,10 +337,10 @@ pub fn parse_coord_journal(
     text: &str,
     config: &SweepConfig,
     shards: usize,
-) -> Result<CoordReplay, JournalError> {
+) -> Result<wal::Prefix<CoordHeader, CoordLine>, JournalError> {
     let total = config.total_cells() as u64;
     let mut issued = 0u64;
-    let prefix = wal::parse(
+    wal::parse(
         text,
         |header: &CoordHeader| {
             check_header(&header.base(), config, config.total_cells())?;
@@ -442,23 +375,7 @@ pub fn parse_coord_journal(
             }
             Ok(cl)
         },
-    )?;
-    let mut replay = CoordReplay {
-        leases: Vec::new(),
-        done: BTreeSet::new(),
-        valid_bytes: prefix.valid_bytes,
-        dropped_partial: prefix.dropped_partial,
-        has_header: prefix.header.is_some(),
-    };
-    for cl in prefix.lines {
-        match cl {
-            CoordLine::Lease { lease } => replay.leases.push(lease),
-            CoordLine::Done { seq } => {
-                replay.done.insert(seq);
-            }
-        }
-    }
-    Ok(replay)
+    )
 }
 
 /// The contiguous runs of cell indices in `[0, total)` that no
@@ -597,21 +514,12 @@ pub fn run_sharded(
     for (seq, range) in partition(total, shards).into_iter().enumerate() {
         let lease = Lease { seq: seq as u64, start: range.start, end: range.end };
         let mut shard_sink = MemoryJournal::new();
-        run_shard(sweep, lease, &ShardReplay::empty(), &mut shard_sink)?;
+        run_shard(sweep, lease, &wal::Prefix::default(), &mut shard_sink)?;
         let replay = parse_shard_journal(shard_sink.text(), sweep.config(), lease)
             .map_err(|e| e.to_string())?;
-        for (offset, work) in replay.works.into_iter().enumerate() {
-            works.insert(lease.start + offset as u64, work);
-        }
+        works.extend((lease.start..).zip(replay.records));
     }
     merge(sweep, &works, sink)
-}
-
-/// Collect the works of a parsed shard replay into the merge map.
-pub fn collect_works(lease: Lease, replay: &ShardReplay, works: &mut BTreeMap<u64, CellWork>) {
-    for (offset, work) in replay.works.iter().enumerate() {
-        works.insert(lease.start + offset as u64, work.clone());
-    }
 }
 
 /// How much of the matrix the journaled works cover: `(covered cells,
@@ -747,21 +655,21 @@ mod tests {
         for (seq, range) in ranges.iter().enumerate() {
             let lease = Lease { seq: seq as u64, start: range.start, end: range.end };
             let mut sink = MemoryJournal::new();
-            run_shard(&sweep, lease, &ShardReplay::empty(), &mut sink).unwrap();
+            run_shard(&sweep, lease, &wal::Prefix::default(), &mut sink).unwrap();
             // Kill mid-range: keep header + 1 work line only.
             let kept: String = sink.text().split_inclusive('\n').take(2).collect();
             let replay = parse_shard_journal(&kept, &cfg, lease).unwrap();
-            assert_eq!(replay.works.len(), 1, "shard {seq}");
-            collect_works(lease, &replay, &mut works);
+            assert_eq!(replay.records.len(), 1, "shard {seq}");
+            works.extend((lease.start..).zip(replay.records));
         }
         // Re-lease the two holes and finish them.
         let runs = remaining_runs(total, &works);
         assert_eq!(runs.len(), 2, "one hole per killed shard: {runs:?}");
         for lease in plan_leases(&runs, 2, 2) {
             let mut sink = MemoryJournal::new();
-            run_shard(&sweep, lease, &ShardReplay::empty(), &mut sink).unwrap();
+            run_shard(&sweep, lease, &wal::Prefix::default(), &mut sink).unwrap();
             let replay = parse_shard_journal(sink.text(), &cfg, lease).unwrap();
-            collect_works(lease, &replay, &mut works);
+            works.extend((lease.start..).zip(replay.records));
         }
         let mut sink = MemoryJournal::new();
         let report = merge(&sweep, &works, &mut sink).unwrap();
@@ -783,12 +691,12 @@ mod tests {
         // journal text at all (the lease line is durable, the file is
         // empty). Shard 1 died right after the header.
         let empty = parse_shard_journal("", &cfg, lease0).unwrap();
-        assert_eq!(empty, ShardReplay::empty());
+        assert_eq!(empty, wal::Prefix::default());
         let mut sink1 = MemoryJournal::new();
-        run_shard(&sweep, lease1, &ShardReplay::empty(), &mut sink1).unwrap();
+        run_shard(&sweep, lease1, &wal::Prefix::default(), &mut sink1).unwrap();
         let header_only: String = sink1.text().split_inclusive('\n').take(1).collect();
         let ho = parse_shard_journal(&header_only, &cfg, lease1).unwrap();
-        assert!(ho.has_header && ho.works.is_empty() && !ho.dropped_partial);
+        assert!(ho.header.is_some() && ho.records.is_empty() && !ho.dropped_partial);
         assert_eq!(ho.valid_bytes as usize, header_only.len());
 
         // Resume both from their replays: shard 1 must not rewrite its
@@ -796,15 +704,13 @@ mod tests {
         let mut works: BTreeMap<u64, CellWork> = BTreeMap::new();
         let mut sink0 = MemoryJournal::new();
         run_shard(&sweep, lease0, &empty, &mut sink0).unwrap();
-        collect_works(lease0, &parse_shard_journal(sink0.text(), &cfg, lease0).unwrap(), &mut works);
+        let done0 = parse_shard_journal(sink0.text(), &cfg, lease0).unwrap();
+        works.extend((lease0.start..).zip(done0.records));
         let mut resumed1 = MemoryJournal::with_text(&header_only);
         run_shard(&sweep, lease1, &ho, &mut resumed1).unwrap();
         assert_eq!(resumed1.text(), sink1.text(), "resume must extend, not rewrite");
-        collect_works(
-            lease1,
-            &parse_shard_journal(resumed1.text(), &cfg, lease1).unwrap(),
-            &mut works,
-        );
+        let done1 = parse_shard_journal(resumed1.text(), &cfg, lease1).unwrap();
+        works.extend((lease1.start..).zip(done1.records));
         let mut merged = MemoryJournal::new();
         let report = merge(&sweep, &works, &mut merged).unwrap();
         assert_eq!(report.render_json(), serial.render_json());
@@ -817,14 +723,14 @@ mod tests {
         let sweep = Sweep::new(cfg.clone());
         let lease = Lease { seq: 0, start: 0, end: cfg.total_cells() as u64 };
         let mut sink = MemoryJournal::new();
-        run_shard(&sweep, lease, &ShardReplay::empty(), &mut sink).unwrap();
+        run_shard(&sweep, lease, &wal::Prefix::default(), &mut sink).unwrap();
         let text = sink.text().to_string();
         let lines: Vec<&str> = text.split_inclusive('\n').collect();
         let keep: String = lines[..lines.len() - 1].concat();
         let torn = format!("{keep}{}", &lines[lines.len() - 1][..12]);
         let replay = parse_shard_journal(&torn, &cfg, lease).unwrap();
         assert!(replay.dropped_partial);
-        assert_eq!(replay.works.len(), cfg.total_cells() - 1);
+        assert_eq!(replay.records.len(), cfg.total_cells() - 1);
         assert_eq!(replay.valid_bytes as usize, keep.len());
         let mut resumed = MemoryJournal::with_text(&keep);
         run_shard(&sweep, lease, &replay, &mut resumed).unwrap();
@@ -837,7 +743,7 @@ mod tests {
         let sweep = Sweep::new(cfg.clone());
         let lease = Lease { seq: 3, start: 0, end: 2 };
         let mut sink = MemoryJournal::new();
-        run_shard(&sweep, lease, &ShardReplay::empty(), &mut sink).unwrap();
+        run_shard(&sweep, lease, &wal::Prefix::default(), &mut sink).unwrap();
         // Wrong lease number.
         let wrong_seq = Lease { seq: 4, ..lease };
         match parse_shard_journal(sink.text(), &cfg, wrong_seq) {
@@ -868,17 +774,18 @@ mod tests {
     fn coord_journal_round_trips_and_rejects_shard_count_change() {
         let cfg = tiny_config();
         let mut sink = MemoryJournal::new();
-        sink.append(&CoordHeader::new(&cfg, 4).line().unwrap()).unwrap();
+        sink.append(&wal::line(&CoordHeader::new(&cfg, 4)).unwrap()).unwrap();
         let leases =
             plan_leases(&[ShardRange { start: 0, end: cfg.total_cells() as u64 }], 4, 0);
-        for lease in &leases {
-            sink.append(&CoordLine::Lease { lease: *lease }.line().unwrap()).unwrap();
+        // Every issued lease in seq order, then one Done line.
+        let mut events: Vec<CoordLine> =
+            leases.iter().map(|&lease| CoordLine::Lease { lease }).collect();
+        events.push(CoordLine::Done { seq: 1 });
+        for event in &events {
+            sink.append(&wal::line(event).unwrap()).unwrap();
         }
-        sink.append(&CoordLine::Done { seq: 1 }.line().unwrap()).unwrap();
         let replay = parse_coord_journal(sink.text(), &cfg, 4).unwrap();
-        assert_eq!(replay.leases, leases);
-        assert!(replay.done.contains(&1) && replay.done.len() == 1);
-        assert_eq!(replay.next_seq(), leases.len() as u64);
+        assert_eq!(replay.records, events);
         assert_eq!(replay.valid_bytes as usize, sink.text().len());
         match parse_coord_journal(sink.text(), &cfg, 2) {
             Err(JournalError::Mismatch { field: MismatchField::ShardCount, found, expected }) => {
@@ -890,7 +797,7 @@ mod tests {
         let torn = format!("{}{}", sink.text(), "{\"Lease\":{\"lease\":{\"seq\":9");
         let recovered = parse_coord_journal(&torn, &cfg, 4).unwrap();
         assert!(recovered.dropped_partial);
-        assert_eq!(recovered.leases, leases);
+        assert_eq!(recovered.records, events);
         // A done line for an unissued lease anywhere but the tail is
         // corruption, not recoverable tearing.
         let mut lines: Vec<String> =
@@ -947,10 +854,9 @@ mod tests {
         let sweep = Sweep::new(cfg.clone());
         let lease = Lease { seq: 0, start: 0, end: cfg.total_cells() as u64 };
         let mut sink = MemoryJournal::new();
-        run_shard(&sweep, lease, &ShardReplay::empty(), &mut sink).unwrap();
+        run_shard(&sweep, lease, &wal::Prefix::default(), &mut sink).unwrap();
         let replay = parse_shard_journal(sink.text(), &cfg, lease).unwrap();
-        let mut works: BTreeMap<u64, CellWork> = BTreeMap::new();
-        collect_works(lease, &replay, &mut works);
+        let mut works: BTreeMap<u64, CellWork> = (lease.start..).zip(replay.records).collect();
         works.remove(&1);
         let err = merge(&sweep, &works, &mut MemoryJournal::new()).unwrap_err();
         assert!(err.contains("merge incomplete"), "{err}");

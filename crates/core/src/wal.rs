@@ -8,7 +8,8 @@
 //! ([`FileSink`]) before it moves on, so a `SIGKILL` loses at most the
 //! line being written.
 //!
-//! **Recovery** ([`parse`]) keeps the longest valid prefix:
+//! **Recovery** ([`parse`]) keeps the longest valid prefix and returns
+//! it as a [`Prefix`], the one replay type of every log:
 //!
 //! * an unterminated header means a fresh log;
 //! * a terminated header that does not parse is corrupt at line 0;
@@ -48,18 +49,25 @@ impl From<Corrupt> for String {
     }
 }
 
-/// The replayable prefix of a log.
+/// The replayable prefix of a log: what every log's parser returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prefix<H, T> {
     /// The header, if the valid prefix includes it.
     pub header: Option<H>,
-    /// Every accepted event, in write order.
-    pub lines: Vec<T>,
+    /// What the caller kept of every accepted event, in write order.
+    pub records: Vec<T>,
     /// Byte length of the valid prefix; a resuming writer truncates the
     /// file to this length before appending ([`reopen`]).
     pub valid_bytes: u64,
     /// Whether a torn or corrupt trailing line was dropped.
     pub dropped_partial: bool,
+}
+
+impl<H, T> Default for Prefix<H, T> {
+    /// The empty prefix: a log not yet written.
+    fn default() -> Self {
+        Prefix { header: None, records: Vec::new(), valid_bytes: 0, dropped_partial: false }
+    }
 }
 
 /// Parse `text` as a log of header `H` and events `L`, keeping the
@@ -78,7 +86,7 @@ where
     L: Deserialize,
     E: From<Corrupt>,
 {
-    let mut prefix = Prefix { header: None, lines: Vec::new(), valid_bytes: 0, dropped_partial: false };
+    let mut prefix = Prefix::default();
     let Some(head_len) = text.find('\n') else {
         prefix.dropped_partial = !text.is_empty();
         return Ok(prefix);
@@ -100,10 +108,10 @@ where
         let end = start + len + 1;
         let parsed = serde_json::from_str(&text[start..start + len])
             .map_err(|e| e.to_string())
-            .and_then(|line| vet_line(prefix.lines.len(), line));
+            .and_then(|line| vet_line(prefix.records.len(), line));
         match parsed {
             Ok(kept) => {
-                prefix.lines.push(kept);
+                prefix.records.push(kept);
                 prefix.valid_bytes = end as u64;
             }
             Err(_) if end == text.len() => {
@@ -218,7 +226,7 @@ mod tests {
         std::fs::write(&path, b"{\"v\":1}\n0\n\"caf\xC3").unwrap();
         let text = read(&path).unwrap();
         let prefix = parse_u32(&text).unwrap();
-        assert_eq!((prefix.lines, prefix.valid_bytes, prefix.dropped_partial), (vec![0], 10, true));
+        assert_eq!((prefix.records, prefix.valid_bytes, prefix.dropped_partial), (vec![0], 10, true));
 
         std::fs::write(&path, b"{\"v\":1}\n\"caf\xC3\n1\n").unwrap();
         assert!(read(&path).unwrap_err().contains("invalid UTF-8 at byte 12"));

@@ -30,11 +30,12 @@ fn arb_site_kind() -> impl Strategy<Value = (FaultSite, FaultKind)> {
         Just((FaultSite::BddTable, FaultKind::TableExhaustion)),
         Just((FaultSite::DpvDataset, FaultKind::LinkCorruption)),
         Just((FaultSite::DpvDataset, FaultKind::FibCorruption)),
-        Just((FaultSite::RpsSocket, FaultKind::SocketDrop)),
-        Just((FaultSite::RpsSocket, FaultKind::SocketTimeout)),
-        Just((FaultSite::RpsSocket, FaultKind::MalformedFrame)),
         Just((FaultSite::Harness, FaultKind::TaskPanic)),
         Just((FaultSite::Harness, FaultKind::TaskWedge)),
+        Just((FaultSite::Worker, FaultKind::WorkerCrash)),
+        Just((FaultSite::Worker, FaultKind::WorkerStall)),
+        Just((FaultSite::Shard, FaultKind::ShardCrash)),
+        Just((FaultSite::Shard, FaultKind::ShardStall)),
     ]
 }
 

@@ -18,9 +18,10 @@ use netrepro_core::harness::{
 use netrepro_core::paper::TargetSystem;
 use netrepro_core::prompt::PromptStyle;
 use netrepro_core::shard::{
-    collect_works, merge, parse_coord_journal, parse_shard_journal, partition, plan_leases,
-    remaining_runs, run_shard, CoordHeader, CoordLine, Lease, ShardReplay,
+    merge, parse_coord_journal, parse_shard_journal, partition, plan_leases, remaining_runs,
+    run_shard, CoordHeader, CoordLine, Lease,
 };
+use netrepro_core::wal;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -103,7 +104,7 @@ proptest! {
         // The uninterrupted sharded world: ledger plus shard journals,
         // leases journaled write-ahead of each (virtual) spawn.
         let mut coord = MemoryJournal::new();
-        coord.append(&CoordHeader::new(&config, shards).line().unwrap()).unwrap();
+        coord.append(&wal::line(&CoordHeader::new(&config, shards)).unwrap()).unwrap();
         let leases: Vec<Lease> = partition(total, shards)
             .iter()
             .enumerate()
@@ -111,9 +112,9 @@ proptest! {
             .collect();
         let mut shard_texts: Vec<String> = Vec::new();
         for lease in &leases {
-            coord.append(&CoordLine::Lease { lease: *lease }.line().unwrap()).unwrap();
+            coord.append(&wal::line(&CoordLine::Lease { lease: *lease }).unwrap()).unwrap();
             let mut sink = MemoryJournal::new();
-            run_shard(&sweep, *lease, &ShardReplay::empty(), &mut sink).unwrap();
+            run_shard(&sweep, *lease, &wal::Prefix::default(), &mut sink).unwrap();
             shard_texts.push(sink.text().to_string());
         }
 
@@ -126,23 +127,28 @@ proptest! {
         // The resume: gather works from every surviving valid prefix,
         // re-lease the holes (stealing tails to fill the slots), run
         // the new leases, merge.
+        let issued: Vec<Lease> = replay
+            .records
+            .iter()
+            .filter_map(|l| if let CoordLine::Lease { lease } = *l { Some(lease) } else { None })
+            .collect();
         let mut works = BTreeMap::new();
-        for lease in &replay.leases {
+        for lease in &issued {
             let text = cut_at(
                 &shard_texts[lease.seq as usize],
                 shard_fracs[lease.seq as usize % shard_fracs.len()],
             );
             let sr = parse_shard_journal(text, &config, *lease).unwrap();
             prop_assert!(sr.valid_bytes as usize <= text.len());
-            collect_works(*lease, &sr, &mut works);
+            works.extend((lease.start..).zip(sr.records));
         }
         let runs = remaining_runs(total, &works);
-        for lease in plan_leases(&runs, shards, replay.next_seq()) {
+        for lease in plan_leases(&runs, shards, issued.len() as u64) {
             let mut sink = MemoryJournal::new();
-            run_shard(&sweep, lease, &ShardReplay::empty(), &mut sink).unwrap();
+            run_shard(&sweep, lease, &wal::Prefix::default(), &mut sink).unwrap();
             let sr = parse_shard_journal(sink.text(), &config, lease).unwrap();
             prop_assert!(!sr.dropped_partial);
-            collect_works(lease, &sr, &mut works);
+            works.extend((lease.start..).zip(sr.records));
         }
         let mut merged = MemoryJournal::new();
         let report = merge(&sweep, &works, &mut merged).unwrap();
@@ -171,7 +177,7 @@ proptest! {
         let lease = Lease { seq: (pick % ranges.len()) as u64, start: r.start, end: r.end };
 
         let mut full = MemoryJournal::new();
-        run_shard(&sweep, lease, &ShardReplay::empty(), &mut full).unwrap();
+        run_shard(&sweep, lease, &wal::Prefix::default(), &mut full).unwrap();
 
         let survived = cut_at(full.text(), frac);
         let sr = parse_shard_journal(survived, &config, lease).unwrap();

@@ -285,15 +285,6 @@ impl ApVerifier {
         self.atoms.len()
     }
 
-    /// The atom set forwarded by device `v` out of topology edge `e`.
-    pub fn forward_set(&self, v: NodeId, e: netrepro_graph::EdgeId) -> AtomSet {
-        self.tables[v.index()]
-            .iter()
-            .find(|(a, _)| *a == Action::Forward(e))
-            .map(|(_, s)| s.clone())
-            .unwrap_or_else(|| AtomSet::empty(self.atoms.len()))
-    }
-
     /// The atom set delivered locally at `v`.
     pub fn deliver_set(&self, v: NodeId) -> AtomSet {
         self.tables[v.index()]

@@ -1,7 +1,5 @@
 //! A directed multigraph with per-edge capacity and weight.
 
-use crate::GraphError;
-
 /// Node handle (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
@@ -143,15 +141,6 @@ impl DiGraph {
     /// The first edge from `a` to `b`, if any.
     pub fn find_edge(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
         self.out_adj[a.index()].iter().copied().find(|&e| self.edges[e.index()].dst == b)
-    }
-
-    /// Validate a node id.
-    pub fn check_node(&self, n: NodeId) -> Result<NodeId, GraphError> {
-        if n.index() < self.names.len() {
-            Ok(n)
-        } else {
-            Err(GraphError::InvalidNode(n))
-        }
     }
 
     /// Whether the graph is (weakly) connected. Empty graphs count as

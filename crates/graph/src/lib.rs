@@ -31,31 +31,3 @@ pub mod traffic;
 
 pub use digraph::{DiGraph, EdgeId, NodeId};
 pub use traffic::TrafficMatrix;
-
-/// Errors from graph construction or queries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphError {
-    /// A node id was out of range for this graph.
-    InvalidNode(NodeId),
-    /// An edge id was out of range for this graph.
-    InvalidEdge(EdgeId),
-    /// A requested path does not exist.
-    NoPath {
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-    },
-}
-
-impl std::fmt::Display for GraphError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphError::InvalidNode(n) => write!(f, "invalid node {n:?}"),
-            GraphError::InvalidEdge(e) => write!(f, "invalid edge {e:?}"),
-            GraphError::NoPath { src, dst } => write!(f, "no path from {src:?} to {dst:?}"),
-        }
-    }
-}
-
-impl std::error::Error for GraphError {}

@@ -36,7 +36,6 @@ pub enum ConstraintOp {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    pub name: String,
     pub lo: f64,
     pub hi: f64,
     pub obj: f64,
@@ -70,10 +69,12 @@ impl Problem {
     }
 
     /// Add a variable with bounds `[lo, hi]` (either may be infinite)
-    /// and objective coefficient `obj`. Returns its handle.
-    pub fn add_var(&mut self, name: &str, lo: f64, hi: f64, obj: f64) -> VarId {
+    /// and objective coefficient `obj`. Returns its handle. The name
+    /// only labels the call site: it is not stored, and LP dumps use
+    /// canonical `v{i}` names.
+    pub fn add_var(&mut self, _name: &str, lo: f64, hi: f64, obj: f64) -> VarId {
         let id = VarId(self.vars.len() as u32);
-        self.vars.push(Variable { name: name.to_string(), lo, hi, obj });
+        self.vars.push(Variable { lo, hi, obj });
         id
     }
 
@@ -85,11 +86,6 @@ impl Problem {
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Name of a variable (for debugging and LP dumps).
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.index()].name
     }
 
     /// Bounds of a variable.

@@ -53,8 +53,6 @@ pub struct StandardLp {
     /// Number of rows.
     pub m: usize,
     pub(crate) var_map: Vec<VarMap>,
-    /// Constant objective offset accumulated by shifting/fixing.
-    pub(crate) obj_offset: f64,
 }
 
 impl StandardLp {
@@ -63,7 +61,6 @@ impl StandardLp {
         let mut cols: Vec<SparseCol> = Vec::new();
         let mut c: Vec<f64> = Vec::new();
         let mut var_map: Vec<VarMap> = Vec::with_capacity(p.vars.len());
-        let mut obj_offset = 0.0;
         // Rows: original constraints first, upper-bound rows appended.
         type Row = (Vec<(usize, f64)>, ConstraintOp, f64);
         let mut rows: Vec<Row> = p
@@ -80,14 +77,12 @@ impl StandardLp {
         for v in &p.vars {
             if v.lo == v.hi {
                 var_map.push(VarMap::Fixed(v.lo));
-                obj_offset += sign * v.obj * v.lo;
                 continue;
             }
             if v.lo.is_finite() {
                 let col = cols.len();
                 cols.push(Vec::new());
                 c.push(sign * v.obj);
-                obj_offset += sign * v.obj * v.lo;
                 var_map.push(VarMap::Shifted { col, shift: v.lo });
                 if v.hi.is_finite() {
                     rows.push((vec![(col, 1.0)], ConstraintOp::Le, v.hi - v.lo));
@@ -97,7 +92,6 @@ impl StandardLp {
                 let col = cols.len();
                 cols.push(Vec::new());
                 c.push(-sign * v.obj);
-                obj_offset += sign * v.obj * v.hi;
                 var_map.push(VarMap::Shifted { col: usize::MAX, shift: 0.0 });
                 // Rewrite as a split with pos unused: encode via Shifted
                 // is wrong; use a dedicated mapping below.
@@ -185,7 +179,7 @@ impl StandardLp {
             *col = merged;
         }
 
-        StandardLp { cols, b, m, c, var_map, obj_offset }
+        StandardLp { cols, b, m, c, var_map }
     }
 
     /// Number of columns (structural + slack).
@@ -212,12 +206,6 @@ impl StandardLp {
         }
         let obj = p.objective_at(&values);
         (values, obj)
-    }
-
-    /// The minimisation objective of a standard-form point (used by the
-    /// solvers' internal assertions).
-    pub fn std_objective(&self, x: &[f64]) -> f64 {
-        self.c.iter().zip(x).map(|(c, x)| c * x).sum::<f64>() + self.obj_offset
     }
 }
 
@@ -256,9 +244,9 @@ mod tests {
         let x = p.add_var("x", 2.0, f64::INFINITY, 3.0);
         p.add_ge(&[(x, 1.0)], 5.0);
         let s = StandardLp::from_problem(&p);
-        // Row becomes x' >= 3.
+        // Row becomes x' >= 3; x' = 3 recovers x = 5 at objective 15.
         assert_eq!(s.b, vec![3.0]);
-        assert_eq!(s.obj_offset, 6.0);
+        assert_eq!(s.recover(&p, &[3.0, 0.0]), (vec![5.0], 15.0));
     }
 
     #[test]
@@ -268,9 +256,9 @@ mod tests {
         let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
         p.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
         let s = StandardLp::from_problem(&p);
-        // x contributes 3 to the row, leaving y >= 2; objective offset 6.
+        // x contributes 3 to the row, leaving y >= 2; x adds 6 to the
+        // objective.
         assert_eq!(s.b, vec![2.0]);
-        assert_eq!(s.obj_offset, 6.0);
         let (values, obj) = s.recover(&p, &[2.0, 0.0]);
         assert_eq!(values, vec![3.0, 2.0]);
         assert_eq!(obj, 8.0);

@@ -28,13 +28,6 @@ pub struct LedgerHeader {
     pub version: u32,
 }
 
-impl LedgerHeader {
-    /// The newline-terminated header line.
-    pub fn line() -> Result<String, String> {
-        wal::line(&LedgerHeader { version: LEDGER_VERSION })
-    }
-}
-
 /// One ledger record.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LedgerLine {
@@ -60,33 +53,12 @@ pub enum LedgerLine {
     },
 }
 
-impl LedgerLine {
-    /// The newline-terminated ledger line.
-    pub fn line(&self) -> Result<String, String> {
-        wal::line(self)
-    }
-}
-
-/// The replayable prefix of a ledger file.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LedgerReplay {
-    /// Records in write order.
-    pub lines: Vec<LedgerLine>,
-    /// Byte length of the valid prefix — the truncation point after a
-    /// dropped tail.
-    pub valid_bytes: u64,
-    /// Whether a torn or corrupt trailing line was dropped.
-    pub dropped_partial: bool,
-    /// Whether the header line is present and valid.
-    pub has_header: bool,
-}
-
 /// Parse a ledger file's text under `core::wal`'s recovery policy: a
 /// torn or unparseable *trailing* line (the write the crash
 /// interrupted) is dropped; an unparseable earlier line, or a header of
 /// another [`LEDGER_VERSION`], is an error.
-pub fn parse_ledger(text: &str) -> Result<LedgerReplay, String> {
-    let prefix = wal::parse(
+pub fn parse_ledger(text: &str) -> Result<wal::Prefix<LedgerHeader, LedgerLine>, String> {
+    wal::parse(
         text,
         |header: &LedgerHeader| match header.version {
             LEDGER_VERSION => Ok(()),
@@ -94,13 +66,7 @@ pub fn parse_ledger(text: &str) -> Result<LedgerReplay, String> {
         },
         |_, line: LedgerLine| Ok(line),
     )
-    .map_err(|e: String| format!("ledger {e}"))?;
-    Ok(LedgerReplay {
-        lines: prefix.lines,
-        valid_bytes: prefix.valid_bytes,
-        dropped_partial: prefix.dropped_partial,
-        has_header: prefix.header.is_some(),
-    })
+    .map_err(|e: String| format!("ledger {e}"))
 }
 
 #[cfg(test)]
@@ -108,29 +74,28 @@ mod tests {
     use super::*;
 
     fn sample() -> String {
-        let mut text = LedgerHeader::line().unwrap();
+        let mut text = wal::line(&LedgerHeader { version: LEDGER_VERSION }).unwrap();
         text.push_str(
-            &LedgerLine::Submitted {
+            &wal::line(&LedgerLine::Submitted {
                 job: 1,
                 tenant: "alice".into(),
                 nonce: 7,
                 spec: "seeds=1".into(),
-            }
-            .line()
+            })
             .unwrap(),
         );
-        text.push_str(&LedgerLine::Done { job: 1, outcome: "done".into() }.line().unwrap());
+        text.push_str(&wal::line(&LedgerLine::Done { job: 1, outcome: "done".into() }).unwrap());
         text
     }
 
     #[test]
     fn round_trips() {
         let replay = parse_ledger(&sample()).unwrap();
-        assert!(replay.has_header);
+        assert!(replay.header.is_some());
         assert!(!replay.dropped_partial);
-        assert_eq!(replay.lines.len(), 2);
-        assert!(matches!(replay.lines[0], LedgerLine::Submitted { job: 1, .. }));
-        assert!(matches!(replay.lines[1], LedgerLine::Done { job: 1, .. }));
+        assert_eq!(replay.records.len(), 2);
+        assert!(matches!(replay.records[0], LedgerLine::Submitted { job: 1, .. }));
+        assert!(matches!(replay.records[1], LedgerLine::Done { job: 1, .. }));
     }
 
     #[test]
@@ -140,7 +105,7 @@ mod tests {
         text.push_str("{\"Submitted\":{\"job\":2,\"ten"); // the crash
         let replay = parse_ledger(&text).unwrap();
         assert!(replay.dropped_partial);
-        assert_eq!(replay.lines.len(), 2, "torn line must not surface");
+        assert_eq!(replay.records.len(), 2, "torn line must not surface");
         assert_eq!(replay.valid_bytes, clean.len() as u64);
     }
 
@@ -158,7 +123,7 @@ mod tests {
         let text = format!("{clean}{{\"Submitted\": garbage\n");
         let replay = parse_ledger(&text).unwrap();
         assert!(replay.dropped_partial);
-        assert_eq!(replay.lines.len(), 2);
+        assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.valid_bytes, clean.len() as u64);
     }
 
@@ -171,7 +136,7 @@ mod tests {
     #[test]
     fn empty_ledger_is_empty() {
         let replay = parse_ledger("").unwrap();
-        assert!(!replay.has_header);
-        assert!(replay.lines.is_empty());
+        assert!(replay.header.is_none());
+        assert!(replay.records.is_empty());
     }
 }

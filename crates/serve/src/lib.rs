@@ -35,7 +35,7 @@ pub mod spec;
 pub mod storage;
 
 pub use daemon::{Daemon, JobClient, DEFAULT_READ_TIMEOUT};
-pub use ledger::{parse_ledger, LedgerHeader, LedgerLine, LedgerReplay, LEDGER_VERSION};
+pub use ledger::{parse_ledger, LedgerHeader, LedgerLine, LEDGER_VERSION};
 pub use sched::{Admission, JobRecord, RuntimeFactory, SchedConfig, Scheduler};
 pub use spec::{JobSpec, SpecError, MAX_SPEC_LEN};
 pub use storage::{FileStorage, JobStorage, MemStorage};

@@ -18,10 +18,11 @@
 //! I/O lives in the daemon module. This module's own effect budget is
 //! scheduler state + the harness's seeded execution.
 
-use crate::ledger::{parse_ledger, LedgerHeader, LedgerLine};
+use crate::ledger::{parse_ledger, LedgerHeader, LedgerLine, LEDGER_VERSION};
 use crate::spec::{JobSpec, MAX_SPEC_LEN};
 use crate::storage::JobStorage;
 use netrepro_core::harness::{parse_journal, MemoryJournal, Replay, Sweep, SweepConfig};
+use netrepro_core::wal;
 use netrepro_rps::{JobState, RejectReason};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -181,8 +182,8 @@ impl Scheduler {
         if replay.dropped_partial {
             storage.ledger_truncate(replay.valid_bytes)?;
         }
-        if !replay.has_header {
-            storage.ledger_append(&LedgerHeader::line()?)?;
+        if replay.header.is_none() {
+            storage.ledger_append(&wal::line(&LedgerHeader { version: LEDGER_VERSION })?)?;
         }
         let mut state = SchedState {
             jobs: BTreeMap::new(),
@@ -195,7 +196,7 @@ impl Scheduler {
             draining: false,
             shutdown: false,
         };
-        for line in &replay.lines {
+        for line in &replay.records {
             match line {
                 LedgerLine::Submitted { job, tenant, nonce, spec } => {
                     let parsed = JobSpec::parse(spec)
@@ -237,7 +238,7 @@ impl Scheduler {
         }
         // Rebuild each tenant's breaker from its terminal outcomes in
         // ledger order, then queue the survivors in admission order.
-        for line in &replay.lines {
+        for line in &replay.records {
             if let LedgerLine::Done { job, outcome } = line {
                 if let Some(tenant) = state.jobs.get(job).map(|j| j.tenant.clone()) {
                     let failed = matches!(
@@ -324,15 +325,12 @@ impl Scheduler {
         state.next_id += 1;
         // Write-ahead: the ledger line lands before the client ever
         // sees ACCEPTED, so a crash cannot lose an acked job.
-        self.storage.ledger_append(
-            &LedgerLine::Submitted {
-                job: id,
-                tenant: tenant.to_string(),
-                nonce,
-                spec: spec_token.to_string(),
-            }
-            .line()?,
-        )?;
+        self.storage.ledger_append(&wal::line(&LedgerLine::Submitted {
+            job: id,
+            tenant: tenant.to_string(),
+            nonce,
+            spec: spec_token.to_string(),
+        })?)?;
         let total = spec.config.total_cells() as u64;
         state.by_nonce.insert(key, id);
         state.jobs.insert(
@@ -498,7 +496,7 @@ impl Scheduler {
             tq.failures = 0;
         }
         self.storage
-            .ledger_append(&LedgerLine::Done { job: id, outcome: terminal.wire().to_string() }.line()?)?;
+            .ledger_append(&wal::line(&LedgerLine::Done { job: id, outcome: terminal.wire().to_string() })?)?;
         self.idle.notify_all();
         Ok(())
     }

@@ -61,11 +61,6 @@ impl MemStorage {
         self.lock().journals.get(&job).cloned().unwrap_or_default()
     }
 
-    /// The current ledger text (for assertions).
-    pub fn ledger_text(&self) -> String {
-        self.lock().ledger.clone()
-    }
-
     /// Chop bytes off the *end* of a job journal, simulating a crash
     /// that tore the final write.
     pub fn tear_journal(&self, job: u64, drop_bytes: usize) {

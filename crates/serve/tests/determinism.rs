@@ -8,7 +8,8 @@
 use netrepro_core::cache::CellMemo;
 use netrepro_core::harness::{parse_journal, MemoryJournal, Sweep, SweepConfig};
 use netrepro_rps::{JobState, RejectReason};
-use netrepro_serve::ledger::{parse_ledger, LedgerHeader, LedgerLine};
+use netrepro_core::wal;
+use netrepro_serve::ledger::{parse_ledger, LedgerHeader, LedgerLine, LEDGER_VERSION};
 use netrepro_serve::sched::{Admission, RuntimeFactory, SchedConfig, Scheduler};
 use netrepro_serve::spec::JobSpec;
 use netrepro_serve::storage::{FileStorage, JobStorage, MemStorage};
@@ -296,16 +297,15 @@ proptest! {
         // holds an arbitrary prefix of its final bytes, and the crash
         // tore a third, never-acked admission off the ledger tail.
         let storage = MemStorage::new();
-        let mut ledger = LedgerHeader::line().expect("header");
+        let mut ledger = wal::line(&LedgerHeader { version: LEDGER_VERSION }).expect("header");
         for (i, &(tenant, nonce, spec)) in jobs.iter().enumerate() {
             ledger.push_str(
-                &LedgerLine::Submitted {
+                &wal::line(&LedgerLine::Submitted {
                     job: i as u64 + 1,
                     tenant: tenant.to_string(),
                     nonce,
                     spec: spec.to_string(),
-                }
-                .line()
+                })
                 .expect("line"),
             );
         }
@@ -376,9 +376,9 @@ fn ledger_torn_inside_a_utf8_character_recovers() {
     let replay = parse_ledger(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert!(!replay.dropped_partial);
     assert!(
-        matches!(&replay.lines[..], [LedgerLine::Submitted { job, tenant, .. }] if *job == id && tenant == "café"),
+        matches!(&replay.records[..], [LedgerLine::Submitted { job, tenant, .. }] if *job == id && tenant == "café"),
         "{:?}",
-        replay.lines
+        replay.records
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
