@@ -1047,7 +1047,19 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
         /// Cells in the lease's shard journal when its child was spawned.
         journaled: usize,
     }
-    let mut slots: Vec<Slot> = Vec::new();
+    /// Every lease's slot. Dropping it kills and reaps each child still
+    /// running, so no error exit below leaves a `sweep-shard` process
+    /// appending to a journal that an immediate `--resume` would read.
+    struct Slots(Vec<Slot>);
+    impl Drop for Slots {
+        fn drop(&mut self) {
+            for mut child in self.0.iter_mut().filter_map(|s| s.child.take()) {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
+    }
+    let mut slots = Slots(Vec::new());
     for lease in to_run {
         ledger.append(&wal::line(&CoordLine::Lease { lease }).map_err(ArgError)?).map_err(ArgError)?;
         let sp = shard_file(&dir, lease.seq);
@@ -1055,13 +1067,13 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
             .args(child_args(a, config, workers, lease, 0, &sp))
             .spawn()
             .map_err(|e| ArgError(format!("spawn shard {}: {e}", lease.seq)))?;
-        slots.push(Slot { lease, child: Some(child), generation: 0, restarts: 0, journaled: 0 });
+        slots.0.push(Slot { lease, child: Some(child), generation: 0, restarts: 0, journaled: 0 });
     }
 
     let mut exhausted = 0usize;
-    while slots.iter().any(|s| s.child.is_some()) {
+    while slots.0.iter().any(|s| s.child.is_some()) {
         std::thread::sleep(std::time::Duration::from_millis(10));
-        for slot in &mut slots {
+        for slot in &mut slots.0 {
             let Some(child) = slot.child.as_mut() else { continue };
             let status = match child.try_wait() {
                 Ok(None) => continue,

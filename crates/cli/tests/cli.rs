@@ -655,6 +655,57 @@ fn sweep_sharded_resume_reports_a_damaged_shard_journal_and_touches_nothing() {
     assert_eq!(snapshot(), before, "the ledger and every journal must be left as they were");
 }
 
+/// Pids of live `sweep-shard` processes whose argv mentions `needle`.
+#[cfg(target_os = "linux")]
+fn shard_children(needle: &str) -> Vec<u32> {
+    std::fs::read_dir("/proc")
+        .expect("procfs")
+        .filter_map(|e| {
+            let pid: u32 = e.ok()?.file_name().to_str()?.parse().ok()?;
+            let argv = std::fs::read(format!("/proc/{pid}/cmdline")).ok()?;
+            let argv = String::from_utf8_lossy(&argv);
+            (argv.contains("sweep-shard") && argv.contains(needle)).then_some(pid)
+        })
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sweep_coordinator_error_exit_leaves_no_shard_child_running() {
+    // A resume that plans two fresh leases (seq 2 and 3) for the cells
+    // of a deleted shard journal. Lease 2's journal path is a directory:
+    // its child exits at once, harvesting it fails, and the coordinator
+    // exits 2 while lease 3's throttled child is still mid-run. The
+    // coordinator must kill and reap that child before it returns.
+    let matrix: &[&str] =
+        &["--systems", "rps", "--styles", "text", "--seeds", "4", "--profiles", "none"];
+    let j = scratch("orphans.jsonl");
+    let (_, stderr, ok) =
+        run(&[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--journal", &j]].concat());
+    assert!(ok, "sharded sweep runs: {stderr}");
+    let dir = format!("{j}.shards");
+    std::fs::remove_file(format!("{dir}/shard-1.jsonl")).unwrap();
+    std::fs::create_dir(format!("{dir}/shard-2.jsonl")).unwrap();
+    let resume: &[&str] = &["--workers", "1", "--shards", "2", "--throttle-ms", "4000"];
+    // stderr goes to a file, not a pipe: an orphan would hold a pipe
+    // open and make the wait outlast it.
+    let log = scratch("orphans.stderr");
+    let status = Command::new(env!("CARGO_BIN_EXE_netrepro"))
+        .args([&["sweep"], matrix, resume, &["--resume", &j]].concat())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::fs::File::create(&log).unwrap())
+        .status()
+        .expect("binary runs");
+    let left = shard_children(&dir);
+    let (code, stderr) = (status.code(), std::fs::read_to_string(&log).unwrap());
+    for pid in &left {
+        let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+    }
+    assert_eq!(code, Some(2), "an unreadable shard journal must stop the run: {stderr}");
+    assert!(stderr.contains("shard-2.jsonl"), "the error must name the shard file: {stderr}");
+    assert!(left.is_empty(), "shard children outlived the coordinator: {left:?}");
+}
+
 #[test]
 fn sweep_sharded_resume_rejects_changed_shard_count() {
     let matrix: &[&str] =

@@ -233,6 +233,34 @@ mod tests {
     }
 
     #[test]
+    fn partitions_that_cut_classes_match_the_per_destination_fixpoint() {
+        // k=8: classes of four hosts (one edge block each). Three
+        // partitions of 128 destinations end mid-class, and a sampled
+        // query list leaves classes with one, some or all of their
+        // hosts; every verdict must still equal the fixpoint's.
+        for queries in [None, Some(40)] {
+            let spec = DpvScaleSpec {
+                link_down: 6,
+                queries,
+                partitions: 3,
+                workers: 2,
+                ..DpvScaleSpec::new(8, 2023)
+            };
+            let report = run_spec(&spec).expect("run");
+            let fabric = build(&FabricSpec { k: 8, seed: 2023, link_down: 6, with_hosts: true });
+            let dests = spec_dests(&fabric, &spec);
+            let want = netrepro_dpv::scale::verify_per_destination(
+                &fabric.network,
+                &dests,
+                &ScaleOpts::default(),
+            )
+            .expect("reference");
+            assert_eq!(report.verdicts, want, "queries={queries:?}");
+            assert_eq!(report.rendered, serial_reference(&spec).rendered);
+        }
+    }
+
+    #[test]
     fn ten_thousand_device_fabric_is_partition_invariant() {
         // k=16 with hosts: 320 switches + 1024 hosts per the Al-Fares
         // arithmetic... not ≥10k; k=32 gives 1280 + 8192 = 9472; the

@@ -18,6 +18,20 @@
 //! * `p ∖ D(v) ∖ B(v)` — headers that never terminate: a forwarding
 //!   loop, exact because LPM forwarding is deterministic per header.
 //!
+//! Most destinations never need that fixpoint. Their *class prefix* `q`
+//! is the longest rule prefix strictly covering `p` (a fat tree's edge
+//! block). A device whose first rule overlapping `q` covers it, or
+//! that has no rule overlapping `q`, does one thing to every header of
+//! every `p ⊆ q`; the others *split* the class (on a fat tree, the
+//! block's edge switch and hosts). One pass per run of destinations
+//! sharing `q` resolves every uniform device's fate — delivered,
+//! dropped, loops, or reaches splitting device `s` first — by path
+//! walks over that functional graph. Each destination then scans only
+//! the splitting devices: when each of them treats `p` uniformly too,
+//! every device delivers, drops or loops all of `p`, and the verdict
+//! is a count. Otherwise (a rule inside `p`) it falls back to the
+//! fixpoint.
+//!
 //! Destinations are independent, so any partition of the destination
 //! list into chunks — each verified by a private manager — yields the
 //! *same* verdicts as one serial manager: a [`DestVerdict`] contains
@@ -27,10 +41,10 @@
 //! rest on; [`render`] fixes the byte encoding.
 
 use crate::header::Prefix;
-use crate::network::{Action, Network};
+use crate::network::{Action, Device, Network};
 use netrepro_bdd::{BddError, BddManager, EngineProfile, Ref, FALSE};
 use netrepro_graph::NodeId;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 
 /// Errors surfaced by the partitioned verifier.
@@ -117,41 +131,318 @@ pub fn partition_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// Verify a slice of destinations with one private manager. This is
-/// both the chunk worker (callers partition `dests` and call this per
-/// chunk) and, over the full list, the serial reference verifier.
+/// the chunk worker: callers partition `dests` and call this per chunk.
 ///
-/// The manager is garbage-collected between destinations whenever the
-/// table outgrows a threshold, so memory stays bounded by the largest
-/// single destination, not the chunk length. GC timing never affects
-/// verdicts — they are extracted as plain counts before the next
-/// destination begins.
+/// Consecutive destinations with the same class prefix (see
+/// [`ClassIndex`]) are verified by one class pass plus a few splitting
+/// devices each; everything else, and any destination a splitting
+/// device treats unevenly, goes through the per-destination BDD
+/// fixpoint of [`verify_per_destination`]. Both give the same verdict.
 pub fn verify_destinations(
     net: &Network,
     dests: &[(NodeId, Prefix)],
     opts: &ScaleOpts,
 ) -> Result<Vec<DestVerdict>, ScaleError> {
-    let mut mgr = match opts.node_cap {
-        Some(cap) => BddManager::with_node_cap(net.layout.total_bits(), opts.profile, cap),
-        None => net.layout.manager(opts.profile),
-    };
-    // GC once the table holds more garbage than half the budget (or a
-    // fixed high-water mark when unbounded).
-    let gc_mark = opts.node_cap.map_or(1 << 16, |c| (c / 2).max(1));
-    let mut work = Work::new(net.graph.num_nodes());
-    let mut out = Vec::with_capacity(dests.len());
-    for &(owner, prefix) in dests {
-        out.push(verify_one(net, &mut mgr, &mut work, owner, prefix)?);
-        if mgr.node_count() > gc_mark {
-            // Nothing is protected between destinations: a full sweep.
-            mgr.gc();
+    Chunk::new(net, opts).verify(dests)
+}
+
+/// Verify every destination with its own backward BDD fixpoint: the
+/// fallback of [`verify_destinations`] and its reference.
+pub fn verify_per_destination(
+    net: &Network,
+    dests: &[(NodeId, Prefix)],
+    opts: &ScaleOpts,
+) -> Result<Vec<DestVerdict>, ScaleError> {
+    let mut chunk = Chunk::new(net, opts);
+    dests.iter().map(|&(owner, prefix)| chunk.one(owner, prefix)).collect()
+}
+
+/// One chunk's verifier: the network, a BDD manager made on first use
+/// (class-verified chunks never need one), and the reused scratch.
+struct Chunk<'n> {
+    net: &'n Network,
+    opts: ScaleOpts,
+    mgr: Option<BddManager>,
+    work: Work,
+    /// Destinations verified by the per-destination fixpoint.
+    fixpoints: usize,
+}
+
+impl<'n> Chunk<'n> {
+    fn new(net: &'n Network, opts: &ScaleOpts) -> Self {
+        Chunk { net, opts: *opts, mgr: None, work: Work::new(net.graph.num_nodes()), fixpoints: 0 }
+    }
+
+    fn verify(&mut self, dests: &[(NodeId, Prefix)]) -> Result<Vec<DestVerdict>, ScaleError> {
+        if dests.len() < 2 {
+            // No class index for one destination: it costs one fixpoint.
+            return dests.iter().map(|&(owner, prefix)| self.one(owner, prefix)).collect();
+        }
+        let mut out = Vec::with_capacity(dests.len());
+        let classes = ClassIndex::new(self.net);
+        let mut start = 0;
+        while start < dests.len() {
+            let q = classes.of(dests[start].1);
+            let same = dests[start + 1..]
+                .iter()
+                .take_while(|d| q.is_some() && classes.of(d.1) == q)
+                .count();
+            let run = &dests[start..start + 1 + same];
+            start += run.len();
+            let by_class = match q {
+                Some(q) if run.len() > 1 => class_pass(self.net, &mut self.work, q),
+                _ => false,
+            };
+            for &(owner, prefix) in run {
+                let verdict = by_class.then(|| assemble(self.net, &mut self.work, owner, prefix));
+                out.push(match verdict.flatten() {
+                    Some(v) => v,
+                    None => self.one(owner, prefix)?,
+                });
+            }
+        }
+        Ok(out)
+    }
+
+    /// One destination by its BDD fixpoint. The manager is
+    /// garbage-collected whenever its table outgrows a threshold, so
+    /// memory stays bounded by the largest single destination, not the
+    /// chunk length. GC timing never affects verdicts: they are
+    /// extracted as plain counts before the next destination begins.
+    fn one(&mut self, owner: NodeId, prefix: Prefix) -> Result<DestVerdict, ScaleError> {
+        let (net, opts) = (self.net, self.opts);
+        let m = self.mgr.get_or_insert_with(|| match opts.node_cap {
+            Some(cap) => BddManager::with_node_cap(net.layout.total_bits(), opts.profile, cap),
+            None => net.layout.manager(opts.profile),
+        });
+        let verdict = verify_one(net, m, &mut self.work, owner, prefix)?;
+        // GC once the table holds more garbage than half the budget (or
+        // a fixed high-water mark when unbounded). Nothing is protected
+        // between destinations: a full sweep.
+        if m.node_count() > opts.node_cap.map_or(1 << 16, |c| (c / 2).max(1)) {
+            m.gc();
+        }
+        self.fixpoints += 1;
+        Ok(verdict)
+    }
+}
+
+/// The set of rule prefixes in a network, for finding each
+/// destination's *class prefix*: the longest rule prefix that strictly
+/// covers it. On a fat tree that is the destination's edge block.
+struct ClassIndex {
+    width: u32,
+    /// Every rule prefix, canonical (bits past the length cleared).
+    rule_set: HashSet<Prefix>,
+    /// Bit `l` is set when some rule prefix has length `l`.
+    lens: u64,
+}
+
+impl ClassIndex {
+    fn new(net: &Network) -> Self {
+        let width = net.layout.width;
+        let mut rule_set = HashSet::new();
+        let mut lens = 0u64;
+        for rule in net.devices.iter().flat_map(|d| &d.rules) {
+            rule_set.insert(truncate(rule.prefix, rule.prefix.len, width));
+            lens |= 1 << rule.prefix.len;
+        }
+        ClassIndex { width, rule_set, lens }
+    }
+
+    /// The class prefix of `p`, if any rule prefix strictly covers it.
+    fn of(&self, p: Prefix) -> Option<Prefix> {
+        (0..p.len)
+            .rev()
+            .filter(|&len| self.lens & (1 << len) != 0)
+            .map(|len| truncate(p, len, self.width))
+            .find(|q| self.rule_set.contains(q))
+    }
+}
+
+/// The first `len` bits of `x`, as a canonical prefix.
+fn truncate(x: Prefix, len: u8, width: u32) -> Prefix {
+    let mask = if len == 0 { 0 } else { !0u32 << (width - u32::from(len)) };
+    Prefix { addr: x.addr & mask, len }
+}
+
+// Next-hop and fate codes of the class pass. Device ids stay below all
+// of them.
+/// Deliver here (next hop), or eventually delivered (fate).
+const DELIVER: u32 = u32::MAX;
+/// Drop here (next hop), or eventually dropped (fate).
+const DROP: u32 = u32::MAX - 1;
+/// Fate: forwarded forever.
+const LOOPS: u32 = u32::MAX - 2;
+/// Fate: not resolved yet.
+const UNSEEN: u32 = u32::MAX - 3;
+/// Fate: on the path being resolved.
+const ON_PATH: u32 = u32::MAX - 4;
+/// Next hop: a splitting device, whose hop depends on the destination.
+const SPLIT: u32 = u32::MAX - 5;
+
+/// The next hop `dev` gives every header of `x`, or `None` when the
+/// first rule overlapping `x` covers only part of it. With no
+/// overlapping rule, `x` falls into the residue drop.
+fn uniform_hop(net: &Network, dev: &Device, x: Prefix) -> Option<u32> {
+    let width = net.layout.width;
+    for rule in &dev.rules {
+        if rule.prefix.covers(&x, width) {
+            return Some(match rule.action {
+                Action::Forward(e) => net.graph.endpoints(e).1 .0,
+                Action::Deliver => DELIVER,
+                Action::Drop => DROP,
+            });
+        }
+        if x.covers(&rule.prefix, width) {
+            return None;
         }
     }
-    Ok(out)
+    Some(DROP)
+}
+
+/// The class pass for class prefix `q`: give every `q`-uniform device
+/// its one next hop, collect the splitting devices, and resolve each
+/// uniform device's fate by a path walk. Returns `false`, having done
+/// no walk, when more than half the devices split the class: the
+/// per-destination fixpoint is then the cheaper way.
+fn class_pass(net: &Network, w: &mut Work, q: Prefix) -> bool {
+    w.split.clear();
+    for (v, dev) in net.devices.iter().enumerate() {
+        w.next[v] = uniform_hop(net, dev, q).unwrap_or_else(|| {
+            w.split.push(v as u32);
+            SPLIT
+        });
+    }
+    let n = w.next.len();
+    if w.split.len() * 2 > n {
+        return false;
+    }
+    w.fate.fill(UNSEEN);
+    for v in 0..n {
+        if w.next[v] != SPLIT {
+            // A walk ends at a deliver or drop, or on reaching a
+            // splitting device, which becomes the fate.
+            walk(w, v as u32, |w, c| match w.next[c] {
+                hop @ (DELIVER | DROP) => Err(hop),
+                hop if w.next[hop as usize] == SPLIT => Err(hop),
+                hop => Ok(hop),
+            });
+        }
+    }
+    // Per-fate device counts; `loops` comes out ascending.
+    w.reach.fill(0);
+    w.loops.clear();
+    (w.delivered_n, w.dropped_n, w.local_drop_n) = (0, 0, 0);
+    for v in 0..n {
+        if w.next[v] == SPLIT {
+            continue;
+        }
+        match w.fate[v] {
+            DELIVER => w.delivered_n += 1,
+            DROP => w.dropped_n += 1,
+            LOOPS => w.loops.push(v as u32),
+            s => w.reach[s as usize] += 1,
+        }
+        w.local_drop_n += u32::from(w.next[v] == DROP);
+    }
+    true
+}
+
+/// Resolve the fate of `start` and of every device on its way. From
+/// each unresolved device `c`, `step(w, c)` gives `Ok(next device)` or
+/// `Err(fate)`. A resolved device ends the walk with its fate, and a
+/// device already on this walk's path with `LOOPS`; every device on the
+/// path gets the walk's fate.
+fn walk(w: &mut Work, start: u32, step: impl Fn(&Work, usize) -> Result<u32, u32>) {
+    w.path.clear();
+    let mut cur = start;
+    let fate = loop {
+        let c = cur as usize;
+        match w.fate[c] {
+            UNSEEN => {}
+            ON_PATH => break LOOPS,
+            fate => break fate,
+        }
+        w.fate[c] = ON_PATH;
+        w.path.push(cur);
+        match step(w, c) {
+            Ok(next) => cur = next,
+            Err(fate) => break fate,
+        }
+    };
+    for &x in &w.path {
+        w.fate[x as usize] = fate;
+    }
+}
+
+/// Destination `p`'s verdict from the current class pass: scan only the
+/// splitting devices, resolve their fates among themselves, and count.
+/// `None` when a splitting device treats the headers of `p` unevenly
+/// (a rule inside `p`, i.e. partial delivery): the caller then runs the
+/// fixpoint.
+fn assemble(net: &Network, w: &mut Work, owner: NodeId, prefix: Prefix) -> Option<DestVerdict> {
+    for &s in &w.split {
+        w.hop[s as usize] = uniform_hop(net, &net.devices[s as usize], prefix)?;
+        w.fate[s as usize] = UNSEEN;
+    }
+    for i in 0..w.split.len() {
+        // From a splitting device, go to the next splitting device:
+        // directly, or through a uniform device whose class fate it is.
+        walk(w, w.split[i], |w, c| match w.hop[c] {
+            hop @ (DELIVER | DROP) => Err(hop),
+            hop if w.next[hop as usize] == SPLIT => Ok(hop),
+            hop => match w.fate[hop as usize] {
+                fate @ (DELIVER | DROP | LOOPS) => Err(fate),
+                s => Ok(s),
+            },
+        });
+    }
+    let (mut full, mut bh_devices, mut bh_local) = (w.delivered_n, w.dropped_n, w.local_drop_n);
+    let mut split_loops = false;
+    for &s in &w.split {
+        let s = s as usize;
+        let reached = 1 + w.reach[s];
+        match w.fate[s] {
+            DELIVER => full += reached,
+            DROP => bh_devices += reached,
+            _ => split_loops = true,
+        }
+        bh_local += u32::from(w.hop[s] == DROP);
+    }
+    let loop_devices = if split_loops {
+        (0..w.next.len() as u32)
+            .filter(|&v| {
+                // A uniform device loops when its class fate does, or
+                // when the splitting device it reaches loops on `p`.
+                let f = w.fate[v as usize];
+                f == LOOPS || (w.next[v as usize] != SPLIT && f < LOOPS && w.fate[f as usize] == LOOPS)
+            })
+            .collect()
+    } else {
+        w.loops.clone()
+    };
+    // `|p|` as the fixpoint's model count gives it: every header field
+    // past the destination prefix is free.
+    let p_count = 2f64.powi((net.layout.total_bits() - u32::from(prefix.len)) as i32) as u64;
+    let n = w.next.len() as u32;
+    Some(DestVerdict {
+        dest: owner.0,
+        prefix,
+        full,
+        partial: 0,
+        none: n - full,
+        delivered_headers: u64::from(full) * p_count,
+        bh_local,
+        bh_devices,
+        bh_headers: u64::from(bh_devices) * p_count,
+        loop_devices,
+    })
 }
 
 /// One chunk's scratch buffers, sized to the network and reused by
-/// every destination the chunk verifies, so the per-destination loop
-/// allocates nothing once the first destination has grown them.
+/// every class and destination the chunk verifies, so neither loop
+/// allocates once the first destination has grown them.
 struct Work {
     /// Forwarding edges `(from, to, hit)` restricted to the current
     /// destination, in device and then rule order.
@@ -167,6 +458,28 @@ struct Work {
     blackholed: Vec<Ref>,
     queued: Vec<bool>,
     queue: VecDeque<u32>,
+    /// Class pass: each device's next hop for the class prefix
+    /// (a device, `DELIVER`, `DROP` or `SPLIT`).
+    next: Vec<u32>,
+    /// Class fate of each uniform device (`DELIVER`, `DROP`, `LOOPS` or
+    /// the splitting device it reaches first); a splitting device's
+    /// entry holds its fate for the current destination.
+    fate: Vec<u32>,
+    /// A splitting device's next hop for the current destination.
+    hop: Vec<u32>,
+    /// Per splitting device: the uniform devices that reach it first.
+    reach: Vec<u32>,
+    /// The splitting devices of the current class, ascending.
+    split: Vec<u32>,
+    /// Uniform devices whose class fate is `LOOPS`, ascending.
+    loops: Vec<u32>,
+    /// The path of the current fate walk.
+    path: Vec<u32>,
+    /// Uniform devices whose class fate is delivered or dropped, and
+    /// those whose one next hop is a drop.
+    delivered_n: u32,
+    dropped_n: u32,
+    local_drop_n: u32,
 }
 
 impl Work {
@@ -181,6 +494,16 @@ impl Work {
             blackholed: vec![FALSE; n],
             queued: vec![false; n],
             queue: VecDeque::with_capacity(n),
+            next: vec![0; n],
+            fate: vec![UNSEEN; n],
+            hop: vec![0; n],
+            reach: vec![0; n],
+            split: Vec::new(),
+            loops: Vec::new(),
+            path: Vec::new(),
+            delivered_n: 0,
+            dropped_n: 0,
+            local_drop_n: 0,
         }
     }
 
@@ -436,6 +759,7 @@ mod tests {
     use crate::fabric::{build, FabricSpec};
     use crate::network::Rule;
     use crate::sim::{simulate, Packet, Verdict};
+    use proptest::prelude::*;
 
     fn fabric_dests(f: &crate::fabric::Fabric) -> Vec<(NodeId, Prefix)> {
         (0..f.num_dests()).map(|i| f.dest(i)).collect()
@@ -557,6 +881,134 @@ mod tests {
         // The simulator agrees the loop exists.
         let sim = simulate(&f.network, e00, Packet { dst: pfx.addr, src: 0, dport: 0 }, 512);
         assert!(matches!(sim, Verdict::Looping(_)), "sim says {sim:?}");
+    }
+
+    /// Verify `dests` by class and by the per-destination fixpoint;
+    /// return the class verdicts (equal to the reference) and how many
+    /// destinations the class verifier sent to the fixpoint.
+    fn class_vs_reference(net: &Network, dests: &[(NodeId, Prefix)]) -> (Vec<DestVerdict>, usize) {
+        let mut chunk = Chunk::new(net, &ScaleOpts::default());
+        let got = chunk.verify(dests).expect("class");
+        let want = verify_per_destination(net, dests, &ScaleOpts::default()).expect("reference");
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "dest {} prefix {:?}", w.dest, w.prefix);
+        }
+        (got, chunk.fixpoints)
+    }
+
+    #[test]
+    fn class_prefix_is_the_edge_block_and_its_edge_and_hosts_split_it() {
+        let f = build(&FabricSpec { k: 8, seed: 4, link_down: 0, with_hosts: true });
+        let classes = ClassIndex::new(&f.network);
+        let width = f.network.layout.width;
+        let eb_len = f.host_bits as u8 - 2; // log2(k/2) = 2 bits of host index
+        let mut w = Work::new(f.num_devices());
+        for idx in [0usize, 5, 77, 127] {
+            let q = classes.of(f.host_prefix(idx)).expect("a class");
+            assert_eq!(q, truncate(f.host_prefix(idx), eb_len, width), "host {idx}");
+            assert!(class_pass(&f.network, &mut w, q));
+            let (p, e, _) = f.tree.host_coords(idx);
+            let mut want: Vec<u32> = (0..4).map(|h| f.tree.host(p, e, h).0).collect();
+            want.push(f.tree.edge(p, e).0);
+            want.sort_unstable();
+            assert_eq!(w.split, want, "host {idx}");
+        }
+        // Nothing strictly covers the all-matching prefix.
+        assert_eq!(classes.of(Prefix::ANY), None);
+    }
+
+    #[test]
+    fn churned_k8_fabrics_take_the_class_path_for_every_destination() {
+        for with_hosts in [true, false] {
+            let f = build(&FabricSpec { k: 8, seed: 2023, link_down: 6, with_hosts });
+            let (got, fixpoints) = class_vs_reference(&f.network, &fabric_dests(&f));
+            assert_eq!(fixpoints, 0, "with_hosts={with_hosts}: no destination may fall back");
+            assert!(got.iter().any(|v| v.bh_devices > 0), "churn must blackhole something");
+        }
+    }
+
+    #[test]
+    fn a_rule_inside_one_destination_sends_only_it_to_the_fixpoint() {
+        let mut f = build(&FabricSpec { k: 4, seed: 8, link_down: 0, with_hosts: true });
+        // Half of host 5's block dropped at an aggregation switch of
+        // another pod: that switch now splits host 5's class, and treats
+        // host 5's headers unevenly.
+        let (_, pfx) = f.dest(5);
+        let half = Prefix { addr: pfx.addr | 1, len: pfx.len + 1 };
+        let agg = f.tree.agg(2, 1);
+        f.network.device_mut(agg).insert(Rule { prefix: half, priority: 5, action: Action::Drop });
+        let (got, fixpoints) = class_vs_reference(&f.network, &fabric_dests(&f));
+        assert_eq!(fixpoints, 1);
+        assert!(got[5].partial > 0, "{:?}", got[5]);
+    }
+
+    #[test]
+    fn a_loop_between_splitting_devices_is_witnessed_by_class() {
+        // The ping-pong of the test below, verified with every other
+        // destination: both cycle members split the class, stay uniform
+        // on the destination, and loop among themselves.
+        let mut f = build(&FabricSpec { k: 4, seed: 5, link_down: 0, with_hosts: true });
+        let dest_idx = f.num_dests() - 1;
+        let (_, pfx) = f.dest(dest_idx);
+        let e00 = f.tree.edge(0, 0);
+        let a01 = f.tree.agg(0, 1);
+        let up = f.network.graph.find_edge(e00, a01).expect("edge↔agg");
+        let down = f.network.graph.find_edge(a01, e00).expect("agg↔edge");
+        let prio = u32::from(pfx.len);
+        for (dev, port) in [(e00, up), (a01, down)] {
+            let rule = Rule { prefix: pfx, priority: prio, action: Action::Forward(port) };
+            f.network.device_mut(dev).insert(rule);
+        }
+        let (got, fixpoints) = class_vs_reference(&f.network, &fabric_dests(&f));
+        assert_eq!(fixpoints, 0);
+        let loops = &got[dest_idx].loop_devices;
+        assert!(loops.contains(&e00.0) && loops.contains(&a01.0), "{loops:?}");
+        // Pod-0 hosts reach the cycle through e00: uniform devices whose
+        // class fate is a splitting device.
+        assert!(loops.contains(&f.tree.host(0, 0, 0).0), "{loops:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Class verification equals the per-destination fixpoint on
+        /// churned fabrics, with and without hosts, from any starting
+        /// destination (so chunk boundaries cut classes), and with
+        /// injected rules down to single addresses, which make splitting
+        /// devices non-uniform and send destinations to the fixpoint.
+        #[test]
+        fn class_verdicts_equal_the_per_destination_fixpoint(
+            seed in 0u64..1_000,
+            k in prop_oneof![Just(4usize), Just(8)],
+            link_down in 0usize..25,
+            with_hosts in any::<bool>(),
+            injected in prop::collection::vec((any::<u32>(), any::<u32>(), 0u32..8, 0u32..4), 0..6),
+            start in any::<u32>(),
+        ) {
+            let mut f = build(&FabricSpec { k, seed, link_down, with_hosts });
+            let width = f.network.layout.width;
+            for &(dev, addr, len_pick, action_pick) in &injected {
+                // Mostly single addresses and host halves, sometimes any
+                // length: new lengths make new classes too.
+                let len = if len_pick < 3 { width - len_pick } else { addr % (width + 1) } as u8;
+                let prefix = truncate(Prefix { addr: addr >> (32 - width), len }, len, width);
+                let node = NodeId(dev % f.num_devices() as u32);
+                let outs = f.network.graph.out_edges(node);
+                let action = match action_pick {
+                    0 => Action::Drop,
+                    1 => Action::Deliver,
+                    _ => Action::Forward(outs[addr as usize % outs.len()]),
+                };
+                f.network.device_mut(node).insert(Rule { prefix, priority: u32::from(len), action });
+            }
+            let dests = fabric_dests(&f);
+            let from = start as usize % dests.len();
+            let (_, fixpoints) = class_vs_reference(&f.network, &dests[from..]);
+            if injected.is_empty() {
+                prop_assert_eq!(fixpoints, usize::from(dests.len() - from == 1));
+            }
+        }
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! loop). The walks are tallied back into a [`DestVerdict`], which must
 //! equal the symbolic verifier's field for field.
 //!
-//! Fat-trees exercise the verifier's common case (every device delivers
-//! all of `p` or none of it). The seeded Waxman datasets inject
+//! Fat-trees, with hosts and switch-only, exercise the verifier's
+//! common case (every device delivers all of `p` or none of it), which
+//! it verifies by forwarding class. The seeded Waxman datasets inject
 //! more-specific faulty rules, which produce the partial-delivery and
-//! loop verdicts fabrics never reach.
+//! loop verdicts fabrics never reach. A layout with ACL fields pins the
+//! header counts when the header is wider than the destination field:
+//! forwarding ignores the extra fields, so each walked destination
+//! address stands for `2^(total_bits - width)` headers.
 
 use netrepro_dpv::dataset::{generate, DatasetOpts};
 use netrepro_dpv::fabric::{build, FabricSpec};
 use netrepro_dpv::header::HeaderLayout;
-use netrepro_dpv::scale::{verify_destinations, DestVerdict, ScaleOpts};
+use netrepro_dpv::scale::{verify_destinations, verify_per_destination, DestVerdict, ScaleOpts};
 use netrepro_dpv::sim::{simulate, Packet, Verdict};
 use netrepro_dpv::{Action, Network, Prefix};
 use netrepro_graph::gen::{waxman, TopologySpec};
@@ -35,6 +39,7 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
     let n = net.graph.num_nodes();
     let width = net.layout.width;
     let span = 1u64 << (width - u32::from(prefix.len));
+    let free = 1u64 << (net.layout.total_bits() - width);
     let base = prefix.addr & !((span - 1) as u32);
     let mut v = DestVerdict {
         dest: owner.0,
@@ -65,10 +70,10 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
             d if d == span => v.full += 1,
             _ => v.partial += 1,
         }
-        v.delivered_headers += delivered;
+        v.delivered_headers += delivered * free;
         v.bh_local += u32::from(drops_locally);
         v.bh_devices += u32::from(dropped > 0);
-        v.bh_headers += dropped;
+        v.bh_headers += dropped * free;
         if looped {
             v.loop_devices.push(dev as u32);
         }
@@ -76,16 +81,18 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
     v
 }
 
-/// Verify `dests` symbolically and check every verdict against the
-/// simulator.
+/// Verify `dests` symbolically, by class and by the per-destination
+/// fixpoint, and check every verdict of both against the simulator.
 fn check(net: &Network, dests: &[(NodeId, Prefix)], what: &str) -> Coverage {
     assert!(net.egress_acls.is_empty(), "the scale verifier models FIBs only");
     let verdicts = verify_destinations(net, dests, &ScaleOpts::default()).expect("verify");
+    let fixpoints = verify_per_destination(net, dests, &ScaleOpts::default()).expect("verify");
     assert_eq!(verdicts.len(), dests.len());
     let mut cov = Coverage::default();
-    for (&(owner, prefix), got) in dests.iter().zip(&verdicts) {
+    for ((&(owner, prefix), got), fixpoint) in dests.iter().zip(&verdicts).zip(&fixpoints) {
         let want = simulate_verdict(net, owner, prefix);
         assert_eq!(got, &want, "{what}: dest {} prefix {prefix:?}", owner.0);
+        assert_eq!(fixpoint, &want, "{what}: dest {} prefix {prefix:?} (fixpoint)", owner.0);
         cov.dests += 1;
         cov.partial += usize::from(want.partial > 0);
         cov.looping += usize::from(!want.loop_devices.is_empty());
@@ -96,17 +103,41 @@ fn check(net: &Network, dests: &[(NodeId, Prefix)], what: &str) -> Coverage {
 #[test]
 fn fabric_verdicts_match_packet_simulation() {
     let mut dests = 0;
-    for (k, link_downs) in [(4usize, [0usize, 10]), (8, [6, 40])] {
-        for link_down in link_downs {
-            for seed in 0..3u64 {
-                let f = build(&FabricSpec { k, seed, link_down, with_hosts: true });
-                let all: Vec<_> = (0..f.num_dests()).map(|i| f.dest(i)).collect();
-                let what = format!("k={k} link_down={link_down} seed={seed}");
-                dests += check(&f.network, &all, &what).dests;
+    for with_hosts in [true, false] {
+        for (k, link_downs) in [(4usize, [0usize, 10]), (8, [6, 40])] {
+            for link_down in link_downs {
+                for seed in 0..3u64 {
+                    let f = build(&FabricSpec { k, seed, link_down, with_hosts });
+                    let all: Vec<_> = (0..f.num_dests()).map(|i| f.dest(i)).collect();
+                    let what = format!("k={k} link_down={link_down} seed={seed} hosts={with_hosts}");
+                    dests += check(&f.network, &all, &what).dests;
+                }
             }
         }
     }
-    assert_eq!(dests, 6 * 16 + 6 * 128);
+    assert_eq!(dests, 2 * (6 * 16 + 6 * 128));
+}
+
+#[test]
+fn header_counts_cover_the_fields_forwarding_ignores() {
+    for (k, link_down, with_hosts) in [(4usize, 10usize, true), (8, 6, true), (8, 40, false)] {
+        let mut f = build(&FabricSpec { k, seed: 1, link_down, with_hosts });
+        let width = f.network.layout.width;
+        f.network.layout = HeaderLayout::with_acl_fields(width, 3, 2);
+        let all: Vec<_> = (0..f.num_dests()).map(|i| f.dest(i)).collect();
+        check(&f.network, &all, &format!("k={k} link_down={link_down} hosts={with_hosts} acl"));
+    }
+    let graph = waxman(&TopologySpec::new("scale-oracle-acl", 8, 3));
+    let opts = DatasetOpts { prefixes_per_device: 2, fault_rate: 0.5, seed: 3 };
+    let mut ds = generate(graph, HeaderLayout::new(10), &opts);
+    ds.network.layout = HeaderLayout::with_acl_fields(10, 3, 2);
+    let dests: Vec<_> = ds
+        .owned
+        .iter()
+        .enumerate()
+        .flat_map(|(d, ps)| ps.iter().map(move |&p| (NodeId(d as u32), p)))
+        .collect();
+    check(&ds.network, &dests, "waxman acl");
 }
 
 #[test]

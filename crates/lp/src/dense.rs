@@ -255,8 +255,8 @@ mod tests {
     fn max_two_vars() {
         // max 3x + 2y st x + y <= 4, x <= 2 -> x=2, y=2, obj=10
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let x = p.add_var(0.0, f64::INFINITY, 3.0);
+        let y = p.add_var(0.0, f64::INFINITY, 2.0);
         p.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         p.add_le(&[(x, 1.0)], 2.0);
         let s = solve(&p);
@@ -270,8 +270,8 @@ mod tests {
     fn min_with_ge_rows_uses_phase1() {
         // min x + y st x + 2y >= 6, 3x + y >= 9 -> x=2.4, y=1.8, obj=4.2
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_ge(&[(x, 1.0), (y, 2.0)], 6.0);
         p.add_ge(&[(x, 3.0), (y, 1.0)], 9.0);
         let s = solve(&p);
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(&[(x, 1.0)], 1.0);
         p.add_ge(&[(x, 1.0)], 2.0);
         assert_eq!(solve(&p).status, Status::Infeasible);
@@ -291,8 +291,8 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 0.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 0.0);
         p.add_ge(&[(x, 1.0), (y, -1.0)], 0.0); // never binds x from above
         assert_eq!(solve(&p).status, Status::Unbounded);
     }
@@ -301,8 +301,8 @@ mod tests {
     fn equality_constraints() {
         // max x + y st x + y == 3, x - y == 1 -> x=2, y=1
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_eq(&[(x, 1.0), (y, 1.0)], 3.0);
         p.add_eq(&[(x, 1.0), (y, -1.0)], 1.0);
         let s = solve(&p);
@@ -315,7 +315,7 @@ mod tests {
     fn shifted_and_bounded_vars() {
         // max x st 1 <= x <= 5 -> 5
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 1.0, 5.0, 1.0);
+        let x = p.add_var(1.0, 5.0, 1.0);
         let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert!((s.value(x) - 5.0).abs() < 1e-6);
@@ -325,7 +325,7 @@ mod tests {
     fn free_variable() {
         // min x st x >= -3  (x free) -> -3
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
         p.add_ge(&[(x, 1.0)], -3.0);
         let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
@@ -336,10 +336,10 @@ mod tests {
     fn degenerate_lp_terminates() {
         // Classic degeneracy: multiple constraints meeting at a vertex.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 0.75);
-        let y = p.add_var("y", 0.0, f64::INFINITY, -150.0);
-        let z = p.add_var("z", 0.0, f64::INFINITY, 0.02);
-        let w = p.add_var("w", 0.0, f64::INFINITY, -6.0);
+        let x = p.add_var(0.0, f64::INFINITY, 0.75);
+        let y = p.add_var(0.0, f64::INFINITY, -150.0);
+        let z = p.add_var(0.0, f64::INFINITY, 0.02);
+        let w = p.add_var(0.0, f64::INFINITY, -6.0);
         p.add_le(&[(x, 0.25), (y, -60.0), (z, -0.04), (w, 9.0)], 0.0);
         p.add_le(&[(x, 0.5), (y, -90.0), (z, -0.02), (w, 3.0)], 0.0);
         p.add_le(&[(z, 1.0)], 1.0);
@@ -352,9 +352,9 @@ mod tests {
     #[test]
     fn solution_is_feasible() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 10.0, 2.0);
-        let y = p.add_var("y", 0.0, 10.0, 3.0);
-        let z = p.add_var("z", 0.0, 10.0, 1.0);
+        let x = p.add_var(0.0, 10.0, 2.0);
+        let y = p.add_var(0.0, 10.0, 3.0);
+        let z = p.add_var(0.0, 10.0, 1.0);
         p.add_le(&[(x, 1.0), (y, 2.0), (z, 1.0)], 14.0);
         p.add_le(&[(x, 3.0), (y, 1.0)], 12.0);
         p.add_ge(&[(y, 1.0), (z, 1.0)], 2.0);
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn no_constraints_bounded_by_bounds() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, 3.0, 2.0);
+        let _x = p.add_var(0.0, 3.0, 2.0);
         let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert!((s.objective - 6.0).abs() < 1e-6);
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn no_constraints_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, f64::INFINITY, 2.0);
+        let _x = p.add_var(0.0, f64::INFINITY, 2.0);
         let s = solve(&p);
         assert_eq!(s.status, Status::Unbounded);
     }

@@ -201,7 +201,7 @@ pub fn parse_lp(text: &str) -> Result<Problem, ParseError> {
         if let Some(&v) = names.get(name) {
             v
         } else {
-            let v = problem.add_var(name, 0.0, f64::INFINITY, 0.0);
+            let v = problem.add_var(0.0, f64::INFINITY, 0.0);
             names.insert(name.to_string(), v);
             v
         }
@@ -280,9 +280,9 @@ mod tests {
 
     fn sample() -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_var("y", 1.0, 8.0, 2.0);
-        let z = p.add_var("z", f64::NEG_INFINITY, f64::INFINITY, -1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 3.0);
+        let y = p.add_var(1.0, 8.0, 2.0);
+        let z = p.add_var(f64::NEG_INFINITY, f64::INFINITY, -1.0);
         p.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         p.add_ge(&[(x, 2.0), (z, -1.5)], -3.0);
         p.add_eq(&[(y, 1.0), (z, 1.0)], 2.0);
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn negative_rhs_and_coefficients_survive() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, -2.5);
+        let x = p.add_var(0.0, f64::INFINITY, -2.5);
         p.add_ge(&[(x, -1.0)], -7.5);
         let back = parse_lp(&write_lp(&p)).unwrap();
         let s1 = RevisedSimplex::default().solve(&p).unwrap();
@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn empty_objective_round_trips() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 5.0, 0.0);
+        let x = p.add_var(0.0, 5.0, 0.0);
         p.add_ge(&[(x, 1.0)], 1.0);
         let back = parse_lp(&write_lp(&p)).unwrap();
         let s = RevisedSimplex::default().solve(&back).unwrap();

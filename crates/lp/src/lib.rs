@@ -25,8 +25,8 @@
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4, x <= 2, x,y >= 0
 //! let mut p = Problem::new(Sense::Maximize);
-//! let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-//! let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+//! let x = p.add_var(0.0, f64::INFINITY, 3.0);
+//! let y = p.add_var(0.0, f64::INFINITY, 2.0);
 //! p.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
 //! p.add_le(&[(x, 1.0)], 2.0);
 //! let sol = RevisedSimplex::default().solve(&p).unwrap();

@@ -69,10 +69,9 @@ impl Problem {
     }
 
     /// Add a variable with bounds `[lo, hi]` (either may be infinite)
-    /// and objective coefficient `obj`. Returns its handle. The name
-    /// only labels the call site: it is not stored, and LP dumps use
-    /// canonical `v{i}` names.
-    pub fn add_var(&mut self, _name: &str, lo: f64, hi: f64, obj: f64) -> VarId {
+    /// and objective coefficient `obj`. Returns its handle; LP dumps
+    /// name it `v{i}` by creation order.
+    pub fn add_var(&mut self, lo: f64, hi: f64, obj: f64) -> VarId {
         let id = VarId(self.vars.len() as u32);
         self.vars.push(Variable { lo, hi, obj });
         id
@@ -185,8 +184,8 @@ mod tests {
     #[test]
     fn add_var_assigns_sequential_ids() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_var("a", 0.0, 1.0, 1.0);
-        let b = p.add_var("b", 0.0, 1.0, 1.0);
+        let a = p.add_var(0.0, 1.0, 1.0);
+        let b = p.add_var(0.0, 1.0, 1.0);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
         assert_eq!(p.num_vars(), 2);
@@ -195,7 +194,7 @@ mod tests {
     #[test]
     fn duplicate_terms_are_merged() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_var("a", 0.0, 10.0, 1.0);
+        let a = p.add_var(0.0, 10.0, 1.0);
         p.add_le(&[(a, 1.0), (a, 2.0)], 6.0);
         assert_eq!(p.constraints[0].terms, vec![(a, 3.0)]);
     }
@@ -203,8 +202,8 @@ mod tests {
     #[test]
     fn zero_coefficients_are_dropped() {
         let mut p = Problem::new(Sense::Minimize);
-        let a = p.add_var("a", 0.0, 10.0, 1.0);
-        let b = p.add_var("b", 0.0, 10.0, 1.0);
+        let a = p.add_var(0.0, 10.0, 1.0);
+        let b = p.add_var(0.0, 10.0, 1.0);
         p.add_ge(&[(a, 0.0), (b, 1.0)], 1.0);
         assert_eq!(p.constraints[0].terms, vec![(b, 1.0)]);
     }
@@ -212,7 +211,7 @@ mod tests {
     #[test]
     fn validate_rejects_inverted_bounds() {
         let mut p = Problem::new(Sense::Maximize);
-        let v = p.add_var("x", 2.0, 1.0, 0.0);
+        let v = p.add_var(2.0, 1.0, 0.0);
         match p.validate() {
             Err(LpError::BadBounds { var, .. }) => assert_eq!(var, v),
             other => panic!("expected BadBounds, got {other:?}"),
@@ -222,8 +221,8 @@ mod tests {
     #[test]
     fn feasibility_checks_bounds_and_rows() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 5.0, 1.0);
-        let y = p.add_var("y", 0.0, 5.0, 1.0);
+        let x = p.add_var(0.0, 5.0, 1.0);
+        let y = p.add_var(0.0, 5.0, 1.0);
         p.add_le(&[(x, 1.0), (y, 1.0)], 6.0);
         assert!(p.is_feasible(&[3.0, 3.0], 1e-9));
         assert!(!p.is_feasible(&[4.0, 3.0], 1e-9)); // row violated
@@ -233,8 +232,8 @@ mod tests {
     #[test]
     fn objective_at_dot_product() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, 5.0, 3.0);
-        let _y = p.add_var("y", 0.0, 5.0, -1.0);
+        let _x = p.add_var(0.0, 5.0, 3.0);
+        let _y = p.add_var(0.0, 5.0, -1.0);
         assert_eq!(p.objective_at(&[2.0, 4.0]), 2.0);
     }
 }

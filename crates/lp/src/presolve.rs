@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn empty_true_row_is_dropped() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, 1.0, 1.0);
+        let _x = p.add_var(0.0, 1.0, 1.0);
         p.add_le(&[], 5.0);
         let out = presolve(&p).unwrap();
         assert_eq!(out.num_constraints(), 0);
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn empty_false_row_is_infeasible() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, 1.0, 1.0);
+        let _x = p.add_var(0.0, 1.0, 1.0);
         p.add_ge(&[], 5.0);
         assert!(matches!(presolve(&p), Err(Status::Infeasible)));
     }
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn singleton_le_tightens_upper_bound() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 100.0, 1.0);
+        let x = p.add_var(0.0, 100.0, 1.0);
         p.add_le(&[(x, 2.0)], 10.0);
         let out = presolve(&p).unwrap();
         assert_eq!(out.num_constraints(), 0);
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn singleton_with_negative_coefficient_flips() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 100.0, 1.0);
+        let x = p.add_var(0.0, 100.0, 1.0);
         p.add_le(&[(x, -1.0)], -3.0); // x >= 3
         let out = presolve(&p).unwrap();
         assert_eq!(out.var_bounds(x), (3.0, 100.0));
@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn crossed_bounds_detected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 100.0, 1.0);
+        let x = p.add_var(0.0, 100.0, 1.0);
         p.add_le(&[(x, 1.0)], 2.0);
         p.add_ge(&[(x, 1.0)], 5.0);
         assert!(matches!(presolve(&p), Err(Status::Infeasible)));
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn singleton_eq_fixes_variable() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 100.0, 1.0);
+        let x = p.add_var(0.0, 100.0, 1.0);
         p.add_eq(&[(x, 4.0)], 8.0);
         let out = presolve(&p).unwrap();
         assert_eq!(out.var_bounds(x), (2.0, 2.0));
@@ -132,8 +132,8 @@ mod tests {
     #[test]
     fn multi_term_rows_survive() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 1.0, 1.0);
-        let y = p.add_var("y", 0.0, 1.0, 1.0);
+        let x = p.add_var(0.0, 1.0, 1.0);
+        let y = p.add_var(0.0, 1.0, 1.0);
         p.add_le(&[(x, 1.0), (y, 1.0)], 1.5);
         let out = presolve(&p).unwrap();
         assert_eq!(out.num_constraints(), 1);

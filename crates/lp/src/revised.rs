@@ -747,8 +747,8 @@ mod tests {
     #[test]
     fn max_two_vars() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let x = p.add_var(0.0, f64::INFINITY, 3.0);
+        let y = p.add_var(0.0, f64::INFINITY, 2.0);
         p.add_le(&[(x, 1.0), (y, 1.0)], 4.0);
         p.add_le(&[(x, 1.0)], 2.0);
         let s = solve(&p);
@@ -759,8 +759,8 @@ mod tests {
     #[test]
     fn matches_dense_on_mixed_constraints() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_ge(&[(x, 1.0), (y, 2.0)], 6.0);
         p.add_ge(&[(x, 3.0), (y, 1.0)], 9.0);
         let s = solve(&p);
@@ -771,7 +771,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(&[(x, 1.0)], 1.0);
         p.add_ge(&[(x, 1.0)], 2.0);
         assert_eq!(solve(&p).status, Status::Infeasible);
@@ -780,8 +780,8 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 0.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 0.0);
         p.add_ge(&[(x, 1.0), (y, -1.0)], 0.0);
         assert_eq!(solve(&p).status, Status::Unbounded);
     }
@@ -789,10 +789,10 @@ mod tests {
     #[test]
     fn degenerate_lp_terminates() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 0.75);
-        let y = p.add_var("y", 0.0, f64::INFINITY, -150.0);
-        let z = p.add_var("z", 0.0, f64::INFINITY, 0.02);
-        let w = p.add_var("w", 0.0, f64::INFINITY, -6.0);
+        let x = p.add_var(0.0, f64::INFINITY, 0.75);
+        let y = p.add_var(0.0, f64::INFINITY, -150.0);
+        let z = p.add_var(0.0, f64::INFINITY, 0.02);
+        let w = p.add_var(0.0, f64::INFINITY, -6.0);
         p.add_le(&[(x, 0.25), (y, -60.0), (z, -0.04), (w, 9.0)], 0.0);
         p.add_le(&[(x, 0.5), (y, -90.0), (z, -0.02), (w, 3.0)], 0.0);
         p.add_le(&[(z, 1.0)], 1.0);
@@ -811,7 +811,7 @@ mod tests {
         for i in 0..srcs {
             for j in 0..dsts {
                 let cost = 1.0 + ((i * 7 + j * 13) % 10) as f64;
-                vars.push(p.add_var(&format!("x{i}_{j}"), 0.0, f64::INFINITY, cost));
+                vars.push(p.add_var(0.0, f64::INFINITY, cost));
             }
         }
         for i in 0..srcs {
@@ -834,8 +834,8 @@ mod tests {
     #[test]
     fn presolve_toggle_agrees() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 7.0, 2.0);
-        let y = p.add_var("y", 1.0, 9.0, 1.0);
+        let x = p.add_var(0.0, 7.0, 2.0);
+        let y = p.add_var(1.0, 9.0, 1.0);
         p.add_le(&[(x, 1.0), (y, 1.0)], 8.0);
         p.add_le(&[(x, 1.0)], 100.0); // redundant singleton
         let with = RevisedSimplex::default().solve(&p).unwrap();
@@ -1008,7 +1008,7 @@ mod tests {
         ) -> Problem {
             let mut p = Problem::new(Sense::Maximize);
             let x: Vec<_> = (0..vars)
-                .map(|v| p.add_var(&format!("x{v}"), 0.0, f64::INFINITY, costs[v] as f64))
+                .map(|v| p.add_var(0.0, f64::INFINITY, costs[v] as f64))
                 .collect();
             for r in 0..rows {
                 let terms: Vec<_> = (0..vars)

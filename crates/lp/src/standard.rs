@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn le_rows_gain_slacks() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_le(&[(x, 1.0)], 4.0);
         let s = StandardLp::from_problem(&p);
         assert_eq!(s.m, 1);
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn negative_rhs_rows_are_flipped() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_ge(&[(x, -1.0)], -4.0); // i.e. x <= 4
         let s = StandardLp::from_problem(&p);
         assert_eq!(s.b, vec![4.0]);
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn finite_lower_bound_shifts() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 2.0, f64::INFINITY, 3.0);
+        let x = p.add_var(2.0, f64::INFINITY, 3.0);
         p.add_ge(&[(x, 1.0)], 5.0);
         let s = StandardLp::from_problem(&p);
         // Row becomes x' >= 3; x' = 3 recovers x = 5 at objective 15.
@@ -252,8 +252,8 @@ mod tests {
     #[test]
     fn fixed_variable_is_eliminated() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 3.0, 3.0, 2.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(3.0, 3.0, 2.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_ge(&[(x, 1.0), (y, 1.0)], 5.0);
         let s = StandardLp::from_problem(&p);
         // x contributes 3 to the row, leaving y >= 2; x adds 6 to the
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn free_variable_is_split() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
         p.add_eq(&[(x, 1.0)], -7.0);
         let s = StandardLp::from_problem(&p);
         assert_eq!(s.n(), 2);
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn upper_bound_becomes_row() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, 9.0, 1.0);
+        let _x = p.add_var(0.0, 9.0, 1.0);
         let s = StandardLp::from_problem(&p);
         assert_eq!(s.m, 1);
         assert_eq!(s.b, vec![9.0]);
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn maximize_negates_objective() {
         let mut p = Problem::new(Sense::Maximize);
-        let _x = p.add_var("x", 0.0, f64::INFINITY, 5.0);
+        let _x = p.add_var(0.0, f64::INFINITY, 5.0);
         let s = StandardLp::from_problem(&p);
         assert_eq!(s.c[0], -5.0);
     }

@@ -28,7 +28,7 @@ fn arb_lp() -> impl Strategy<Value = Problem> {
                 .map(|i| {
                     let c = obj.get(i).copied().unwrap_or(1.0);
                     // Finite box keeps everything bounded.
-                    p.add_var(&format!("x{i}"), 0.0, 10.0, if maximize { c } else { c - 2.0 })
+                    p.add_var(0.0, 10.0, if maximize { c } else { c - 2.0 })
                 })
                 .collect();
             for r in 0..m {

@@ -106,11 +106,8 @@ pub fn solve_arrow(
 
     let mut p = Problem::new(Sense::Maximize);
     // Committed bandwidth per commodity: the objective.
-    let b: Vec<VarId> = commodities
-        .iter()
-        .enumerate()
-        .map(|(k, &(_, _, demand))| p.add_var(&format!("b{k}"), 0.0, demand, 1.0))
-        .collect();
+    let b: Vec<VarId> =
+        commodities.iter().map(|&(_, _, demand)| p.add_var(0.0, demand, 1.0)).collect();
 
     // Scenario 0 is "no failure": the nominal allocation must also work.
     // BTreeSet, not HashSet: the cut is *iterated* below — the f64
@@ -121,7 +118,7 @@ pub fn solve_arrow(
         scenario_cuts.push(inst.full_cut(s));
     }
 
-    for (q, cut) in scenario_cuts.iter().enumerate() {
+    for cut in &scenario_cuts {
         // Restored capacity per cut fiber.
         let budget: f64 = cut.iter().map(|&e| g.capacity(e)).sum::<f64>()
             * inst.restoration_fraction
@@ -142,7 +139,7 @@ pub fn solve_arrow(
                 // pairing; bounded by the fiber's own capacity.
                 let mut row: Vec<(VarId, f64)> = Vec::new();
                 for &e in cut {
-                    let v = p.add_var(&format!("r_{q}_{}", e.index()), 0.0, g.capacity(e), 0.0);
+                    let v = p.add_var(0.0, g.capacity(e), 0.0);
                     restored.insert(e, RestoredCap::Var(v));
                     row.push((v, 1.0));
                 }
@@ -160,7 +157,7 @@ pub fn solve_arrow(
                 return Err(TeError::NoTunnels { src, dst });
             }
             let mut row: Vec<(VarId, f64)> = Vec::new();
-            for (t, path) in paths.iter().enumerate() {
+            for path in paths {
                 let crosses: Vec<EdgeId> =
                     path.edges.iter().copied().filter(|e| cut.contains(e)).collect();
                 // Faithful restorable-tunnel rule (the stricter reading
@@ -181,7 +178,7 @@ pub fn solve_arrow(
                 if !usable {
                     continue;
                 }
-                let x = p.add_var(&format!("x_{q}_{k}_{t}"), 0.0, f64::INFINITY, 0.0);
+                let x = p.add_var(0.0, f64::INFINITY, 0.0);
                 row.push((x, 1.0));
                 for &e in &path.edges {
                     edge_rows[e.index()].push((x, 1.0));

@@ -122,18 +122,14 @@ fn solve_max_concurrent(inst: &TeInstance, solver: &dyn LpSolver) -> Result<McfS
     let tunnels = build_tunnels(&inst.graph, &commodities, inst.paths_per_commodity);
 
     let mut p = Problem::new(Sense::Maximize);
-    let t_var = p.add_var("t", 0.0, 1.0, 1.0);
+    let t_var = p.add_var(0.0, 1.0, 1.0);
     let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(commodities.len());
     for (ci, &(src, dst, demand)) in commodities.iter().enumerate() {
         let paths = &tunnels.tunnels[ci];
         if paths.is_empty() {
             return Err(TeError::NoTunnels { src, dst });
         }
-        let vs: Vec<VarId> = paths
-            .iter()
-            .enumerate()
-            .map(|(pi, _)| p.add_var(&format!("f_{ci}_{pi}"), 0.0, f64::INFINITY, 0.0))
-            .collect();
+        let vs: Vec<VarId> = paths.iter().map(|_| p.add_var(0.0, f64::INFINITY, 0.0)).collect();
         // Demand cap and the concurrency floor: Σx >= t·demand.
         let row: Vec<_> = vs.iter().map(|&v| (v, 1.0)).collect();
         p.add_le(&row, demand);
@@ -197,11 +193,7 @@ pub(crate) fn solve_mcf_with_tunnels(
         if paths.is_empty() {
             return Err(TeError::NoTunnels { src, dst });
         }
-        let vs: Vec<VarId> = paths
-            .iter()
-            .enumerate()
-            .map(|(pi, _)| p.add_var(&format!("f_{ci}_{pi}"), 0.0, f64::INFINITY, 1.0))
-            .collect();
+        let vs: Vec<VarId> = paths.iter().map(|_| p.add_var(0.0, f64::INFINITY, 1.0)).collect();
         // Demand cap.
         let row: Vec<_> = vs.iter().map(|&v| (v, 1.0)).collect();
         p.add_le(&row, demand);

@@ -9,6 +9,10 @@
 //! The tunnel gate holds `build_tunnels` to the reference Yen's output
 //! on the 100× rung and to a speed-up floor over it.
 //!
+//! The DPV class gate holds `verify_destinations` (verification by
+//! forwarding class) to the per-destination fixpoint's verdicts on the
+//! churned k=16 fabric and to a speed-up floor over it.
+//!
 //! The warm-memo count gate is exact and runs with every `cargo test`.
 //! The timing gates are `#[ignore]`d because they need an optimized
 //! build and a quiet host; run them with
@@ -27,6 +31,8 @@ use netrepro::core::harness::{GateFn, MemoryJournal, Sweep, SweepConfig, TaskLim
 use netrepro::core::paper::TargetSystem;
 use netrepro::core::prompt::PromptStyle;
 use netrepro::core::validate::{lp_scale_instance, lp_scale_specs, te_instance};
+use netrepro::dpv::fabric::{build, FabricSpec};
+use netrepro::dpv::scale::{verify_destinations, verify_per_destination, ScaleOpts};
 use netrepro::graph::gen::TopologySpec;
 use netrepro::graph::paths::Path;
 use netrepro::graph::{DiGraph, EdgeId, NodeId};
@@ -50,6 +56,11 @@ const LP_SCALE_FLOOR: f64 = 5.0;
 /// ahead of a fresh unbounded Dijkstra per search (10–14× measured on a
 /// 2-vCPU host, release build).
 const TUNNEL_FLOOR: f64 = 4.0;
+/// Per-destination/class verification time floor on the churned k=16
+/// fabric: one pass per edge block must stay well ahead of one BDD
+/// fixpoint per destination (17–27× measured on a 2-vCPU host, release
+/// build).
+const DPV_CLASS_FLOOR: f64 = 4.0;
 /// Relative objective agreement between the two LP solvers.
 const OBJECTIVE_TOL: f64 = 1e-6;
 
@@ -165,6 +176,39 @@ impl LpSolver for CountingSimplex {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
+}
+
+#[test]
+#[ignore = "timing gate: run with --release --include-ignored --test-threads=1"]
+fn dpv_class_verification_matches_the_fixpoint_and_clears_the_floor() {
+    let fabric = build(&FabricSpec { k: 16, seed: 2023, link_down: 6, with_hosts: true });
+    let dests: Vec<_> = (0..fabric.num_dests()).map(|i| fabric.dest(i)).collect();
+    let opts = ScaleOpts::default();
+    // Best of three of each, serially: the class pass takes
+    // milliseconds, so one timing is mostly scheduler noise.
+    let best_of_three = |verify: &dyn Fn() -> Vec<_>| {
+        let mut best = Duration::MAX;
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            out = verify();
+            best = best.min(t0.elapsed());
+        }
+        (out, best)
+    };
+    let (reference, per_dest) = best_of_three(&|| {
+        verify_per_destination(&fabric.network, &dests, &opts).expect("per-destination")
+    });
+    let (classes, by_class) = best_of_three(&|| {
+        verify_destinations(&fabric.network, &dests, &opts).expect("by class")
+    });
+    assert_eq!(classes, reference, "k=16 churn 6: class verdicts differ from the fixpoint's");
+    let speedup = per_dest.as_secs_f64() / by_class.as_secs_f64().max(1e-9);
+    assert!(
+        speedup >= DPV_CLASS_FLOOR,
+        "k=16 churn 6: per-destination/class {speedup:.1}x below the {DPV_CLASS_FLOOR}x floor \
+         (per-destination {per_dest:?}, by class {by_class:?})"
+    );
 }
 
 #[test]
