@@ -851,17 +851,19 @@ impl Parser<'_> {
                         if self.ident_at(off) == Some("mut") {
                             off += 1;
                         }
-                        if let Some(bname) = self.ident_at(off) {
-                            let bname = bname.to_string();
-                            // Hash-typed if the decl/initializer up to
-                            // `;` mentions HashMap/HashSet.
-                            let stop = self.skip_to_semi(off, end);
-                            let is_hash = (off..stop).any(|m| {
-                                matches!(
-                                    self.ident_at(m),
-                                    Some("HashMap") | Some("HashSet")
-                                )
-                            });
+                        // A tuple pattern binds each of its names.
+                        let names = if self.punct_at(off, '(') {
+                            self.pattern_bindings(off, self.skip_balanced(off, '(', ')', end))
+                        } else {
+                            self.ident_at(off).map(str::to_string).into_iter().collect()
+                        };
+                        // Hash-typed if the decl/initializer up to
+                        // `;` mentions HashMap/HashSet.
+                        let stop = self.skip_to_semi(off, end);
+                        let is_hash = (off..stop).any(|m| {
+                            matches!(self.ident_at(m), Some("HashMap") | Some("HashSet"))
+                        });
+                        for bname in names {
                             if is_hash {
                                 local_hash.insert(bname.clone());
                             } else {
@@ -873,7 +875,13 @@ impl Parser<'_> {
                         continue;
                     }
                     if w == "for" {
-                        self.for_loop_iter_fact(j, end, info, &locals, &local_hash);
+                        if let Some(in_at) = self.for_in(j, end) {
+                            self.for_loop_iter_fact(j, in_at, info, &locals, &local_hash);
+                            for bname in self.pattern_bindings(j + 1, in_at) {
+                                local_hash.remove(&bname);
+                                locals.insert(bname);
+                            }
+                        }
                         j += 1;
                         continue;
                     }
@@ -971,35 +979,54 @@ impl Parser<'_> {
         })
     }
 
-    /// `for pat in <chain> {`: record an iteration fact for the last
-    /// ident of a plain receiver chain (`&self.results` → `results`).
+    /// The `in` of the `for` at `at`: the first `in` outside brackets,
+    /// within a short window and before any `{`.
+    fn for_in(&self, at: usize, end: usize) -> Option<usize> {
+        let mut depth = 0i64;
+        for j in at + 1..(at + 40).min(end) {
+            match self.t.get(j).map(|t| &t.kind) {
+                Some(TokenKind::Punct('(' | '[')) => depth += 1,
+                Some(TokenKind::Punct(')' | ']')) => depth -= 1,
+                Some(TokenKind::Ident) if depth == 0 && self.t[j].text == "in" => return Some(j),
+                Some(TokenKind::Punct('{')) => return None,
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// The names a pattern spanning `from..to` binds: its lowercase
+    /// idents other than `mut`, `ref` and `_`, and not part of a path
+    /// or a constructor (`Some(x)` binds `x` only).
+    fn pattern_bindings(&self, from: usize, to: usize) -> Vec<String> {
+        (from..to)
+            .filter(|&k| {
+                self.ident_at(k).is_some_and(|w| {
+                    !matches!(w, "mut" | "ref" | "_")
+                        && !w.starts_with(|c: char| c.is_uppercase())
+                })
+            })
+            .filter(|&k| {
+                let path_or_call = [':', '(', '{'].iter().any(|&c| self.punct_at(k + 1, c))
+                    || (k > 0 && self.punct_at(k - 1, ':'));
+                !path_or_call
+            })
+            .map(|k| self.t[k].text.clone())
+            .collect()
+    }
+
+    /// `for pat in <chain> {`, with `in` at `in_at`: record an
+    /// iteration fact for the last ident of a plain receiver chain
+    /// (`&self.results` → `results`).
     fn for_loop_iter_fact(
         &self,
         at: usize,
-        end: usize,
+        in_at: usize,
         info: &mut FnInfo,
         locals: &BTreeSet<String>,
         local_hash: &BTreeSet<String>,
     ) {
-        // Find `in` at pattern depth 0, within a short window.
-        let mut depth = 0i64;
-        let mut j = at + 1;
-        let window = (at + 40).min(end);
-        let mut in_at = None;
-        while j < window {
-            match self.t.get(j).map(|t| &t.kind) {
-                Some(TokenKind::Punct('(' | '[')) => depth += 1,
-                Some(TokenKind::Punct(')' | ']')) => depth -= 1,
-                Some(TokenKind::Ident) if depth == 0 && self.t[j].text == "in" => {
-                    in_at = Some(j);
-                    break;
-                }
-                Some(TokenKind::Punct('{')) => return,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(mut k) = in_at.map(|x| x + 1) else { return };
+        let mut k = in_at + 1;
         while self.punct_at(k, '&') || self.ident_at(k) == Some("mut") {
             k += 1;
         }
@@ -1192,6 +1219,27 @@ mod tests {
         let h = fns.iter().find(|f| f.name == "h").expect("h");
         assert!(h.hash_iter_lines.is_empty());
         assert!(h.maybe_hash_iters.is_empty());
+    }
+
+    /// Names bound by a `for` pattern or a tuple `let` are locals: a
+    /// loop over `Vec`s binding `prefixes` must not be taken for an
+    /// iteration of some struct's `HashSet` field of that name, while
+    /// the field itself still is one.
+    #[test]
+    fn loop_and_tuple_let_bindings_are_locals() {
+        let (fns, fields) = parse_src(
+            "struct Scale { prefixes: HashSet<u32> }\n\
+             fn generate(owned: &[Vec<u32>]) { for (d, prefixes) in owned.iter().enumerate() { for &p in prefixes { use_it(d, p); } } }\n\
+             fn split(v: &[u32]) { let (head, mut tail) = v.split_at(1); for x in tail.iter() { use_it(x); } for y in head { use_it(y); } }\n\
+             fn field(s: &Scale) { for p in s.prefixes.iter() { use_it(p); } }",
+        );
+        assert!(fields.contains("prefixes"));
+        for name in ["generate", "split"] {
+            let f = fns.iter().find(|f| f.name == name).expect(name);
+            assert!(f.maybe_hash_iters.is_empty(), "{name}: {:?}", f.maybe_hash_iters);
+        }
+        let field = fns.iter().find(|f| f.name == "field").expect("field");
+        assert!(field.maybe_hash_iters.iter().any(|(n, _)| n == "prefixes"));
     }
 
     #[test]

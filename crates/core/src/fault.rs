@@ -51,10 +51,6 @@ pub enum FaultSite {
     /// process dying or stalling, as opposed to a worker thread
     /// inside it).
     Shard,
-    /// The serve daemon's admission/scheduling layer (hostile or
-    /// broken clients, duplicate submissions, jobs that panic a
-    /// scheduler worker).
-    Serve,
 }
 
 impl FaultSite {
@@ -69,12 +65,11 @@ impl FaultSite {
             FaultSite::Harness => "harness",
             FaultSite::Worker => "worker",
             FaultSite::Shard => "shard",
-            FaultSite::Serve => "serve",
         }
     }
 
     /// Every site, in report order.
-    pub const ALL: [FaultSite; 9] = [
+    pub const ALL: [FaultSite; 8] = [
         FaultSite::LlmResponse,
         FaultSite::Session,
         FaultSite::LpSolver,
@@ -83,7 +78,6 @@ impl FaultSite {
         FaultSite::Harness,
         FaultSite::Worker,
         FaultSite::Shard,
-        FaultSite::Serve,
     ];
 }
 
@@ -126,19 +120,6 @@ pub enum FaultKind {
     /// A shard process is descheduled between cells, delaying its
     /// journal appends (but never changing their content).
     ShardStall,
-    /// A client trickles a frame one byte at a time and never finishes
-    /// it; the daemon's per-connection read deadline reaps it.
-    SlowLoris,
-    /// A client disconnects mid-frame; the daemon drops the partial
-    /// frame and the connection, never the job state.
-    MidFrameDisconnect,
-    /// The same submission arrives twice (a client retried a SUBMIT
-    /// whose first copy was delivered); admission deduplicates by
-    /// nonce instead of double-running the job.
-    DuplicateSubmit,
-    /// A job whose execution panics the scheduler worker running it;
-    /// the worker absorbs the panic and fails only that job.
-    PoisonJob,
 }
 
 impl FaultKind {
@@ -159,10 +140,6 @@ impl FaultKind {
             FaultKind::WorkerStall => "worker-stall",
             FaultKind::ShardCrash => "shard-crash",
             FaultKind::ShardStall => "shard-stall",
-            FaultKind::SlowLoris => "slow-loris",
-            FaultKind::MidFrameDisconnect => "mid-frame-disconnect",
-            FaultKind::DuplicateSubmit => "duplicate-submit",
-            FaultKind::PoisonJob => "poison-job",
         }
     }
 }
@@ -231,13 +208,6 @@ impl FaultProfile {
             // restart cap on its own.
             FaultKind::ShardCrash => 0.15,
             FaultKind::ShardStall => 0.3,
-            // Serve-site faults model hostile or broken clients plus
-            // poisoned jobs; duplicates and slow clients are common,
-            // poison jobs rare (each one costs a whole job slot).
-            FaultKind::SlowLoris => 0.5,
-            FaultKind::MidFrameDisconnect => 0.5,
-            FaultKind::DuplicateSubmit => 0.6,
-            FaultKind::PoisonJob => 0.2,
         };
         (base * weight).min(0.95)
     }

@@ -10,8 +10,9 @@
 //! model and standard form:
 //!
 //! * [`revised::RevisedSimplex`] — the "Gurobi stand-in": presolve,
-//!   sparse revised simplex with Dantzig pricing and periodic basis
-//!   refactorisation.
+//!   sparse revised simplex with Devex pricing (Bland's rule as the
+//!   anti-cycling fallback) and basis refactorization driven by
+//!   eta-file growth and residual drift.
 //! * [`dense::DenseSimplex`] — the "PuLP/CBC stand-in": a textbook
 //!   two-phase dense-tableau simplex with Bland's rule and no presolve.
 //!

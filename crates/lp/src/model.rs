@@ -50,17 +50,36 @@ pub(crate) struct Constraint {
 }
 
 /// A linear program under construction.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
+    /// Scratch of [`Problem::add_constraint`], by variable index: the
+    /// position of the variable's merged term, or `UNSEEN` (the value
+    /// every entry holds between calls).
+    merge_slot: Vec<u32>,
+}
+
+/// A `merge_slot` entry with no term.
+const UNSEEN: u32 = u32::MAX;
+
+/// A clone starts with an empty merge scratch: it holds no state.
+impl Clone for Problem {
+    fn clone(&self) -> Self {
+        Problem {
+            sense: self.sense,
+            vars: self.vars.clone(),
+            constraints: self.constraints.clone(),
+            merge_slot: Vec::new(),
+        }
+    }
 }
 
 impl Problem {
     /// An empty problem with the given optimisation sense.
     pub fn new(sense: Sense) -> Self {
-        Problem { sense, vars: Vec::new(), constraints: Vec::new() }
+        Problem { sense, vars: Vec::new(), constraints: Vec::new(), merge_slot: Vec::new() }
     }
 
     /// The problem's optimisation sense.
@@ -113,18 +132,30 @@ impl Problem {
         self.add_constraint(terms, ConstraintOp::Eq, rhs);
     }
 
-    /// Add a constraint with an explicit relation. Duplicate variables in
-    /// `terms` are merged by summing their coefficients.
+    /// Add a constraint with an explicit relation. Zero coefficients are
+    /// dropped, and duplicate variables in `terms` are merged by summing
+    /// their coefficients left to right, at the variable's first place
+    /// (a sum that cancels to `0.0` stays).
     pub fn add_constraint(&mut self, terms: &[(VarId, f64)], op: ConstraintOp, rhs: f64) {
         let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             if c == 0.0 {
                 continue;
             }
-            match merged.iter_mut().find(|(mv, _)| *mv == v) {
-                Some((_, mc)) => *mc += c,
-                None => merged.push((v, c)),
+            let i = v.index();
+            if i >= self.merge_slot.len() {
+                self.merge_slot.resize(i + 1, UNSEEN);
             }
+            match self.merge_slot[i] {
+                UNSEEN => {
+                    self.merge_slot[i] = merged.len() as u32;
+                    merged.push((v, c));
+                }
+                k => merged[k as usize].1 += c,
+            }
+        }
+        for &(v, _) in &merged {
+            self.merge_slot[v.index()] = UNSEEN;
         }
         self.constraints.push(Constraint { terms: merged, op, rhs });
     }
@@ -197,6 +228,56 @@ mod tests {
         let a = p.add_var(0.0, 10.0, 1.0);
         p.add_le(&[(a, 1.0), (a, 2.0)], 6.0);
         assert_eq!(p.constraints[0].terms, vec![(a, 3.0)]);
+    }
+
+    /// The quadratic merge `add_constraint` used to run: a linear
+    /// search of the merged terms for each input term.
+    fn merge_by_scan(terms: &[(VarId, f64)]) -> Vec<(VarId, f64)> {
+        let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
+        for &(v, c) in terms {
+            if c == 0.0 {
+                continue;
+            }
+            match merged.iter_mut().find(|(mv, _)| *mv == v) {
+                Some((_, mc)) => *mc += c,
+                None => merged.push((v, c)),
+            }
+        }
+        merged
+    }
+
+    proptest::proptest! {
+        /// Rows with repeated variables, zero inputs of either sign and
+        /// sums that cancel merge exactly as the scan merges them: the
+        /// same terms in the same order with the same coefficient bits.
+        /// Inexact tenths make the summation order visible.
+        #[test]
+        fn merge_matches_the_scan(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, -4i32..5), 0..24), 1..6),
+        ) {
+            let mut p = Problem::new(Sense::Minimize);
+            let vars: Vec<VarId> = (0..6).map(|_| p.add_var(0.0, 1.0, 0.0)).collect();
+            for row in &rows {
+                let terms: Vec<(VarId, f64)> = row
+                    .iter()
+                    .map(|&(v, c)| (vars[v as usize], if c == -4 { -0.0 } else { c as f64 / 10.0 }))
+                    .collect();
+                p.add_eq(&terms, 0.0);
+                let got = &p.constraints[p.constraints.len() - 1].terms;
+                let bits = |t: &[(VarId, f64)]| t.iter().map(|&(v, c)| (v, c.to_bits())).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(got), bits(&merge_by_scan(&terms)));
+            }
+        }
+    }
+
+    #[test]
+    fn cancelled_sums_stay_as_zero_terms() {
+        let mut p = Problem::new(Sense::Minimize);
+        let a = p.add_var(0.0, 10.0, 1.0);
+        let b = p.add_var(0.0, 10.0, 1.0);
+        p.add_le(&[(b, 0.5), (a, 1.0), (b, -0.5), (a, 2.0)], 1.0);
+        assert_eq!(p.constraints[0].terms, vec![(b, 0.0), (a, 3.0)]);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! the dense passes it replaces: `ftran` and the pivot-row `btran`
 //! follow the nonzeros, the duals are recomputed only where their
 //! inputs changed bits, reduced costs only in the rows whose dual
-//! changed, pricing walks a bitmap of the improving columns, and the
-//! ratio tests and the Devex update read only the supports.
+//! changed, and the ratio tests and the Devex update read only the
+//! supports. Devex pricing reads the root of a tournament tree over the
+//! columns' cached scores, in which only the leaves whose reduced cost,
+//! weight or candidacy changed replay their path. An index of the eta
+//! file by basis position lets `ftran` and the pivot-row `btran` apply
+//! only the etas that can change a bit of their result.
 //! Combined with [`crate::presolve`], it is one to two orders of
 //! magnitude faster than [`crate::dense::DenseSimplex`] on the
 //! traffic-engineering LPs in this workspace — the gap Table A measures.
@@ -74,6 +78,8 @@ struct Core<'a> {
     /// is listed): the only entries of `c_B` the eta pass rewrites.
     eta_rows: Vec<usize>,
     eta_row: Vec<bool>,
+    /// The etas by basis position, for the sparse eta passes.
+    eta_index: EtaIndex,
     /// Scratch of the solves, reused across refactorizations.
     ws: Workspace,
     xb: Vec<f64>,
@@ -94,6 +100,8 @@ struct Core<'a> {
     /// Bit `j` set iff column `j` is nonbasic and `d_j < -TOL`: the
     /// columns pricing may pick.
     cand: Vec<u64>,
+    /// Devex scores of the candidates, kept up to date leaf by leaf.
+    tree: Tournament,
     /// The dual solve `yᵀ B = c_Bᵀ`, in stages: `z` is `c_B` after the
     /// eta file, `zz` the `Uᵀ` solve of `z`, and `y` the duals by
     /// original row. `duals_fresh` says they match the factor and the
@@ -148,6 +156,7 @@ impl<'a> Core<'a> {
             eta_nnz: 0,
             eta_rows: Vec::new(),
             eta_row: vec![false; m],
+            eta_index: EtaIndex::new(m),
             ws: Workspace::new(m),
             xb: std.b.clone(),
             iterations: 0,
@@ -157,6 +166,7 @@ impl<'a> Core<'a> {
             row_cols,
             d: Vec::new(),
             cand: Vec::new(),
+            tree: Tournament::default(),
             z: vec![0.0; m],
             zz: vec![0.0; m],
             y: vec![0.0; m],
@@ -212,8 +222,16 @@ impl<'a> Core<'a> {
 
     /// `w = B⁻¹ a_j` into `self.w`, with its ascending support in
     /// `self.w_supp`: the LU solve, then the eta file in creation order.
-    /// An eta applied with `w[r] == 0` changes only signs of zeros, so
-    /// only the others add their rows to the support.
+    ///
+    /// An eta finding `w[r] == ±0.0` computes `xr = w[r] / pivot`, a
+    /// zero of `w[r]`'s sign (the pivot is positive), and `x − w·xr`,
+    /// which keeps every position's bits but can turn a `−0.0` into
+    /// `+0.0`. So only the etas run that replaced
+    /// a position holding a nonzero, or whose support holds a `−0.0`.
+    /// Both kinds are queued from the LU image's support and the
+    /// factor's `−0.0` template positions, and after an eta applied with
+    /// `w[r] != 0` (which may write its whole support, and only then
+    /// adds it to `w_supp`) from its positions.
     fn ftran(&mut self, j: usize) {
         let std = self.std;
         let unit;
@@ -224,9 +242,25 @@ impl<'a> Core<'a> {
             &unit
         };
         self.factor.ftran(&mut self.ws, a.iter().copied(), &mut self.w, &mut self.w_supp);
-        for eta in &self.etas {
-            if eta.apply_ftran(&mut self.w) {
-                self.w_supp.extend(eta.w.iter().map(|&(i, _)| i));
+        let (w, index) = (&mut self.w, &mut self.eta_index);
+        let all = 0..self.etas.len();
+        for &p in self.w_supp.iter().chain(self.factor.negative_zeros()) {
+            queue_at(index, w, p, all.clone());
+        }
+        while let Some(k) = index.pop_first() {
+            let eta = &self.etas[k];
+            if w[eta.r] == 0.0 && !eta.w.iter().any(|&(i, _)| w[i].to_bits() == NEG_ZERO) {
+                continue;
+            }
+            if eta.apply_ftran(w) {
+                for &(i, _) in &eta.w {
+                    self.w_supp.push(i);
+                    queue_at(index, w, i, k + 1..all.end);
+                }
+            } else {
+                // Only a `w[r]` too small for `xr` to stay nonzero can
+                // have changed, to a zero of its own sign.
+                queue_at(index, w, eta.r, k + 1..all.end);
             }
         }
         self.w_supp.sort_unstable();
@@ -235,16 +269,27 @@ impl<'a> Core<'a> {
 
     /// `ρ = e_lr B⁻¹` into `self.rho`, nonzero only at the rows of
     /// `self.rho_supp` — the pivot row of the inverse, needed by the
-    /// Devex weight update. The eta file, in reverse creation order,
-    /// writes only the eta rows, so they and `lr` seed the LU solve.
+    /// Devex weight update.
+    ///
+    /// The eta file runs in reverse creation order, but an eta whose
+    /// positions all hold zeros is skipped: its sum `s` stays `+0.0`
+    /// and, with a positive pivot, `(c_r − s) / pivot` keeps `c_r`'s
+    /// bits. Starting from `lr`'s etas, each eta that leaves a nonzero
+    /// at its row `r` queues the earlier etas at `r`. The etas write
+    /// only their rows, so those and `lr` seed the LU solve.
     fn btran_unit(&mut self, lr: usize) {
         self.unit[lr] = 1.0;
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut self.unit);
-        }
         self.seeds.clear();
         self.seeds.push(lr);
-        self.seeds.extend_from_slice(&self.eta_rows);
+        self.eta_index.queue_touching(lr, 0..self.etas.len());
+        while let Some(k) = self.eta_index.pop_last() {
+            let eta = &self.etas[k];
+            eta.apply_btran(&mut self.unit);
+            self.seeds.push(eta.r);
+            if self.unit[eta.r] != 0.0 {
+                self.eta_index.queue_touching(eta.r, 0..k);
+            }
+        }
         let (rho, supp) = (&mut self.rho, &mut self.rho_supp);
         self.factor.btran(&mut self.ws, &mut self.unit, &self.seeds, rho, supp);
     }
@@ -257,6 +302,17 @@ impl<'a> Core<'a> {
         c(j) - dot
     }
 
+    /// Column `j`'s pricing score: `d_j² / w_j` for a candidate,
+    /// `-inf` otherwise.
+    fn score(&self, j: usize) -> f64 {
+        if self.cand[j / 64] >> (j % 64) & 1 == 1 {
+            let dj = self.d[j];
+            dj * dj / self.devex[j]
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
     /// Set or clear column `j`'s pricing candidate bit.
     fn update_candidate(&mut self, j: usize) {
         let bit = 1u64 << (j % 64);
@@ -265,6 +321,21 @@ impl<'a> Core<'a> {
         } else {
             self.cand[j / 64] &= !bit;
         }
+    }
+
+    /// Bring column `j`'s candidate bit and score up to date after its
+    /// `d_j`, its Devex weight or its basis membership changed.
+    fn rescore(&mut self, j: usize) {
+        self.update_candidate(j);
+        let s = self.score(j);
+        self.tree.set(j, s);
+    }
+
+    /// Rebuild the tournament from every column's score.
+    fn rescore_all(&mut self) {
+        let mut tree = std::mem::take(&mut self.tree);
+        tree.rebuild((0..self.d.len()).map(|j| self.score(j)));
+        self.tree = tree;
     }
 
     /// The pricing candidates, ascending.
@@ -326,6 +397,7 @@ impl<'a> Core<'a> {
             self.d = (0..allow_below).map(|j| self.reduced_cost(j, &self.y, c)).collect();
             self.cand = vec![0; allow_below.div_ceil(64)];
             (0..allow_below).for_each(|j| self.update_candidate(j));
+            self.rescore_all();
         } else {
             let changed = std::mem::take(&mut self.changed);
             self.touch_rows(changed.iter().copied(), allow_below);
@@ -333,25 +405,10 @@ impl<'a> Core<'a> {
             let touched = std::mem::take(&mut self.touched);
             for &j in &touched {
                 self.d[j] = self.reduced_cost(j, &self.y, c);
-                self.update_candidate(j);
+                self.rescore(j);
             }
             self.touched = touched;
         }
-    }
-
-    /// Devex pricing: maximise `d_j² / w_j` over the improving columns.
-    /// Ascending scan with a strict-greater comparison makes the
-    /// tie-break "smallest column index" — fixed and deterministic.
-    fn price_devex(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for j in self.candidates() {
-            let dj = self.d[j];
-            let score = dj * dj / self.devex[j];
-            if best.is_none_or(|(_, s)| score > s) {
-                best = Some((j, score));
-            }
-        }
-        best.map(|(j, _)| j)
     }
 
     /// Devex reference-weight update after the pivot `(q, lr)`, using
@@ -379,6 +436,7 @@ impl<'a> Core<'a> {
                 let cand = alpha_j * alpha_j * ref_weight;
                 if cand > self.devex[j] {
                     self.devex[j] = cand;
+                    self.rescore(j);
                 }
             }
         }
@@ -389,20 +447,22 @@ impl<'a> Core<'a> {
         self.rho = rho;
         self.rho_supp = supp;
         // The leaving variable re-enters the nonbasic pool with the
-        // reference weight; overflow resets the whole frame.
+        // reference weight (`pivot` rescores it); overflow resets the
+        // whole frame.
         self.devex[self.basis[lr]] = ref_weight.max(1.0);
         if ref_weight > DEVEX_RESET {
             self.devex.fill(1.0);
+            self.rescore_all();
         }
     }
 
-    /// The entering column: Devex pricing, or under Bland's rule the
-    /// first improving column.
+    /// The entering column: Devex pricing (the tournament's winner), or
+    /// under Bland's rule the first improving column.
     fn entering(&self, use_bland: bool) -> Option<usize> {
         if use_bland {
             self.candidates().next()
         } else {
-            self.price_devex()
+            self.tree.best()
         }
     }
 
@@ -455,9 +515,9 @@ impl<'a> Core<'a> {
         self.in_basis[leaving] = false;
         self.in_basis[q] = true;
         self.basis[lr] = q;
-        self.update_candidate(q);
+        self.rescore(q);
         if leaving < self.d.len() {
-            self.update_candidate(leaving);
+            self.rescore(leaving);
         }
         self.iterations += 1;
 
@@ -465,6 +525,7 @@ impl<'a> Core<'a> {
         // refactorization policy (no fixed cadence).
         let eta = Eta::new(&self.w, &self.w_supp, lr);
         self.eta_nnz += eta.nnz();
+        self.eta_index.push(self.etas.len(), &eta);
         self.etas.push(eta);
         if !self.eta_row[lr] {
             self.eta_row[lr] = true;
@@ -513,6 +574,7 @@ impl<'a> Core<'a> {
         };
         self.factor = factor;
         self.etas.clear();
+        self.eta_index.clear();
         self.eta_nnz = 0;
         for &k in &self.eta_rows {
             self.eta_row[k] = false;
@@ -571,6 +633,189 @@ impl<'a> Core<'a> {
             }
         }
         x
+    }
+}
+
+/// A max tournament over the pricing scores of columns `0..n`: a
+/// complete binary tree whose every node holds the column that wins its
+/// subtree. A node takes its right child's winner only when that score
+/// is strictly greater, so the root holds the smallest index among the
+/// maxima — what an ascending scan with a strict `>` returns. A changed
+/// score replays only the matches on its leaf's path to the root.
+#[derive(Debug, Default)]
+struct Tournament {
+    /// The leaves' scores; the leaves past them, up to a power of two,
+    /// score `-inf`.
+    scores: Vec<f64>,
+    /// `win[i]` for `1 <= i < win.len()`, the leaf count: the winner of
+    /// node `i`, whose children are nodes `2i` and `2i + 1`. Node
+    /// `win.len() + j` is leaf `j`.
+    win: Vec<u32>,
+}
+
+impl Tournament {
+    /// The column winning node `i`.
+    fn at(&self, i: usize) -> usize {
+        let leaves = self.win.len();
+        if i >= leaves {
+            i - leaves
+        } else {
+            self.win[i] as usize
+        }
+    }
+
+    /// Leaf `j`'s score: `-inf` past the columns.
+    fn score(&self, j: usize) -> f64 {
+        self.scores.get(j).copied().unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// The winner of node `i`'s match between its children's winners.
+    fn play(&self, i: usize) -> u32 {
+        let (l, r) = (self.at(2 * i), self.at(2 * i + 1));
+        (if self.score(r) > self.score(l) { r } else { l }) as u32
+    }
+
+    /// Start over with one leaf per score, replaying every match.
+    fn rebuild(&mut self, scores: impl Iterator<Item = f64>) {
+        self.scores.clear();
+        self.scores.extend(scores);
+        self.win.clear();
+        self.win.resize(self.scores.len().next_power_of_two(), 0);
+        for i in (1..self.win.len()).rev() {
+            self.win[i] = self.play(i);
+        }
+    }
+
+    /// Give leaf `j` score `s`. The walk up stops at a node whose winner
+    /// is neither `j` nor changed: nothing above it can change.
+    fn set(&mut self, j: usize, s: f64) {
+        if self.scores[j].to_bits() == s.to_bits() {
+            return;
+        }
+        self.scores[j] = s;
+        let mut i = (self.win.len() + j) / 2;
+        while i > 0 {
+            let w = self.play(i);
+            if w == self.win[i] && w as usize != j {
+                break;
+            }
+            self.win[i] = w;
+            i /= 2;
+        }
+    }
+
+    /// The smallest column among the highest scores, unless every
+    /// score is `-inf`.
+    fn best(&self) -> Option<usize> {
+        let j = self.at(1);
+        (self.score(j) > f64::NEG_INFINITY).then_some(j)
+    }
+}
+
+/// The bits of `-0.0`.
+const NEG_ZERO: u64 = 1 << 63;
+
+/// Queue for the sparse `ftran` the etas in `range` that position `p`
+/// of `w` obliges to run: those replacing `p` if it holds a nonzero,
+/// those touching it if it holds `-0.0`.
+fn queue_at(index: &mut EtaIndex, w: &[f64], p: usize, range: std::ops::Range<usize>) {
+    if w[p] != 0.0 {
+        index.queue_replacing(p, range);
+    } else if w[p].to_bits() == NEG_ZERO {
+        index.queue_touching(p, range);
+    }
+}
+
+/// Ends a list of [`EtaIndex`].
+const NIL: u32 = u32::MAX;
+
+/// The eta file indexed by basis position, and the etas a sparse pass
+/// has yet to apply. Two lists per position `p`, newest first: the etas
+/// whose support (pivot entry included) holds `p`, from `touching[p]`,
+/// and the etas that replaced position `p`, from `replacing[p]`. Both
+/// chain through the `(eta, next)` nodes of `link`, in storage reused
+/// across refactorizations.
+#[derive(Debug)]
+struct EtaIndex {
+    touching: Vec<u32>,
+    replacing: Vec<u32>,
+    link: Vec<(u32, u32)>,
+    /// One bit per eta; all clear between passes.
+    pending: Vec<u64>,
+}
+
+impl EtaIndex {
+    fn new(m: usize) -> EtaIndex {
+        EtaIndex {
+            touching: vec![NIL; m],
+            replacing: vec![NIL; m],
+            link: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// List eta `k`, the newest, at its position and its support.
+    fn push(&mut self, k: usize, eta: &Eta) {
+        let link = &mut self.link;
+        let mut prepend = |head: &mut u32| {
+            link.push((k as u32, *head));
+            *head = (link.len() - 1) as u32;
+        };
+        prepend(&mut self.replacing[eta.r]);
+        for &(i, _) in &eta.w {
+            prepend(&mut self.touching[i]);
+        }
+        if self.pending.len() <= k / 64 {
+            self.pending.push(0);
+        }
+    }
+
+    /// Forget every eta (the factor was rebuilt).
+    fn clear(&mut self) {
+        self.touching.fill(NIL);
+        self.replacing.fill(NIL);
+        self.link.clear();
+    }
+
+    /// Mark pending the etas in `range` whose support holds `p`.
+    fn queue_touching(&mut self, p: usize, range: std::ops::Range<usize>) {
+        self.queue(self.touching[p], range);
+    }
+
+    /// Mark pending the etas in `range` that replaced position `p`.
+    fn queue_replacing(&mut self, p: usize, range: std::ops::Range<usize>) {
+        self.queue(self.replacing[p], range);
+    }
+
+    /// Mark pending the etas in `range` on the list from `node`.
+    fn queue(&mut self, mut node: u32, range: std::ops::Range<usize>) {
+        while node != NIL {
+            let (k, next) = self.link[node as usize];
+            let k = k as usize;
+            if k < range.start {
+                break;
+            }
+            if k < range.end {
+                self.pending[k / 64] |= 1 << (k % 64);
+            }
+            node = next;
+        }
+    }
+
+    /// Take the oldest pending eta.
+    fn pop_first(&mut self) -> Option<usize> {
+        let i = self.pending.iter().position(|&word| word != 0)?;
+        let k = self.pending[i].trailing_zeros() as usize;
+        self.pending[i] &= !(1 << k);
+        Some(i * 64 + k)
+    }
+
+    /// Take the newest pending eta.
+    fn pop_last(&mut self) -> Option<usize> {
+        let i = self.pending.iter().rposition(|&word| word != 0)?;
+        let k = 63 - self.pending[i].leading_zeros() as usize;
+        self.pending[i] &= !(1 << k);
+        Some(i * 64 + k)
     }
 }
 
@@ -942,17 +1187,32 @@ mod tests {
             w
         }
 
+        /// What the checked pivots of a solve went through.
+        #[derive(Debug, Default)]
+        struct Tally {
+            /// Pivots priced by Bland's rule.
+            bland: u64,
+            /// Refactorizations, each discarding a non-empty eta file.
+            refactors: u64,
+            /// Devex reference-frame resets.
+            resets: u64,
+            /// Etas of the dense ftran pass that found only zeros at
+            /// their positions, a `-0.0` among them, and changed a bit:
+            /// the ones the sparse pass reaches only through the
+            /// factor's negative-diagonal positions.
+            zero_sign_flips: u64,
+        }
+
         /// Runs one phase exactly as `Core::optimise` does, checking
-        /// every pivot against the oracles. Returns how many pivots
-        /// ran under Bland's rule.
+        /// every pivot against the oracles and tallying into `tally`.
         fn checked_phase(
             core: &mut Core,
             c: &dyn Fn(usize) -> f64,
             allow_below: usize,
-        ) -> Result<u64, TestCaseError> {
+            tally: &mut Tally,
+        ) -> Result<(), TestCaseError> {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             core.start_phase();
-            let mut bland = 0;
             while core.iterations < 10_000 {
                 core.refresh_reduced_costs(c, allow_below);
                 let y = dense_duals(core, c);
@@ -967,30 +1227,62 @@ mod tests {
                 prop_assert_eq!(core.candidates().collect::<Vec<_>>(), improving.clone());
                 let use_bland = core.degenerate_run >= DEGENERATE_SWITCH;
                 let want = if use_bland {
-                    bland += 1;
+                    tally.bland += 1;
                     improving.first().copied()
                 } else {
                     reference_price_devex(core, &y, c, allow_below)
                 };
                 let entering = core.entering(use_bland);
                 prop_assert_eq!(entering, want);
-                let Some(q) = entering else { return Ok(bland) };
+                let Some(q) = entering else { return Ok(()) };
                 core.ftran(q);
                 let w = dense_ftran(core, q);
+                tally.zero_sign_flips += zero_sign_flips(core, q);
                 prop_assert_eq!(bits(&core.w), bits(&w), "ftran drifted");
                 prop_assert!(core.w_supp.windows(2).all(|p| p[0] < p[1]), "support unsorted");
                 let off = (0..w.len()).find(|&i| w[i] != 0.0 && !core.w_supp.contains(&i));
                 prop_assert_eq!(off, None, "nonzero of w off its support");
-                let Some(lr) = core.leaving(use_bland) else { return Ok(bland) };
+                let Some(lr) = core.leaving(use_bland) else { return Ok(()) };
                 if !use_bland {
                     let mut want = core.devex.clone();
                     reference_devex_update(core, &mut want, q, lr, w[lr], allow_below);
+                    if core.devex[q].max(1.0) / (w[lr] * w[lr]) > DEVEX_RESET {
+                        tally.resets += 1;
+                    }
                     core.devex_update(q, lr, w[lr], allow_below);
                     prop_assert_eq!(bits(&core.devex), bits(&want));
                 }
+                let etas = core.etas.len();
                 core.pivot(q, lr);
+                if core.etas.len() <= etas {
+                    tally.refactors += 1;
+                }
             }
             Err(TestCaseError::fail("no optimum within 10,000 pivots"))
+        }
+
+        /// Replays the dense ftran of column `q` and counts the etas
+        /// that found only zeros at their positions, a `-0.0` among
+        /// them, and changed a bit of `w`.
+        fn zero_sign_flips(core: &Core, q: usize) -> u64 {
+            let mut w = vec![0.0; core.std.m];
+            match core.col(q) {
+                ColRef::Unit(r) => w[r] = 1.0,
+                ColRef::Sparse(col) => col.iter().for_each(|&(r, v)| w[r] += v),
+            }
+            core.factor.ftran_dense(&mut w);
+            let mut flips = 0;
+            for eta in &core.etas {
+                let at = |w: &[f64]| eta.w.iter().map(|&(i, _)| w[i].to_bits()).collect::<Vec<_>>();
+                let before = at(&w);
+                eta.apply_ftran(&mut w);
+                let zeros = before.iter().all(|&b| f64::from_bits(b) == 0.0);
+                let neg = before.iter().any(|&b| b == (-0.0f64).to_bits());
+                if zeros && neg && at(&w) != before {
+                    flips += 1;
+                }
+            }
+            flips
         }
 
         /// A random LP with `rows` constraints over `vars` variables.
@@ -1025,20 +1317,20 @@ mod tests {
             p
         }
 
-        /// Both phases of a cold solve, checked pivot by pivot; returns
-        /// the pivots priced by Bland's rule.
-        fn checked_solve(p: &Problem) -> Result<u64, TestCaseError> {
+        /// Both phases of a cold solve, checked pivot by pivot.
+        fn checked_solve(p: &Problem) -> Result<Tally, TestCaseError> {
             let std = StandardLp::from_problem(p);
             let n = std.n();
             let mut core = Core::new(&std);
+            let mut tally = Tally::default();
             let phase1 = move |j: usize| if j >= n { 1.0 } else { 0.0 };
-            let mut bland = checked_phase(&mut core, &phase1, n)?;
+            checked_phase(&mut core, &phase1, n, &mut tally)?;
             if core.objective(&phase1) <= 1e-7 {
                 let c = std.c.clone();
                 let phase2 = move |j: usize| if j < c.len() { c[j] } else { 0.0 };
-                bland += checked_phase(&mut core, &phase2, n)?;
+                checked_phase(&mut core, &phase2, n, &mut tally)?;
             }
-            Ok(bland)
+            Ok(tally)
         }
 
         proptest! {
@@ -1068,25 +1360,115 @@ mod tests {
             }
         }
 
-        /// The proptest's degenerate LPs do reach Bland's rule: of
-        /// eight fixed 48 × 48 instances, some price by it.
-        #[test]
-        fn degenerate_lps_reach_blands_rule() {
+        /// The `index`-th 48 × 48 instance of a fixed stream of
+        /// [`random_lp`] draws.
+        fn fixed_lp(index: usize, degenerate: bool) -> Problem {
             let mut state = 0x2545_f491_4f6c_dd1d_u64;
             let mut draw = |n: u32| {
                 state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 ((state >> 33) % n as u64) as u32
             };
-            let mut bland = 0;
-            for _ in 0..8 {
+            let mut lp = None;
+            for _ in 0..=index {
                 let coef: Vec<i32> = (0..48 * 48).map(|_| draw(7) as i32 - 2).collect();
                 let costs: Vec<i32> = (0..48).map(|_| draw(9) as i32 - 3).collect();
                 let rhs: Vec<u32> = (0..48).map(|_| draw(9)).collect();
                 let ops: Vec<u32> = (0..48).map(|_| draw(4)).collect();
-                let p = random_lp(48, 48, &coef, &costs, &rhs, &ops, true);
-                bland += checked_solve(&p).expect("oracles agree");
+                lp = Some(random_lp(48, 48, &coef, &costs, &rhs, &ops, degenerate));
             }
+            lp.expect("the loop runs at least once")
+        }
+
+        /// The proptest's degenerate LPs do reach Bland's rule: of
+        /// eight fixed 48 × 48 instances, some price by it.
+        #[test]
+        fn degenerate_lps_reach_blands_rule() {
+            let bland: u64 = (0..8)
+                .map(|i| checked_solve(&fixed_lp(i, true)).expect("oracles agree").bland)
+                .sum();
             assert!(bland > 0, "no pivot priced by Bland's rule");
+        }
+
+        /// The eta index's reset and the tournament's rebuild stay under
+        /// the bitwise oracles. Every third row of this fixed instance
+        /// is scaled by `1e-4`, so some pivots are small enough to
+        /// overflow the Devex frame, and half its terms are dropped, so
+        /// a pivot's dual change misses some columns and the frame
+        /// reset alone must rescore them. It crosses refactorizations
+        /// (each with a non-empty eta file) and frame resets.
+        #[test]
+        fn refactorizations_and_devex_resets_stay_under_the_oracles() {
+            let mut p = fixed_lp(1, false);
+            for (r, con) in p.constraints.iter_mut().enumerate() {
+                con.terms.retain(|t| (t.0.index() + r) % 2 == 0);
+                if r % 3 == 0 {
+                    con.terms.iter_mut().for_each(|t| t.1 *= 1e-4);
+                    con.rhs *= 1e-4;
+                }
+            }
+            let tally = checked_solve(&p).expect("oracles agree");
+            assert!(tally.refactors > 0, "no refactorization: {tally:?}");
+            assert!(tally.resets > 0, "no Devex frame reset: {tally:?}");
+        }
+
+        /// On this fixed instance the factor's negative diagonal leaves
+        /// `-0.0` in the LU image where etas that meet only zeros flip a
+        /// sign, and the sparse ftran still matches the dense one.
+        #[test]
+        fn negative_diagonal_zeros_reach_the_etas() {
+            let tally = checked_solve(&fixed_lp(25, false)).expect("oracles agree");
+            assert!(tally.zero_sign_flips > 0, "no sign flip: {tally:?}");
+        }
+    }
+
+    mod tournament {
+        use super::super::Tournament;
+        use proptest::prelude::*;
+
+        /// The ascending scan with a strict `>` that pricing ran before
+        /// the tournament; `-inf` marks a non-candidate.
+        fn scan(scores: &[f64]) -> Option<usize> {
+            let mut best: Option<(usize, f64)> = None;
+            for (j, &s) in scores.iter().enumerate() {
+                if s > f64::NEG_INFINITY && best.is_none_or(|(_, b)| s > b) {
+                    best = Some((j, s));
+                }
+            }
+            best.map(|(j, _)| j)
+        }
+
+        /// Few distinct scores, so ties are common; `0` is `-inf`.
+        fn score(v: u8) -> f64 {
+            if v == 0 {
+                f64::NEG_INFINITY
+            } else {
+                v as f64 / 4.0
+            }
+        }
+
+        proptest! {
+            /// After a rebuild and after every single-leaf update, the
+            /// root is the scan's pick: the smallest index among the
+            /// highest scores, or none once every leaf is `-inf`. Leaf
+            /// counts include 1 and non-powers of two.
+            #[test]
+            fn tournament_matches_ascending_scan(
+                n in prop_oneof![Just(1usize), 1usize..70],
+                init in proptest::collection::vec(0u8..5, 70),
+                updates in proptest::collection::vec((0usize..70, 0u8..5), 0..120),
+            ) {
+                let mut scores: Vec<f64> = init[..n].iter().map(|&v| score(v)).collect();
+                let mut tree = Tournament::default();
+                tree.rebuild(scores.iter().copied());
+                prop_assert_eq!(tree.best(), scan(&scores));
+                let clear_all = (0..n).map(|j| (j, 0));
+                for (j, v) in updates.iter().map(|&(j, v)| (j % n, v)).chain(clear_all) {
+                    scores[j] = score(v);
+                    tree.set(j, scores[j]);
+                    prop_assert_eq!(tree.best(), scan(&scores));
+                }
+                prop_assert_eq!(tree.best(), None);
+            }
         }
     }
 

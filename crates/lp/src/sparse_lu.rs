@@ -174,7 +174,8 @@ pub(crate) fn csr<'a>(start: &[u32], idx: &'a [u32], i: usize) -> impl Iterator<
 ///   `j`. `lt_*` — `Lᵀ` in CSR by original row: the positions `k` whose
 ///   `l_cols[k]` holds the row.
 /// * `zero[k]` — `+0.0 / u_diag[k]`, what the back solve leaves at a
-///   position no update reaches (`-0.0` under a negative diagonal).
+///   position no update reaches (`-0.0` under a negative diagonal);
+///   `neg_zero` lists the positions where it is `-0.0`, ascending.
 #[derive(Debug)]
 pub(crate) struct SparseLu {
     m: usize,
@@ -189,6 +190,7 @@ pub(crate) struct SparseLu {
     lt_start: Vec<u32>,
     lt_pos: Vec<u32>,
     zero: Vec<f64>,
+    neg_zero: Vec<usize>,
 }
 
 impl SparseLu {
@@ -208,7 +210,8 @@ impl SparseLu {
         }
         let (ut_start, ut_pos) = transpose(m, &u_cols);
         let (lt_start, lt_pos) = transpose(m, &l_cols);
-        let zero = u_diag.iter().map(|&d| 0.0 / d).collect();
+        let zero: Vec<f64> = u_diag.iter().map(|&d| 0.0 / d).collect();
+        let neg_zero = (0..m).filter(|&k| zero[k].is_sign_negative()).collect();
         SparseLu {
             m,
             perm,
@@ -222,6 +225,7 @@ impl SparseLu {
             lt_start,
             lt_pos,
             zero,
+            neg_zero,
         }
     }
 
@@ -332,6 +336,12 @@ impl SparseLu {
             u_diag.push(pval);
         }
         Some(SparseLu::assemble(m, perm, l_cols, u_cols, u_diag, nnz))
+    }
+
+    /// The positions where [`SparseLu::ftran`] leaves `-0.0` unless an
+    /// update reaches them: those with a negative diagonal.
+    pub fn negative_zeros(&self) -> &[usize] {
+        &self.neg_zero
     }
 
     /// Total stored nonzeros across `L`, `U` and the diagonal.
