@@ -11,17 +11,27 @@
 //! 3. **Crossed bounds** — if folding makes `lo > hi` the model is
 //!    infeasible.
 
-use crate::model::{ConstraintOp, Problem};
+use crate::model::{ConstraintOp, Problem, Variable};
 use crate::Status;
 
 const TOL: f64 = 1e-9;
 
-/// Apply presolve, returning the reduced problem (same variables, fewer
-/// rows, possibly tighter bounds) or the detected terminal status.
-pub fn presolve(p: &Problem) -> Result<Problem, Status> {
-    let mut out = p.clone();
-    let mut kept = Vec::with_capacity(out.constraints.len());
-    for con in out.constraints.drain(..) {
+/// What presolve keeps of a problem: every variable's bounds, tightened
+/// by the singleton rows folded into them, and the rows left, ascending.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reduction {
+    /// `(lo, hi)` by variable index.
+    pub bounds: Vec<(f64, f64)>,
+    /// Indices of the constraints kept.
+    pub rows: Vec<usize>,
+}
+
+/// Presolve `p` without copying it, returning the [`Reduction`] or the
+/// detected terminal status.
+pub fn reduce(p: &Problem) -> Result<Reduction, Status> {
+    let mut bounds: Vec<(f64, f64)> = p.vars.iter().map(|v| (v.lo, v.hi)).collect();
+    let mut rows = Vec::with_capacity(p.constraints.len());
+    for (r, con) in p.constraints.iter().enumerate() {
         match con.terms.len() {
             0 => {
                 let holds = match con.op {
@@ -35,7 +45,7 @@ pub fn presolve(p: &Problem) -> Result<Problem, Status> {
             }
             1 => {
                 let (v, a) = con.terms[0];
-                let var = &mut out.vars[v.index()];
+                let (lo, hi) = &mut bounds[v.index()];
                 let bound = con.rhs / a;
                 // a*x <= rhs  =>  x <= bound (a>0) or x >= bound (a<0).
                 let op = if a > 0.0 {
@@ -48,25 +58,40 @@ pub fn presolve(p: &Problem) -> Result<Problem, Status> {
                     }
                 };
                 match op {
-                    ConstraintOp::Le => var.hi = var.hi.min(bound),
-                    ConstraintOp::Ge => var.lo = var.lo.max(bound),
+                    ConstraintOp::Le => *hi = hi.min(bound),
+                    ConstraintOp::Ge => *lo = lo.max(bound),
                     ConstraintOp::Eq => {
-                        var.lo = var.lo.max(bound);
-                        var.hi = var.hi.min(bound);
+                        *lo = lo.max(bound);
+                        *hi = hi.min(bound);
                     }
                 }
-                if var.lo > var.hi + TOL {
+                if *lo > *hi + TOL {
                     return Err(Status::Infeasible);
                 }
                 // Snap nearly-equal bounds so standard form fixes them.
-                if var.lo > var.hi {
-                    var.hi = var.lo;
+                if *lo > *hi {
+                    *hi = *lo;
                 }
             }
-            _ => kept.push(con),
+            _ => rows.push(r),
         }
     }
-    out.constraints = kept;
+    Ok(Reduction { bounds, rows })
+}
+
+/// Apply presolve, returning the reduced problem (same variables, fewer
+/// rows, possibly tighter bounds) or the detected terminal status: the
+/// [`Reduction`] built into a model of its own.
+pub fn presolve(p: &Problem) -> Result<Problem, Status> {
+    let reduction = reduce(p)?;
+    let mut out = Problem::new(p.sense);
+    out.vars = p
+        .vars
+        .iter()
+        .zip(&reduction.bounds)
+        .map(|(v, &(lo, hi))| Variable { lo, hi, obj: v.obj })
+        .collect();
+    out.constraints = reduction.rows.iter().map(|&r| p.constraints[r].clone()).collect();
     Ok(out)
 }
 

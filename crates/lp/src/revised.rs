@@ -13,17 +13,19 @@
 //! the dense passes it replaces: `ftran` and the pivot-row `btran`
 //! follow the nonzeros, the duals are recomputed only where their
 //! inputs changed bits, reduced costs only in the rows whose dual
-//! changed, and the ratio tests and the Devex update read only the
-//! supports. Devex pricing reads the root of a tournament tree over the
-//! columns' cached scores, in which only the leaves whose reduced cost,
-//! weight or candidacy changed replay their path. An index of the eta
-//! file by basis position lets `ftran` and the pivot-row `btran` apply
-//! only the etas that can change a bit of their result.
+//! changed, and the ratio tests, the `x_B` update and the Devex update
+//! read only the supports. Devex pricing reads the root of a tournament
+//! tree over the columns' cached scores, in which only the leaves whose
+//! reduced cost, weight or candidacy changed replay their path. An
+//! index of the eta file by basis position lets `ftran` and the
+//! pivot-row `btran` apply only the etas that can change a bit of their
+//! result, and lets the duals' eta pass rerun only the etas whose
+//! inputs changed bits, from the inputs it keeps for each eta.
 //! Combined with [`crate::presolve`], it is one to two orders of
 //! magnitude faster than [`crate::dense::DenseSimplex`] on the
 //! traffic-engineering LPs in this workspace — the gap Table A measures.
 
-use crate::presolve::presolve;
+use crate::presolve::reduce;
 use crate::sparse_lu::{csr, transpose, Eta, SparseLu, Workspace};
 use crate::standard::StandardLp;
 use crate::{LpError, LpSolver, Problem, Solution, Status};
@@ -74,10 +76,6 @@ struct Core<'a> {
     /// …composed with one eta per pivot since.
     etas: Vec<Eta>,
     eta_nnz: usize,
-    /// The distinct positions the etas replaced (`eta_row[k]` once `k`
-    /// is listed): the only entries of `c_B` the eta pass rewrites.
-    eta_rows: Vec<usize>,
-    eta_row: Vec<bool>,
     /// The etas by basis position, for the sparse eta passes.
     eta_index: EtaIndex,
     /// Scratch of the solves, reused across refactorizations.
@@ -102,10 +100,13 @@ struct Core<'a> {
     cand: Vec<u64>,
     /// Devex scores of the candidates, kept up to date leaf by leaf.
     tree: Tournament,
-    /// The dual solve `yᵀ B = c_Bᵀ`, in stages: `z` is `c_B` after the
-    /// eta file, `zz` the `Uᵀ` solve of `z`, and `y` the duals by
-    /// original row. `duals_fresh` says they match the factor and the
-    /// costs, up to the last pivot.
+    /// The dual solve `yᵀ B = c_Bᵀ`, in stages: `cb` is `c_B`,
+    /// `eta_out[k]` what eta `k` wrote at its position in the eta pass,
+    /// `z` is `c_B` after the eta file, `zz` the `Uᵀ` solve of `z`, and
+    /// `y` the duals by original row. `duals_fresh` says they match the
+    /// factor and the costs, up to the last pivot.
+    cb: Vec<f64>,
+    eta_out: Vec<f64>,
     z: Vec<f64>,
     zz: Vec<f64>,
     y: Vec<f64>,
@@ -119,10 +120,9 @@ struct Core<'a> {
     rho_supp: Vec<usize>,
     unit: Vec<f64>,
     /// Rows whose dual changed bits; the positions seeding a sparse
-    /// solve; the bits of `z` at the eta rows before a pivot's update.
+    /// solve.
     changed: Vec<usize>,
     seeds: Vec<usize>,
-    z_old: Vec<u64>,
     /// Columns gathered by [`Core::touch_rows`], deduplicated through
     /// `stamp` (`stamp[j] == stamp_gen` once `j` is gathered).
     touched: Vec<usize>,
@@ -154,8 +154,6 @@ impl<'a> Core<'a> {
             factor: SparseLu::identity(m),
             etas: Vec::new(),
             eta_nnz: 0,
-            eta_rows: Vec::new(),
-            eta_row: vec![false; m],
             eta_index: EtaIndex::new(m),
             ws: Workspace::new(m),
             xb: std.b.clone(),
@@ -167,6 +165,8 @@ impl<'a> Core<'a> {
             d: Vec::new(),
             cand: Vec::new(),
             tree: Tournament::default(),
+            cb: vec![0.0; m],
+            eta_out: Vec::new(),
             z: vec![0.0; m],
             zz: vec![0.0; m],
             y: vec![0.0; m],
@@ -178,7 +178,6 @@ impl<'a> Core<'a> {
             unit: vec![0.0; m],
             changed: Vec::new(),
             seeds: Vec::new(),
-            z_old: Vec::new(),
             touched: Vec::new(),
             stamp: vec![0; n_total],
             stamp_gen: 0,
@@ -355,39 +354,33 @@ impl<'a> Core<'a> {
     /// Bring the duals `y = c_B B⁻¹` of the current basis, `d` and the
     /// candidate bitmap up to date.
     ///
-    /// The eta file writes `c_B` only at the eta rows, so after a pivot
-    /// that kept the factor only `z` at those rows can have changed (the
-    /// pivot's own position is one of them): they are reset to `c_B`,
-    /// the eta pass reruns, and the rows whose `z` changed bits seed
-    /// [`SparseLu::btran_update`]. After a refactorization or a phase
-    /// start the whole solve reruns. `d_j` reads `y` only at column
-    /// `j`'s rows, so only the columns in rows whose dual changed bits
-    /// are recomputed; after a phase start every column is.
+    /// After a pivot that kept the factor, [`Core::update_dual_etas`]
+    /// reruns only the etas whose inputs changed bits, and the rows
+    /// whose `z` changed bits seed [`SparseLu::btran_update`]. After a
+    /// refactorization or a phase start the whole solve reruns. `d_j`
+    /// reads `y` only at column `j`'s rows, so only the columns in rows
+    /// whose dual changed bits are recomputed; after a phase start
+    /// every column is.
     fn refresh_reduced_costs(&mut self, c: &dyn Fn(usize) -> f64, allow_below: usize) {
-        if self.duals_fresh {
-            self.z_old.clear();
-            for &k in &self.eta_rows {
-                self.z_old.push(self.z[k].to_bits());
-                self.z[k] = c(self.basis[k]);
-            }
-        } else {
-            for (z, &b) in self.z.iter_mut().zip(&self.basis) {
-                *z = c(b);
-            }
-        }
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(&mut self.z);
-        }
         self.changed.clear();
         let seeds = if self.duals_fresh {
-            self.seeds.clear();
-            for (&k, &old) in self.eta_rows.iter().zip(&self.z_old) {
-                if self.z[k].to_bits() != old {
-                    self.seeds.push(k);
-                }
-            }
+            self.update_dual_etas(c);
             Some(&self.seeds[..])
         } else {
+            for (cb, &b) in self.cb.iter_mut().zip(&self.basis) {
+                *cb = c(b);
+            }
+            self.z.copy_from_slice(&self.cb);
+            self.eta_out.clear();
+            self.eta_out.resize(self.etas.len(), 0.0);
+            for (k, eta) in self.etas.iter().enumerate().rev() {
+                let inputs = self.eta_index.dual_inputs(k);
+                for (x, &(i, _)) in inputs.iter_mut().zip(&eta.w) {
+                    *x = self.z[i];
+                }
+                self.z[eta.r] = dual_output(eta, inputs);
+                self.eta_out[k] = self.z[eta.r];
+            }
             self.duals_fresh = true;
             None
         };
@@ -408,6 +401,47 @@ impl<'a> Core<'a> {
                 self.rescore(j);
             }
             self.touched = touched;
+        }
+    }
+
+    /// Bring `c_B`, `eta_out` and `z` up to date after the pivot that
+    /// pushed the newest eta, and list in `seeds` the positions whose
+    /// `z` changed bits.
+    ///
+    /// The dense pass runs the etas newest first from `c_B`, so eta `k`
+    /// reads position `p` as the output of the oldest newer eta that
+    /// replaced `p`, or as `c_B[p]` if none did, and `z[p]` is the
+    /// output of the oldest eta that replaced `p`. The index keeps what
+    /// each eta read. The newest eta reads `c_B`; the pivot changed it
+    /// only at `lr`, which the older etas now read from the newest one
+    /// back to `lr`'s previous replacement. So an eta whose output
+    /// changed bits (the newest one first) hands it to the etas that
+    /// read its position from it, and those rerun, newest first.
+    fn update_dual_etas(&mut self, c: &dyn Fn(usize) -> f64) {
+        let newest = self.etas.len() - 1;
+        debug_assert_eq!(self.eta_out.len(), newest, "one pivot since the last pass");
+        self.eta_out.push(0.0);
+        let eta = &self.etas[newest];
+        self.cb[eta.r] = c(self.basis[eta.r]);
+        let inputs = self.eta_index.dual_inputs(newest);
+        for (x, &(i, _)) in inputs.iter_mut().zip(&eta.w) {
+            *x = self.cb[i];
+        }
+        self.eta_index.mark(newest);
+        self.seeds.clear();
+        while let Some(k) = self.eta_index.pop_last() {
+            let eta = &self.etas[k];
+            let out = dual_output(eta, self.eta_index.dual_inputs(k));
+            if k < newest && out.to_bits() == self.eta_out[k].to_bits() {
+                continue;
+            }
+            self.eta_out[k] = out;
+            let previous = self.eta_index.previous(k);
+            if previous.is_none() && self.z[eta.r].to_bits() != out.to_bits() {
+                self.z[eta.r] = out;
+                self.seeds.push(eta.r);
+            }
+            self.eta_index.feed(eta.r, previous.unwrap_or(0)..k, out);
         }
     }
 
@@ -494,20 +528,26 @@ impl<'a> Core<'a> {
     /// the basis, the candidate bitmap and the eta file, refactorizing
     /// as the growth/drift policy says.
     fn pivot(&mut self, q: usize, lr: usize) {
+        let theta = self.step_length(lr);
         let w = &self.w;
-        let theta = self.xb[lr].max(0.0) / w[lr];
         if theta <= TOL {
             self.degenerate_run += 1;
         } else {
             self.degenerate_run = 0;
         }
 
-        // Update the solution estimate. Every entry, zeros included:
-        // `x − θ·(−0.0)` can turn a −0.0 into +0.0. Position `lr` is
-        // overwritten afterwards, so the loop need not skip it.
-        for (x, &wi) in self.xb.iter_mut().zip(w) {
-            let v = *x - theta * wi;
-            *x = if v < 0.0 && v > -TOL { 0.0 } else { v };
+        // Update the solution estimate on `w`'s support, zeros included;
+        // position `lr` is overwritten afterwards. Off the support `w_i`
+        // is a zero and `x − θ·w_i` keeps `x`'s bits (no entry lies in
+        // `(−TOL, 0)` to snap), unless `x` and `θ·w_i` are both `−0.0`.
+        // They never are: `θ` is never `−0.0`, a refactorization leaves
+        // no `−0.0` in `x_B` and an update makes none (`−0.0 − (+0.0)`
+        // is the only difference that is `−0.0`), and until the first
+        // refactorization, with an identity factor, every `−0.0` of `w`
+        // is on its support.
+        for &i in &self.w_supp {
+            let v = self.xb[i] - theta * w[i];
+            self.xb[i] = if v < 0.0 && v > -TOL { 0.0 } else { v };
         }
         self.xb[lr] = theta;
 
@@ -527,14 +567,20 @@ impl<'a> Core<'a> {
         self.eta_nnz += eta.nnz();
         self.eta_index.push(self.etas.len(), &eta);
         self.etas.push(eta);
-        if !self.eta_row[lr] {
-            self.eta_row[lr] = true;
-            self.eta_rows.push(lr);
-        }
         let grown = self.etas.len() >= eta_limit(self.std.m)
             || self.eta_nnz > 2 * self.factor.nnz() + 64;
         if grown || (self.iterations.is_multiple_of(DRIFT_CHECK_EVERY) && self.drift_exceeded()) {
             self.refactorise();
+        }
+    }
+
+    /// The step `θ = x_lr / w_lr` of a pivot at `lr`, `+0.0` when `x_lr`
+    /// is not positive: never `−0.0`, which `f64::max` may return.
+    fn step_length(&self, lr: usize) -> f64 {
+        if self.xb[lr] > 0.0 {
+            self.xb[lr] / self.w[lr]
+        } else {
+            0.0
         }
     }
 
@@ -576,10 +622,6 @@ impl<'a> Core<'a> {
         self.etas.clear();
         self.eta_index.clear();
         self.eta_nnz = 0;
-        for &k in &self.eta_rows {
-            self.eta_row[k] = false;
-        }
-        self.eta_rows.clear();
         self.duals_fresh = false;
         // Zeros of `b` are left out: they only decide signs of zeros,
         // which the clean-up below erases.
@@ -729,17 +771,40 @@ fn queue_at(index: &mut EtaIndex, w: &[f64], p: usize, range: std::ops::Range<us
 /// Ends a list of [`EtaIndex`].
 const NIL: u32 = u32::MAX;
 
+/// What eta `eta` writes at its position in the dual eta pass, given
+/// what it reads at each entry of its support: [`Eta::apply_btran`]'s
+/// arithmetic, term for term.
+fn dual_output(eta: &Eta, inputs: &[f64]) -> f64 {
+    let mut s = 0.0;
+    let mut at_r = 0.0;
+    for (&(i, w), &x) in eta.w.iter().zip(inputs) {
+        if i != eta.r {
+            s += w * x;
+        } else {
+            at_r = x;
+        }
+    }
+    (at_r - s) / eta.pivot
+}
+
 /// The eta file indexed by basis position, and the etas a sparse pass
-/// has yet to apply. Two lists per position `p`, newest first: the etas
-/// whose support (pivot entry included) holds `p`, from `touching[p]`,
-/// and the etas that replaced position `p`, from `replacing[p]`. Both
-/// chain through the `(eta, next)` nodes of `link`, in storage reused
+/// has yet to apply. Per position `p`, the etas whose support (pivot
+/// entry included) holds `p`, newest first from `touching[p]` through
+/// the `(eta, next)` nodes of `link`; and the etas that replaced `p`,
+/// newest first from `newest[p]` through `older`. Storage is reused
 /// across refactorizations.
 #[derive(Debug)]
 struct EtaIndex {
     touching: Vec<u32>,
-    replacing: Vec<u32>,
+    /// One node per support entry, eta by eta in creation order and
+    /// each eta's in its support's order, starting at `first[k]`.
     link: Vec<(u32, u32)>,
+    first: Vec<u32>,
+    /// By node: what its eta read at that entry in the last dual pass.
+    dual_in: Vec<f64>,
+    newest: Vec<u32>,
+    /// `older[k]`: the next older eta that replaced eta `k`'s position.
+    older: Vec<u32>,
     /// One bit per eta; all clear between passes.
     pending: Vec<u64>,
 }
@@ -748,23 +813,25 @@ impl EtaIndex {
     fn new(m: usize) -> EtaIndex {
         EtaIndex {
             touching: vec![NIL; m],
-            replacing: vec![NIL; m],
             link: Vec::new(),
+            first: Vec::new(),
+            dual_in: Vec::new(),
+            newest: vec![NIL; m],
+            older: Vec::new(),
             pending: Vec::new(),
         }
     }
 
     /// List eta `k`, the newest, at its position and its support.
     fn push(&mut self, k: usize, eta: &Eta) {
-        let link = &mut self.link;
-        let mut prepend = |head: &mut u32| {
-            link.push((k as u32, *head));
-            *head = (link.len() - 1) as u32;
-        };
-        prepend(&mut self.replacing[eta.r]);
+        self.first.push(self.link.len() as u32);
+        self.older.push(self.newest[eta.r]);
+        self.newest[eta.r] = k as u32;
         for &(i, _) in &eta.w {
-            prepend(&mut self.touching[i]);
+            self.link.push((k as u32, self.touching[i]));
+            self.touching[i] = (self.link.len() - 1) as u32;
         }
+        self.dual_in.resize(self.link.len(), 0.0);
         if self.pending.len() <= k / 64 {
             self.pending.push(0);
         }
@@ -773,8 +840,41 @@ impl EtaIndex {
     /// Forget every eta (the factor was rebuilt).
     fn clear(&mut self) {
         self.touching.fill(NIL);
-        self.replacing.fill(NIL);
+        self.newest.fill(NIL);
         self.link.clear();
+        self.first.clear();
+        self.dual_in.clear();
+        self.older.clear();
+    }
+
+    /// Eta `k`'s dual-pass inputs, one per entry of its support.
+    fn dual_inputs(&mut self, k: usize) -> &mut [f64] {
+        let end = self.first.get(k + 1).map_or(self.link.len(), |&e| e as usize);
+        &mut self.dual_in[self.first[k] as usize..end]
+    }
+
+    /// The next older eta that replaced eta `k`'s position.
+    fn previous(&self, k: usize) -> Option<usize> {
+        let e = self.older[k];
+        (e != NIL).then_some(e as usize)
+    }
+
+    /// Make `value` the dual-pass input at position `p` of the etas in
+    /// `range` whose support holds it, and mark them pending.
+    fn feed(&mut self, p: usize, range: std::ops::Range<usize>, value: f64) {
+        let mut node = self.touching[p];
+        while node != NIL {
+            let (k, next) = self.link[node as usize];
+            let k = k as usize;
+            if k < range.start {
+                break;
+            }
+            if k < range.end {
+                self.dual_in[node as usize] = value;
+                self.mark(k);
+            }
+            node = next;
+        }
     }
 
     /// Mark pending the etas in `range` whose support holds `p`.
@@ -784,7 +884,14 @@ impl EtaIndex {
 
     /// Mark pending the etas in `range` that replaced position `p`.
     fn queue_replacing(&mut self, p: usize, range: std::ops::Range<usize>) {
-        self.queue(self.replacing[p], range);
+        let mut e = self.newest[p];
+        while e != NIL && e as usize >= range.start {
+            let k = e as usize;
+            if k < range.end {
+                self.mark(k);
+            }
+            e = self.older[k];
+        }
     }
 
     /// Mark pending the etas in `range` on the list from `node`.
@@ -796,10 +903,15 @@ impl EtaIndex {
                 break;
             }
             if k < range.end {
-                self.pending[k / 64] |= 1 << (k % 64);
+                self.mark(k);
             }
             node = next;
         }
+    }
+
+    /// Mark eta `k` pending.
+    fn mark(&mut self, k: usize) {
+        self.pending[k / 64] |= 1 << (k % 64);
     }
 
     /// Take the oldest pending eta.
@@ -913,20 +1025,14 @@ impl LpSolver for RevisedSimplex {
             iterations,
             degraded: false,
         };
-        let pre;
-        let effective: &Problem = if self.presolve {
-            match presolve(problem) {
-                Ok(reduced) => {
-                    pre = reduced;
-                    &pre
-                }
+        let std = if self.presolve {
+            match reduce(problem) {
+                Ok(reduction) => StandardLp::from_reduction(problem, &reduction),
                 Err(status) => return Ok(without_point(status, 0)),
             }
         } else {
-            problem
+            StandardLp::from_problem(problem)
         };
-
-        let std = StandardLp::from_problem(effective);
         let m = std.m;
         let n = std.n();
 
@@ -934,7 +1040,7 @@ impl LpSolver for RevisedSimplex {
             if std.c.iter().any(|&cj| cj < -TOL) {
                 return Ok(without_point(Status::Unbounded, 0));
             }
-            let (values, objective) = std.recover(effective, &vec![0.0; n]);
+            let (values, objective) = std.recover(problem, &vec![0.0; n]);
             return Ok(Solution {
                 status: Status::Optimal,
                 objective,
@@ -965,7 +1071,7 @@ impl LpSolver for RevisedSimplex {
         }
 
         let x = core.extract();
-        let (values, objective) = std.recover(effective, &x);
+        let (values, objective) = std.recover(problem, &x);
         Ok(Solution {
             status: Status::Optimal,
             objective,
@@ -1201,6 +1307,43 @@ mod tests {
             /// the ones the sparse pass reaches only through the
             /// factor's negative-diagonal positions.
             zero_sign_flips: u64,
+            /// `-0.0` entries of `x_B` off `w`'s support at a pivot: the
+            /// zeros whose bits the sparse `x_B` update relies on
+            /// keeping.
+            xb_neg_zeros_off_support: u64,
+        }
+
+        /// The dense eta pass of the duals from `c_B`: the `z` it ends
+        /// with, and what each eta wrote at its position.
+        fn dense_eta_pass(core: &Core, c: &dyn Fn(usize) -> f64) -> (Vec<f64>, Vec<f64>) {
+            let mut z: Vec<f64> = core.basis.iter().map(|&b| c(b)).collect();
+            let mut out = vec![0.0; core.etas.len()];
+            for (k, eta) in core.etas.iter().enumerate().rev() {
+                eta.apply_btran(&mut z);
+                out[k] = z[eta.r];
+            }
+            (z, out)
+        }
+
+        /// The `x_B` update of a pivot at `lr` over every entry.
+        fn dense_xb_update(core: &Core, lr: usize) -> Vec<f64> {
+            let theta = core.step_length(lr);
+            let mut xb = core.xb.clone();
+            for (x, &wi) in xb.iter_mut().zip(&core.w) {
+                let v = *x - theta * wi;
+                *x = if v < 0.0 && v > -TOL { 0.0 } else { v };
+            }
+            xb[lr] = theta;
+            xb
+        }
+
+        /// Every tournament leaf holds its column's current score.
+        fn check_leaves(core: &Core, allow_below: usize) -> Result<(), TestCaseError> {
+            for j in 0..allow_below {
+                let (leaf, want) = (core.tree.score(j), core.score(j));
+                prop_assert_eq!(leaf.to_bits(), want.to_bits(), "stale leaf {}", j);
+            }
+            Ok(())
         }
 
         /// Runs one phase exactly as `Core::optimise` does, checking
@@ -1215,6 +1358,9 @@ mod tests {
             core.start_phase();
             while core.iterations < 10_000 {
                 core.refresh_reduced_costs(c, allow_below);
+                let (z, eta_out) = dense_eta_pass(core, c);
+                prop_assert_eq!(bits(&core.eta_out), bits(&eta_out), "stale eta output");
+                prop_assert_eq!(bits(&core.z), bits(&z), "eta pass drifted");
                 let y = dense_duals(core, c);
                 prop_assert_eq!(bits(&core.y), bits(&y), "incremental duals drifted");
                 for j in 0..allow_below {
@@ -1251,12 +1397,20 @@ mod tests {
                     }
                     core.devex_update(q, lr, w[lr], allow_below);
                     prop_assert_eq!(bits(&core.devex), bits(&want));
+                    check_leaves(core, allow_below)?;
                 }
+                let xb = dense_xb_update(core, lr);
+                tally.xb_neg_zeros_off_support += (0..w.len())
+                    .filter(|&i| core.xb[i].to_bits() == NEG_ZERO && !core.w_supp.contains(&i))
+                    .count() as u64;
                 let etas = core.etas.len();
                 core.pivot(q, lr);
                 if core.etas.len() <= etas {
                     tally.refactors += 1;
+                } else {
+                    prop_assert_eq!(bits(&core.xb), bits(&xb), "x_B update drifted");
                 }
+                check_leaves(core, allow_below)?;
             }
             Err(TestCaseError::fail("no optimum within 10,000 pivots"))
         }
@@ -1317,6 +1471,17 @@ mod tests {
             p
         }
 
+        /// Give the rows of `p` with a zero right-hand side `-0.0`
+        /// instead, and nonnegative coefficients, so that standard form
+        /// keeps the sign in `b` and the artificial basis starts with
+        /// `-0.0`s in `x_B`.
+        fn negative_zero_rows(p: &mut Problem) {
+            for con in p.constraints.iter_mut().filter(|con| con.rhs == 0.0) {
+                con.rhs = -0.0;
+                con.terms.iter_mut().for_each(|t| t.1 = t.1.abs());
+            }
+        }
+
         /// Both phases of a cold solve, checked pivot by pivot.
         fn checked_solve(p: &Problem) -> Result<Tally, TestCaseError> {
             let std = StandardLp::from_problem(p);
@@ -1341,7 +1506,8 @@ mod tests {
             /// of the dense solve, the candidate bitmap is the full
             /// scan's set, the entering column is the full rescan's, the
             /// hypersparse `w` is the dense one with a covering support,
-            /// and the Devex weights are the full loop's, bitwise.
+            /// and the Devex weights, the eta pass of the duals, every
+            /// tournament leaf and `x_B` are the full loops', bitwise.
             #[test]
             fn incremental_pricing_matches_full_rescan(
                 rows in 1usize..48,
@@ -1351,11 +1517,15 @@ mod tests {
                 rhs in proptest::collection::vec(0u32..9, 48),
                 ops in proptest::collection::vec(0u32..4, 48),
                 degenerate in any::<bool>(),
+                negative_zeros in any::<bool>(),
             ) {
                 // Degenerate runs long enough for Bland's rule need room.
                 let (rows, vars) =
                     if degenerate { (32 + rows % 16, 32 + vars % 16) } else { (rows, vars) };
-                let p = random_lp(rows, vars, &coef, &costs, &rhs, &ops, degenerate);
+                let mut p = random_lp(rows, vars, &coef, &costs, &rhs, &ops, degenerate);
+                if negative_zeros {
+                    negative_zero_rows(&mut p);
+                }
                 checked_solve(&p)?;
             }
         }
@@ -1409,6 +1579,81 @@ mod tests {
             let tally = checked_solve(&p).expect("oracles agree");
             assert!(tally.refactors > 0, "no refactorization: {tally:?}");
             assert!(tally.resets > 0, "no Devex frame reset: {tally:?}");
+        }
+
+        /// Degenerate instances whose zero right-hand sides are `-0.0`
+        /// start with `-0.0`s in `x_B`; pivots meet them off `w`'s
+        /// support, where the sparse update leaves them alone, and `x_B`
+        /// keeps the dense update's bits.
+        #[test]
+        fn negative_zero_right_hand_sides_keep_their_bits() {
+            let met: u64 = (0..4)
+                .map(|i| {
+                    let mut p = fixed_lp(i, true);
+                    negative_zero_rows(&mut p);
+                    checked_solve(&p).expect("oracles agree").xb_neg_zeros_off_support
+                })
+                .sum();
+            assert!(met > 0, "no -0.0 of x_B met off the support");
+        }
+
+        /// Standard form over the columns `cols` with costs `c` and
+        /// right-hand side `b`, for driving `Core` by hand.
+        fn hand_lp(cols: Vec<Vec<(usize, f64)>>, b: Vec<f64>, c: Vec<f64>) -> StandardLp {
+            StandardLp { m: b.len(), cols, b, c, var_map: Vec::new() }
+        }
+
+        /// Bring column `q` into position `lr`, whatever pricing and the
+        /// ratio test would pick, checking `w` against the dense ftran
+        /// and every tournament leaf afterwards.
+        fn forced_pivot(core: &mut Core, q: usize, lr: usize) {
+            let (n, costs) = (core.n_real, core.std.c.clone());
+            core.refresh_reduced_costs(&|j| costs.get(j).copied().unwrap_or(0.0), n);
+            core.ftran(q);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&core.w), bits(&dense_ftran(core, q)), "ftran drifted");
+            core.pivot(q, lr);
+            check_leaves(core, n).expect("leaves hold their scores");
+        }
+
+        /// A column that leaves the basis with `d_j < -TOL` (a basic
+        /// column's reduced cost is zero only up to rounding: here
+        /// `c − (c / 3)·3` is `-1.5e-8`) becomes a candidate at once,
+        /// and its tournament leaf must say so: the duals do not move,
+        /// so no refresh would rescore it.
+        #[test]
+        fn a_leaving_column_can_reenter_as_a_candidate() {
+            let c0 = 104_123_711.340_206_19;
+            let std = hand_lp(vec![vec![(0, 3.0)], vec![(0, 1.0)]], vec![1.0], vec![c0, c0 / 3.0]);
+            let mut core = Core::new(&std);
+            core.start_phase();
+            forced_pivot(&mut core, 0, 0);
+            forced_pivot(&mut core, 1, 0);
+            assert!(core.d[0] < -TOL, "d_0 = {}", core.d[0]);
+            assert!(core.score(0) > f64::NEG_INFINITY, "column 0 is no candidate");
+            assert_eq!(core.entering(false), Some(0));
+        }
+
+        /// An `ftran` eta whose `w[r] / pivot` underflows to `-0.0`
+        /// leaves a zero at `r` that a later eta's update flips to
+        /// `+0.0`: the sparse pass must queue the later etas touching
+        /// `r`, although `r` no longer holds a nonzero.
+        #[test]
+        fn ftran_requeues_an_underflowed_position() {
+            let cols = vec![
+                vec![(0, 3.0)],
+                vec![(0, -3.0), (1, 1.0)],
+                vec![(0, -f64::from_bits(1))],
+            ];
+            let std = hand_lp(cols, vec![1.0, 1.0], vec![0.0; 3]);
+            let mut core = Core::new(&std);
+            core.start_phase();
+            forced_pivot(&mut core, 0, 0);
+            forced_pivot(&mut core, 1, 1);
+            core.ftran(2);
+            let w = dense_ftran(&core, 2);
+            assert_eq!(w[0].to_bits(), 0.0f64.to_bits(), "the dense pass flips w[0] to +0.0");
+            assert_eq!(core.w[0].to_bits(), w[0].to_bits(), "ftran drifted");
         }
 
         /// On this fixed instance the factor's negative diagonal leaves

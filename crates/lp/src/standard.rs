@@ -13,9 +13,12 @@
 //! * rows are scaled so `b >= 0`.
 //!
 //! The struct remembers enough to map a standard-form point back to the
-//! original variables and objective.
+//! original variables and objective. It is built either from a whole
+//! [`Problem`] or from a problem seen through a presolve [`Reduction`]
+//! (tightened bounds, a subset of the rows), without copying the model.
 
-use crate::model::{ConstraintOp, Problem, Sense};
+use crate::model::{Constraint, ConstraintOp, Problem, Sense};
+use crate::presolve::Reduction;
 
 /// How one original variable maps into standard-form columns.
 #[derive(Debug, Clone, Copy)]
@@ -33,6 +36,13 @@ pub(crate) enum VarMap {
         pos: usize,
         /// Column for the negative part.
         neg: usize,
+    },
+    /// `x = hi - col` (a variable with only an upper bound)
+    Mirrored {
+        /// Standard-form column index.
+        col: usize,
+        /// The upper bound.
+        hi: f64,
     },
     /// Variable was fixed (`lo == hi`) and eliminated.
     Fixed(f64),
@@ -58,49 +68,58 @@ pub struct StandardLp {
 impl StandardLp {
     /// Convert `p` (already validated) to standard form.
     pub fn from_problem(p: &Problem) -> Self {
+        let rows: Vec<&Constraint> = p.constraints.iter().collect();
+        Self::build(p, |i| (p.vars[i].lo, p.vars[i].hi), &rows)
+    }
+
+    /// Convert `p` (already validated) as presolve reduced it to
+    /// standard form: the same as converting the reduced model, which
+    /// is never built.
+    pub fn from_reduction(p: &Problem, reduction: &Reduction) -> Self {
+        let rows: Vec<&Constraint> = reduction.rows.iter().map(|&r| &p.constraints[r]).collect();
+        Self::build(p, |i| reduction.bounds[i], &rows)
+    }
+
+    /// Standard form of `p`'s variables under `bounds` and its rows
+    /// `constraints`.
+    fn build(
+        p: &Problem,
+        bounds: impl Fn(usize) -> (f64, f64),
+        constraints: &[&Constraint],
+    ) -> Self {
         let mut cols: Vec<SparseCol> = Vec::new();
         let mut c: Vec<f64> = Vec::new();
         let mut var_map: Vec<VarMap> = Vec::with_capacity(p.vars.len());
         // Rows: original constraints first, upper-bound rows appended.
         type Row = (Vec<(usize, f64)>, ConstraintOp, f64);
-        let mut rows: Vec<Row> = p
-            .constraints
-            .iter()
-            .map(|con| (Vec::new(), con.op, con.rhs))
-            .collect();
+        let mut rows: Vec<Row> =
+            constraints.iter().map(|con| (Vec::new(), con.op, con.rhs)).collect();
 
         let sign = match p.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
 
-        for v in &p.vars {
-            if v.lo == v.hi {
-                var_map.push(VarMap::Fixed(v.lo));
+        for (i, v) in p.vars.iter().enumerate() {
+            let (lo, hi) = bounds(i);
+            if lo == hi {
+                var_map.push(VarMap::Fixed(lo));
                 continue;
             }
-            if v.lo.is_finite() {
+            if lo.is_finite() {
                 let col = cols.len();
                 cols.push(Vec::new());
                 c.push(sign * v.obj);
-                var_map.push(VarMap::Shifted { col, shift: v.lo });
-                if v.hi.is_finite() {
-                    rows.push((vec![(col, 1.0)], ConstraintOp::Le, v.hi - v.lo));
+                var_map.push(VarMap::Shifted { col, shift: lo });
+                if hi.is_finite() {
+                    rows.push((vec![(col, 1.0)], ConstraintOp::Le, hi - lo));
                 }
-            } else if v.hi.is_finite() {
+            } else if hi.is_finite() {
                 // Only an upper bound: substitute x = hi - x', x' >= 0.
                 let col = cols.len();
                 cols.push(Vec::new());
                 c.push(-sign * v.obj);
-                var_map.push(VarMap::Shifted { col: usize::MAX, shift: 0.0 });
-                // Rewrite as a split with pos unused: encode via Shifted
-                // is wrong; use a dedicated mapping below.
-                let last = var_map.len() - 1;
-                var_map[last] = VarMap::Split { pos: usize::MAX, neg: col };
-                // x = hi - x'  =>  contributes -coef * x' and coef*hi to rhs.
-                // Stored via the Split{pos:MAX} marker; see fill loop.
-                // Shift bookkeeping handled there.
-                let _ = last;
+                var_map.push(VarMap::Mirrored { col, hi });
             } else {
                 let pos = cols.len();
                 cols.push(Vec::new());
@@ -113,7 +132,7 @@ impl StandardLp {
         }
 
         // Fill constraint coefficients.
-        for (ci, con) in p.constraints.iter().enumerate() {
+        for (ci, con) in constraints.iter().enumerate() {
             for &(v, coef) in &con.terms {
                 match var_map[v.index()] {
                     VarMap::Fixed(val) => {
@@ -123,16 +142,15 @@ impl StandardLp {
                         rows[ci].0.push((col, coef));
                         rows[ci].2 -= coef * shift;
                     }
+                    VarMap::Mirrored { col, hi } => {
+                        // x = hi - x' contributes -coef * x' and coef*hi
+                        // to the right-hand side.
+                        rows[ci].0.push((col, -coef));
+                        rows[ci].2 -= coef * hi;
+                    }
                     VarMap::Split { pos, neg } => {
-                        if pos == usize::MAX {
-                            // x = hi - x' (upper-bound-only variable).
-                            let hi = p.vars[v.index()].hi;
-                            rows[ci].0.push((neg, -coef));
-                            rows[ci].2 -= coef * hi;
-                        } else {
-                            rows[ci].0.push((pos, coef));
-                            rows[ci].0.push((neg, -coef));
-                        }
+                        rows[ci].0.push((pos, coef));
+                        rows[ci].0.push((neg, -coef));
                     }
                 }
             }
@@ -188,22 +206,19 @@ impl StandardLp {
     }
 
     /// Map a standard-form point back to original-variable values and
-    /// the original-sense objective.
+    /// the original-sense objective of `p`, the problem this was built
+    /// from.
     pub fn recover(&self, p: &Problem, x: &[f64]) -> (Vec<f64>, f64) {
-        let mut values = vec![0.0; self.var_map.len()];
-        for (i, vm) in self.var_map.iter().enumerate() {
-            values[i] = match *vm {
+        let values: Vec<f64> = self
+            .var_map
+            .iter()
+            .map(|vm| match *vm {
                 VarMap::Fixed(v) => v,
                 VarMap::Shifted { col, shift } => shift + x[col],
-                VarMap::Split { pos, neg } => {
-                    if pos == usize::MAX {
-                        p.var_bounds(crate::VarId(i as u32)).1 - x[neg]
-                    } else {
-                        x[pos] - x[neg]
-                    }
-                }
-            };
-        }
+                VarMap::Mirrored { col, hi } => hi - x[col],
+                VarMap::Split { pos, neg } => x[pos] - x[neg],
+            })
+            .collect();
         let obj = p.objective_at(&values);
         (values, obj)
     }

@@ -8,11 +8,15 @@ use netrepro::graph::paths::Path;
 use netrepro::graph::traffic;
 use netrepro::graph::{DiGraph, EdgeId, NodeId};
 use netrepro::lp::dense::DenseSimplex;
+use netrepro::lp::presolve::{presolve, reduce};
 use netrepro::lp::revised::RevisedSimplex;
+use netrepro::lp::standard::StandardLp;
+use netrepro::lp::{LpError, LpSolver, Problem, Solution};
 use netrepro::te::baseline::solve_greedy;
 use netrepro::te::mcf::{build_tunnels, solve_mcf, TeInstance};
 use netrepro::te::ncflow::{solve_ncflow, NcFlowConfig};
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 #[path = "../crates/graph/tests/support/yen_reference.rs"]
 mod yen_reference;
@@ -100,4 +104,53 @@ fn tunnels_match_reference_yen_on_lp_scale_rungs() {
             assert_eq!(key(paths), key(&want), "lp_scale {}: {s:?} -> {d:?}", spec.label);
         }
     }
+}
+
+/// Keeps a copy of every problem it is handed, then solves it with the
+/// revised simplex.
+struct Capture(Mutex<Vec<Problem>>);
+
+impl LpSolver for Capture {
+    fn solve(&self, problem: &Problem) -> Result<Solution, LpError> {
+        self.0.lock().unwrap().push(problem.clone());
+        RevisedSimplex::default().solve(problem)
+    }
+
+    fn name(&self) -> &'static str {
+        "capture"
+    }
+}
+
+/// Standard form built from a presolve `Reduction` over the caller's
+/// model is, bit for bit, standard form of the presolved copy of the
+/// model, on every LP the MCF and NCFlow solve on the 1× and 10×
+/// `lp_scale` rungs and the MCF on the 100× rung.
+#[test]
+fn reduced_standard_form_matches_the_presolved_copy_on_lp_scale_rungs() {
+    let capture = Capture(Mutex::new(Vec::new()));
+    for spec in lp_scale_specs() {
+        let inst = lp_scale_instance(&spec);
+        solve_mcf(&inst, &capture).expect("MCF solves");
+        if spec.label != "100x" {
+            let cfg = NcFlowConfig::for_instance(&inst);
+            solve_ncflow(&inst, &cfg, &capture).expect("NCFlow solves");
+        }
+    }
+    let problems = capture.0.into_inner().unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let col_bits = |s: &StandardLp| -> Vec<Vec<(usize, u64)>> {
+        s.cols.iter().map(|col| col.iter().map(|&(r, v)| (r, v.to_bits())).collect()).collect()
+    };
+    let mut reduced = 0;
+    for p in &problems {
+        let reduction = reduce(p).expect("feasible");
+        reduced += usize::from(reduction.rows.len() < p.num_constraints());
+        let got = StandardLp::from_reduction(p, &reduction);
+        let want = StandardLp::from_problem(&presolve(p).expect("feasible"));
+        assert_eq!(got.m, want.m);
+        assert_eq!(col_bits(&got), col_bits(&want));
+        assert_eq!(bits(&got.b), bits(&want.b));
+        assert_eq!(bits(&got.c), bits(&want.c));
+    }
+    assert!(problems.len() > 3 && reduced > 0, "{reduced} of {} problems reduced", problems.len());
 }
