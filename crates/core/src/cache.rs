@@ -15,8 +15,8 @@
 //! * **Oracle layer** — `Arc`-shared [`PaperSpec`]s keyed by system and
 //!   participant presets keyed by `(system, style)`, reused across every
 //!   cell of the class instead of being rebuilt per attempt.
-//! * **Cell layer** — completed [`CellWork`] keyed by the cell's stable
-//!   key. A warm hit replays the execution byte-for-byte; the
+//! * **Cell layer** — completed [`CellWork`] keyed by the [`CellId`]
+//!   itself. A warm hit replays the execution byte-for-byte; the
 //!   supervision state (virtual clock, breaker) still advances at
 //!   commit time only, so journals stay identical.
 //!
@@ -39,6 +39,7 @@
 
 use crate::harness::{CellId, CellWork};
 use crate::paper::{PaperSpec, TargetSystem};
+use crate::prompt::PromptStyle;
 use crate::student::Participant;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +49,8 @@ use std::sync::{Arc, Mutex};
 /// suffix when the memoization key derivation changes incompatibly.
 /// Deliberately constant across cache on/off: the header describes the
 /// *scheme* journals were written under, not whether a memo was warm.
+/// The in-process map keys (a [`CellId`], a `(system, style)` pair)
+/// never reach a journal, so how they are hashed is not part of it.
 pub const SCHEME: &str = "cellmemo-v1/fnv1a64";
 
 /// Hit/miss counters for one memo layer.
@@ -66,8 +69,8 @@ pub struct MemoStats {
 #[derive(Debug, Default)]
 pub struct CellMemo {
     specs: Mutex<HashMap<TargetSystem, Arc<PaperSpec>>>,
-    participants: Mutex<HashMap<String, Arc<Participant>>>,
-    work: Mutex<HashMap<String, CellWork>>,
+    participants: Mutex<HashMap<(TargetSystem, PromptStyle), Arc<Participant>>>,
+    work: Mutex<HashMap<CellId, CellWork>>,
     work_hits: AtomicU64,
     work_misses: AtomicU64,
 }
@@ -103,10 +106,9 @@ impl CellMemo {
     // effect-allow(GlobalState): memoization — the preset is a pure
     // function of the (system, style) class; callers get clones.
     pub fn participant(&self, cell: CellId) -> Participant {
-        let key = format!("{}/{}", cell.system.name(), cell.style.name());
         let mut participants = self.participants.lock().unwrap_or_else(|p| p.into_inner());
         let arc = participants
-            .entry(key)
+            .entry((cell.system, cell.style))
             .or_insert_with(|| Arc::new(cell.participant()));
         (**arc).clone()
     }
@@ -116,7 +118,7 @@ impl CellMemo {
     // hit replays the exact value a cold run would have produced.
     pub fn lookup_work(&self, cell: CellId) -> Option<CellWork> {
         let work = self.work.lock().unwrap_or_else(|p| p.into_inner());
-        match work.get(&cell.key()) {
+        match work.get(&cell) {
             Some(w) => {
                 self.work_hits.fetch_add(1, Ordering::Relaxed);
                 Some(w.clone())
@@ -133,7 +135,7 @@ impl CellMemo {
     // cell id and idempotent for deterministic executions.
     pub fn store_work(&self, cell: CellId, value: &CellWork) {
         let mut work = self.work.lock().unwrap_or_else(|p| p.into_inner());
-        work.insert(cell.key(), value.clone());
+        work.insert(cell, value.clone());
     }
 
     /// Hit/miss counters of the cell layer.
@@ -158,7 +160,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultProfile;
     use crate::harness::FaultTally;
-    use crate::prompt::PromptStyle;
 
     fn cell(seed: u64) -> CellId {
         CellId {

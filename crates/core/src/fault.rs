@@ -145,7 +145,7 @@ impl FaultKind {
 }
 
 /// How aggressively to inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultProfile {
     /// No faults, no RNG draws: byte-identical to the unfaulted run.
     None,

@@ -94,7 +94,7 @@ pub(crate) fn derive_seed(cell: CellId, attempt: u32, salt: u64) -> u64 {
 /// Topology scale of a cell's validation fabric: the paper's own
 /// topologies, or a seeded k-ary fat-tree DCN that the DPV pipeline
 /// verifies at hyper-scale via [`crate::dpv_scale`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TopoScale {
     /// The paper's own validation topologies (the default). Serialized
     /// away entirely (`skip_serializing_if`) so pre-scale journals and
@@ -150,7 +150,7 @@ impl TopoScale {
 }
 
 /// One cell of the sweep matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CellId {
     /// Target system (fixes the participant preset).
     pub system: TargetSystem,
@@ -1006,8 +1006,8 @@ impl Sweep {
     /// [`Sweep::commit_cell`] re-checks for the cell whose class trips
     /// after its worker looked. The journal and report are therefore
     /// byte-identical for every worker count, and one worker — which
-    /// runs inline, every check seeing every earlier commit — executes
-    /// no skipped cell at all.
+    /// commits each cell before it claims the next, every check seeing
+    /// every earlier commit — executes no skipped cell at all.
     ///
     /// `replay` is the caller's in-memory copy of the journal and the
     /// slice keeps it in step with the sink: the header it writes is

@@ -395,6 +395,20 @@ impl SimulatedLlm {
     /// Respond to an implementation prompt for `spec` (component index
     /// `idx`) under `style`.
     pub fn implement(&mut self, spec: &ComponentSpec, idx: usize, style: PromptStyle) -> CodeArtifact {
+        let (loc, defects) = self.draw_implementation(spec, style);
+        CodeArtifact::with_defects(idx, loc, spec.shared_types, defects)
+    }
+
+    /// The RNG draws of [`SimulatedLlm::implement`] — the response's
+    /// LoC and defect set — without synthesizing its code surface
+    /// (which draws nothing). A response that is discarded unread
+    /// needs only these: the RNG stream advances exactly as if the
+    /// whole artifact had been built.
+    pub fn draw_implementation(
+        &mut self,
+        spec: &ComponentSpec,
+        style: PromptStyle,
+    ) -> (u32, Vec<DefectKind>) {
         let penalty = match style {
             PromptStyle::Monolithic => self.model.monolithic_penalty,
             _ => 1.0,
@@ -429,7 +443,7 @@ impl SimulatedLlm {
         // estimate with mild noise.
         let noise = 1.0 + self.model.loc_noise * (self.rng.random::<f64>() * 2.0 - 1.0);
         let loc = ((spec.loc_estimate as f64) * noise).round().max(5.0) as u32;
-        CodeArtifact::with_defects(idx, loc, spec.shared_types, defects)
+        (loc, defects)
     }
 
     /// Respond to a debug prompt. Returns `true` if the targeted defect

@@ -8,41 +8,47 @@
 //! — the virtual clock and the per-class circuit breaker — so the pool
 //! splits the two:
 //!
-//! * **Workers** claim cells in canonical order from an atomic cursor
-//!   and execute them out of order. The pool itself knows nothing of
-//!   clocks or breakers; the sweep's `execute` closure may read the
+//! * **Executors** claim cells in canonical order from an atomic cursor
+//!   and execute them out of order. `N` workers are `N` threads: the
+//!   caller's thread and `N − 1` helpers. The pool itself knows nothing
+//!   of clocks or breakers; the sweep's `execute` closure may read the
 //!   committed breaker counts and skip a cell whose class has already
 //!   tripped ([`crate::harness::Sweep::run_slice`]).
-//! * **The commit loop** (the caller's thread) receives finished cells
-//!   into a reorder buffer and commits them strictly in canonical
-//!   matrix order. Every supervision decision that changes a journal
-//!   byte — skip-by-breaker, clock assignment, journal append — is made
-//!   at commit, in `harness::commit_cell`, so the journal and report
-//!   are byte-identical for every worker count.
-//! * **One worker runs inline** on the caller's thread: execute and
-//!   commit alternate, with no threads, channel, buffer or worker-site
-//!   faults.
+//! * **The commit loop** runs on the caller's thread. It drains the
+//!   helpers' finished cells into a reorder buffer and commits them
+//!   strictly in canonical matrix order. When the next cell to commit
+//!   is not buffered, it claims and executes a cell itself, and it
+//!   blocks only once the cursor is exhausted. Every supervision
+//!   decision that changes a journal byte — skip-by-breaker, clock
+//!   assignment, journal append — is made at commit, in
+//!   `harness::commit_cell`, so the journal and report are
+//!   byte-identical for every worker count.
+//! * **One worker** is the same loop with no helpers: it commits each
+//!   cell before it claims the next, so execute and commit alternate
+//!   and every pre-execution check sees every earlier commit.
 //! * **Stopping** — the commit loop owns the channel's receiver. When
 //!   it returns (done, or a commit `Err`) or unwinds (a re-raised
-//!   panic), the receiver drops, each worker's next send fails, and the
-//!   worker exits after at most one more cell. The reorder
+//!   panic), the receiver drops, each helper's next send fails, and the
+//!   helper exits after at most one more cell. The reorder
 //!   buffer needs no bound of its own: it never holds more than the
 //!   run's remaining cells, all of which end up in the report anyway.
 //!
 //! Worker-site faults ([`crate::fault::FaultSite::Worker`]) strike the
-//! pool machinery itself, not the cell: a `worker-crash` kills the
-//! worker's execution of a cell mid-flight (the pool catches the typed
+//! pool machinery itself, not the cell, on every executor of a pool of
+//! two or more — the caller's thread included: a `worker-crash` kills
+//! the execution of a cell mid-flight (the pool catches the typed
 //! panic and re-executes the cell — outcomes are pure, so the retry is
-//! sound), and a `worker-stall` deschedules the worker, perturbing
+//! sound), and a `worker-stall` deschedules the executor, perturbing
 //! completion order. Both are absorbed entirely inside the pool and
 //! are tracked in [`PoolStats`], never in the journal: a faulted
-//! parallel run must still be byte-identical to `--workers 1`.
+//! parallel run must still be byte-identical to `--workers 1`, which
+//! rolls no worker faults.
 //!
-//! Any *other* panic escaping a cell is a genuine bug: the worker
-//! ships the payload to the commit loop, which re-raises it with
-//! `resume_unwind` at the cell's canonical commit slot — the same
-//! boundary where a serial run would have died, with the same journal
-//! prefix on disk.
+//! Any *other* panic escaping a cell is a genuine bug: it travels
+//! through the reorder buffer (from a helper, over the channel), and
+//! the commit loop re-raises it with `resume_unwind` at the cell's
+//! canonical commit slot — the same boundary where a serial run would
+//! have died, with the same journal prefix on disk.
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::harness::{derive_seed, CellId, SALT_WORKER};
@@ -95,7 +101,7 @@ impl StatCounters {
     }
 }
 
-/// Execute one cell on a worker, absorbing injected worker-site
+/// Execute one cell on a pool executor, absorbing injected worker-site
 /// faults. Returns the execute result or a genuine panic payload.
 fn worker_execute<W, X>(
     cell: CellId,
@@ -155,8 +161,9 @@ where
     X: Fn(CellId) -> W + Sync,
     C: FnMut(usize, W) -> Result<(), String>,
 {
-    // Worker-site faults strike pool threads. One worker runs inline on
-    // the caller's thread, which has no pool thread to fault.
+    // Worker-site faults strike every executor of a pool, the
+    // caller's thread included. One worker is no pool: execute and
+    // commit alternate on the caller's thread, which no fault strikes.
     let pooled = workers.min(cells.len()) > 1;
     run_ordered_core(
         workers,
@@ -207,11 +214,13 @@ fn counted<W>(stats: &StatCounters, f: impl FnOnce() -> W) -> std::thread::Resul
 }
 
 /// The shared pool engine: claim indices in canonical order from an
-/// atomic cursor, execute out of order, commit strictly in order. One
-/// worker runs inline on the caller's thread. `execute` returns a
-/// `thread::Result` so the caller layer decides what counts as an
-/// absorbable fault; whatever still comes back as `Err` is a genuine
-/// panic, re-raised at the item's commit slot.
+/// atomic cursor, execute out of order, commit strictly in order.
+/// `workers - 1` helper threads claim and execute; the caller's thread
+/// commits and, between commits, claims and executes too, so `workers`
+/// threads execute in all. `execute` returns a `thread::Result` so the
+/// caller layer decides what counts as an absorbable fault; whatever
+/// still comes back as `Err` is a genuine panic, re-raised at the
+/// item's commit slot.
 fn run_ordered_core<W, X, C>(
     workers: usize,
     total: usize,
@@ -224,25 +233,12 @@ where
     C: FnMut(usize, W) -> Result<(), String>,
 {
     let stats = StatCounters::default();
-    let mut deliver = |i: usize, outcome: std::thread::Result<W>| match outcome {
-        Ok(work) => commit(i, work),
-        // A genuine bug: re-raise at the canonical commit boundary,
-        // exactly where a one-worker run would die, with the same
-        // journal prefix already durable.
-        Err(payload) => resume_unwind(payload),
-    };
-    if workers.min(total) <= 1 {
-        for i in 0..total {
-            deliver(i, execute(i, &stats))?;
-        }
-        return Ok(stats.snapshot());
-    }
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         // Owned by the commit loop: on every exit path (done, `Err`,
-        // unwind) the receiver drops and the workers' sends fail.
+        // unwind) the receiver drops and the helpers' sends fail.
         let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<W>)>();
-        for _ in 0..workers.min(total) {
+        for _ in 1..workers.min(total) {
             let tx = tx.clone();
             let (next, stats, execute) = (&next, &stats, &execute);
             scope.spawn(move || loop {
@@ -257,15 +253,35 @@ where
         let mut buffer: BTreeMap<usize, std::thread::Result<W>> = BTreeMap::new();
         for i in 0..total {
             let outcome = loop {
+                buffer.extend(rx.try_iter());
                 if let Some(o) = buffer.remove(&i) {
                     break o;
+                }
+                // Nothing to commit yet: execute the next unclaimed
+                // item here rather than wait. Item `i` is committed
+                // before `i + 1` is claimed unless a helper holds `i`,
+                // so with no helpers execute and commit alternate.
+                let j = next.fetch_add(1, Ordering::Relaxed);
+                if j < total {
+                    let o = execute(j, &stats);
+                    if j == i {
+                        break o;
+                    }
+                    buffer.insert(j, o);
+                    continue;
                 }
                 let Ok((j, o)) = rx.recv() else {
                     return Err(format!("worker pool hung up with cell {i} of {total} undelivered"));
                 };
                 buffer.insert(j, o);
             };
-            deliver(i, outcome)?;
+            match outcome {
+                Ok(work) => commit(i, work)?,
+                // A genuine bug: re-raise at the canonical commit
+                // boundary, exactly where a one-worker run would die,
+                // with the same journal prefix already durable.
+                Err(payload) => resume_unwind(payload),
+            }
         }
         Ok(stats.snapshot())
     })
@@ -278,7 +294,10 @@ mod tests {
     use crate::harness::{CellId, SweepConfig};
     use crate::paper::TargetSystem;
     use crate::prompt::PromptStyle;
-    use std::sync::atomic::AtomicUsize;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
     fn cells(n: u64, profile: FaultProfile) -> Vec<CellId> {
         (0..n)
@@ -419,6 +438,136 @@ mod tests {
         assert_eq!(seen, want);
         // No pool thread, so no worker-site fault, even under chaos.
         assert_eq!(stats, PoolStats { executed: 9, ..PoolStats::default() });
+    }
+
+    /// Spin until `flag` is set, for at most ten seconds: a test
+    /// handshake that cannot hang the suite.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn two_workers_are_the_caller_and_one_helper() {
+        // Each side's first cell waits until the other side has started
+        // one, so both execute whatever the scheduling.
+        let cs = cells(40, FaultProfile::None);
+        let caller = std::thread::current().id();
+        let (caller_ran, helper_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        let threads = Mutex::new(HashSet::new());
+        let mut seen = Vec::new();
+        let stats = run_ordered(
+            2,
+            &cs,
+            |c| {
+                let me = std::thread::current().id();
+                let (mine, theirs) = if me == caller {
+                    (&caller_ran, &helper_ran)
+                } else {
+                    (&helper_ran, &caller_ran)
+                };
+                mine.store(true, Ordering::SeqCst);
+                wait_for(theirs);
+                threads.lock().unwrap().insert(me);
+                c.seed
+            },
+            |i, w| {
+                seen.push((i, w));
+                Ok(())
+            },
+        )
+        .expect("pool runs");
+        assert_eq!(seen, (0..40).map(|i| (i, i as u64)).collect::<Vec<_>>());
+        assert_eq!(stats.executed, 40);
+        let threads = threads.into_inner().unwrap();
+        assert!(threads.contains(&caller), "the caller executes cells");
+        assert_eq!(threads.len(), 2, "exactly one helper thread: {threads:?}");
+    }
+
+    #[test]
+    fn a_panic_the_caller_executed_reraises_at_its_commit_slot() {
+        // Only the caller panics, on its first cell from index 3 on;
+        // the helper holds its first cell until then, so the caller
+        // gets there.
+        let cs = cells(30, FaultProfile::None);
+        let caller = std::thread::current().id();
+        let caller_panicked = AtomicBool::new(false);
+        let committed = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_ordered(
+                2,
+                &cs,
+                |c| {
+                    if std::thread::current().id() != caller {
+                        wait_for(&caller_panicked);
+                    } else if c.seed >= 3 {
+                        caller_panicked.store(true, Ordering::SeqCst);
+                        std::panic::panic_any(c.seed);
+                    }
+                    c.seed
+                },
+                |i, _| {
+                    assert_eq!(i, committed.fetch_add(1, Ordering::SeqCst));
+                    Ok(())
+                },
+            )
+        }));
+        let payload = caught.expect_err("the bug must escape the pool");
+        let seed = *payload.downcast_ref::<u64>().expect("the cell's own payload");
+        assert!(seed >= 3);
+        // Every cell before the panicking one commits; nothing after.
+        assert_eq!(committed.load(Ordering::SeqCst) as u64, seed);
+    }
+
+    #[test]
+    fn a_commit_error_stops_the_helper() {
+        // From index 10 on the helper waits for the error, so it is
+        // mid-cell when the commit loop fails. Its send may still beat
+        // the receiver's drop, so it may start one more cell — slowed
+        // here so the drop surely lands during it — and no other.
+        let cs = cells(200, FaultProfile::None);
+        let caller = std::thread::current().id();
+        let failed = AtomicBool::new(false);
+        let after = AtomicUsize::new(0);
+        let err = run_ordered(
+            2,
+            &cs,
+            |c| {
+                if std::thread::current().id() != caller {
+                    if failed.load(Ordering::SeqCst) {
+                        after.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(100));
+                    } else if c.seed >= 10 {
+                        wait_for(&failed);
+                    }
+                }
+                c.seed
+            },
+            |i, _| {
+                if i == 5 {
+                    failed.store(true, Ordering::SeqCst);
+                    return Err("sink full".to_string());
+                }
+                Ok(())
+            },
+        )
+        .expect_err("commit failure must surface");
+        assert_eq!(err, "sink full");
+        let after = after.load(Ordering::SeqCst);
+        assert!(after <= 1, "the helper ran {after} cells after the error");
+    }
+
+    #[test]
+    fn chaos_worker_fault_counts_do_not_depend_on_the_worker_count() {
+        let cs = cells(64, FaultProfile::Chaos);
+        let stats: Vec<PoolStats> = [2, 4, 8]
+            .into_iter()
+            .map(|workers| run_ordered(workers, &cs, |c| c.seed, |_, _| Ok(())).expect("pool runs"))
+            .collect();
+        assert!(stats[0].crashes_absorbed > 0 && stats[0].stalls_absorbed > 0, "{stats:?}");
+        assert!(stats.iter().all(|s| *s == stats[0]), "{stats:?}");
     }
 
     #[test]

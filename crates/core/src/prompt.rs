@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 /// How the participant phrases implementation prompts (§3.3 lesson 1–2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PromptStyle {
     /// One prompt for the whole system ("implement XX that works in the
     /// following steps …"). ChatGPT "does not respond well" to these.

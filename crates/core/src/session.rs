@@ -97,10 +97,11 @@ impl ReproductionSession {
                 kind: PromptKind::Implement { component: 0 },
                 words,
             });
-            for (i, c) in spec.components.iter().enumerate() {
+            for c in &spec.components {
                 // Generate and discard: the monolithic response exists
-                // but is too defective to keep.
-                let _ = self.llm.implement(c, i, PromptStyle::Monolithic);
+                // but is too defective to keep, so only its draws are
+                // made, never its code surface.
+                let _ = self.llm.draw_implementation(c, PromptStyle::Monolithic);
             }
         }
 

@@ -3,14 +3,17 @@
 //! The build environment cannot reach crates.io, so this shim provides
 //! the subset of serde the workspace uses: `#[derive(Serialize,
 //! Deserialize)]` over structs with named fields and enums with unit /
-//! struct / tuple variants, serialising into the in-memory [`Value`]
-//! tree that the sibling `serde_json` shim renders and parses.
+//! struct variants.
 //!
 //! The data model is deliberately JSON-shaped rather than serde's full
-//! visitor architecture: every serialisable type converts to and from
-//! [`Value`]. The derive macros live in the `serde_derive` shim and are
-//! re-exported here, so `use serde::{Serialize, Deserialize}` imports
-//! both the traits and the derives exactly as with real serde.
+//! visitor architecture. Serialising streams JSON text straight from
+//! the value through a [`JsonWriter`] (compact or 2-space pretty), with
+//! no intermediate tree. Deserialising goes through the in-memory
+//! [`Value`] tree that the sibling `serde_json` shim parses; `Value`
+//! exists for parsing, and serialises like any other type. The derive
+//! macros live in the `serde_derive` shim and are re-exported here, so
+//! `use serde::{Serialize, Deserialize}` imports both the traits and
+//! the derives exactly as with real serde.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +21,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::time::Duration;
 
 /// An in-memory JSON-like document tree.
@@ -131,10 +135,11 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Conversion into the [`Value`] tree.
+/// Writing as JSON text, straight from the value: no intermediate
+/// tree is built.
 pub trait Serialize {
-    /// Serialise `self`.
-    fn to_value(&self) -> Value;
+    /// Write `self` into `w`.
+    fn serialize(&self, w: &mut JsonWriter<'_>);
 }
 
 /// Conversion out of the [`Value`] tree.
@@ -148,7 +153,7 @@ pub trait Deserialize: Sized {
 macro_rules! ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(*self as i64) }
+            fn serialize(&self, w: &mut JsonWriter<'_>) { w.int(*self as i64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -166,9 +171,10 @@ macro_rules! ser_int {
 }
 ser_int!(u8, u16, u32, i8, i16, i32, i64, usize);
 
+// Above `i64::MAX` a `u64` wraps to a negative number.
 impl Serialize for u64 {
-    fn to_value(&self) -> Value {
-        Value::Int(*self as i64)
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.int(*self as i64)
     }
 }
 impl Deserialize for u64 {
@@ -179,8 +185,8 @@ impl Deserialize for u64 {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.float(*self)
     }
 }
 impl Deserialize for f64 {
@@ -191,8 +197,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self as f64)
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.float(*self as f64)
     }
 }
 impl Deserialize for f32 {
@@ -202,8 +208,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.bool(*self)
     }
 }
 impl Deserialize for bool {
@@ -214,8 +220,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.string(self)
     }
 }
 impl Deserialize for String {
@@ -227,20 +233,20 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        w.string(self)
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().serialize(w)
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -253,16 +259,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut a = w.array();
+        for item in self {
+            w.item(&mut a, item);
+        }
+        w.close(a);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
@@ -276,8 +286,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        [&self.0 as &dyn Serialize, &self.1].serialize(w)
     }
 }
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
@@ -292,8 +302,8 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value(), self.2.to_value()])
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        [&self.0 as &dyn Serialize, &self.1, &self.2].serialize(w)
     }
 }
 impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
@@ -310,22 +320,22 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
 }
 
 impl<K: ToString + std::str::FromStr + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut o = w.object();
+        for (k, v) in self {
+            w.field(&mut o, &k.to_string(), v);
+        }
+        w.close(o);
     }
 }
 
 // Match real serde's `{ "secs": u64, "nanos": u32 }` encoding.
 impl Serialize for Duration {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("secs".to_string(), Value::Int(self.as_secs() as i64)),
-            ("nanos".to_string(), Value::Int(self.subsec_nanos() as i64)),
-        ])
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        let mut o = w.object();
+        w.field(&mut o, "secs", &self.as_secs());
+        w.field(&mut o, "nanos", &self.subsec_nanos());
+        w.close(o);
     }
 }
 impl Deserialize for Duration {
@@ -337,8 +347,180 @@ impl Deserialize for Duration {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(i) => w.int(*i),
+            Value::Float(f) => w.float(*f),
+            Value::String(s) => w.string(s),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(pairs) => {
+                let mut o = w.object();
+                for (k, v) in pairs {
+                    w.field(&mut o, k, v);
+                }
+                w.close(o);
+            }
+        }
+    }
+}
+
+// ---- writer ----
+
+/// Streams JSON text into a `String`: compact, or pretty with a 2-space
+/// indent. Scalars are written by one call each; an array or object is
+/// opened ([`JsonWriter::array`], [`JsonWriter::object`]), given its
+/// members ([`JsonWriter::item`], [`JsonWriter::field`]) and closed
+/// ([`JsonWriter::close`]). An empty one writes as `[]` or `{}` in both
+/// forms.
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    depth: usize,
+}
+
+/// An array or object a [`JsonWriter`] has opened and not yet closed.
+#[derive(Debug)]
+#[must_use = "an opened array or object must be closed"]
+pub struct Open {
+    close: char,
+    empty: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending compact JSON to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        JsonWriter { out, pretty: false, depth: 0 }
+    }
+
+    /// A writer appending pretty JSON (2-space indent) to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        JsonWriter { out, pretty: true, depth: 0 }
+    }
+
+    /// JSON `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// A boolean.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An integer.
+    pub fn int(&mut self, i: i64) {
+        let _ = write!(self.out, "{i}");
+    }
+
+    /// A float. A whole float keeps its point (`1.0`, as serde_json
+    /// prints it, not `1`) below 1e15.
+    pub fn float(&mut self, f: f64) {
+        if f.is_finite() {
+            if f == f.trunc() && f.abs() < 1e15 {
+                let _ = write!(self.out, "{f:.1}");
+            } else {
+                let _ = write!(self.out, "{f}");
+            }
+        } else {
+            // JSON has no NaN/Inf; real serde_json errors here, but the
+            // workspace never serialises non-finite values, so null is
+            // a safe degenerate encoding.
+            self.null();
+        }
+    }
+
+    /// A string, with `"`, `\`, `\n`, `\r` and `\t` escaped by name
+    /// and every other control character as `\u00XX`.
+    pub fn string(&mut self, s: &str) {
+        self.out.push('"');
+        let mut plain = 0;
+        // Every escaped character is ASCII, so byte offsets are char
+        // boundaries.
+        for (i, b) in s.bytes().enumerate() {
+            let named = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.out.push_str(&s[plain..i]);
+            if named.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(named);
+            }
+            plain = i + 1;
+        }
+        self.out.push_str(&s[plain..]);
+        self.out.push('"');
+    }
+
+    /// Open an array.
+    pub fn array(&mut self) -> Open {
+        self.open('[', ']')
+    }
+
+    /// Open an object.
+    pub fn object(&mut self) -> Open {
+        self.open('{', '}')
+    }
+
+    /// Write `value` as the next element of array `a`.
+    pub fn item<T: Serialize + ?Sized>(&mut self, a: &mut Open, value: &T) {
+        self.next(a);
+        value.serialize(self);
+    }
+
+    /// Write member `key` of object `o`, with `value`.
+    pub fn field<T: Serialize + ?Sized>(&mut self, o: &mut Open, key: &str, value: &T) {
+        self.key(o, key);
+        value.serialize(self);
+    }
+
+    /// Start member `key` of object `o`; the next value written is its
+    /// value.
+    pub fn key(&mut self, o: &mut Open, key: &str) {
+        self.next(o);
+        self.string(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    /// Close `open`.
+    pub fn close(&mut self, open: Open) {
+        self.depth -= 1;
+        if !open.empty {
+            self.newline();
+        }
+        self.out.push(open.close);
+    }
+
+    fn open(&mut self, open: char, close: char) -> Open {
+        self.out.push(open);
+        self.depth += 1;
+        Open { close, empty: true }
+    }
+
+    /// The separator before a member: a comma after the first, then,
+    /// when pretty, a new line at the member's depth.
+    fn next(&mut self, open: &mut Open) {
+        if !open.empty {
+            self.out.push(',');
+        }
+        open.empty = false;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
+        }
     }
 }
 impl Deserialize for Value {

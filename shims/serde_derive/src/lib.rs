@@ -46,68 +46,59 @@ enum Body {
     Enum(Vec<(String, Option<Vec<String>>)>),
 }
 
-/// Derives `serde::Serialize` (the shim's `to_value` form).
+/// Derives `serde::Serialize`: a `serialize` that streams the value
+/// into the shim's `JsonWriter`, fields in declaration order.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, body) = parse_item(input);
     let out = match body {
         Body::Struct(fields) => {
-            let pushes: Vec<String> = fields
+            let members: Vec<String> = fields
                 .iter()
                 .map(|f| {
                     let fname = &f.name;
-                    let push = format!(
-                        "pairs.push((\"{fname}\".to_string(), \
-                         ::serde::Serialize::to_value(&self.{fname})));"
-                    );
+                    let member = format!("__w.field(&mut __o, \"{fname}\", &self.{fname});");
                     match &f.skip_if {
-                        Some(path) => {
-                            format!("if !{path}(&self.{fname}) {{ {push} }}")
-                        }
-                        None => push,
+                        Some(path) => format!("if !{path}(&self.{fname}) {{ {member} }}"),
+                        None => member,
                     }
                 })
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         let mut pairs: Vec<(String, ::serde::Value)> = Vec::new();\n\
+                     fn serialize(&self, __w: &mut ::serde::JsonWriter<'_>) {{\n\
                          {}\n\
-                         ::serde::Value::Object(pairs)\n\
                      }}\n\
                  }}",
-                pushes.join("\n")
+                object(&members)
             )
         }
         Body::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|(v, fields)| match fields {
-                    None => format!(
-                        "{name}::{v} => ::serde::Value::String(\"{v}\".to_string()),"
-                    ),
+                    None => format!("{name}::{v} => __w.string(\"{v}\"),"),
                     Some(fs) => {
-                        let binds = fs.join(", ");
-                        let pairs: Vec<String> = fs
+                        let members: Vec<String> = fs
                             .iter()
-                            .map(|f| {
-                                format!(
-                                    "(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))"
-                                )
-                            })
+                            .map(|f| format!("__w.field(&mut __o, \"{f}\", {f});"))
                             .collect();
                         format!(
-                            "{name}::{v} {{ {binds} }} => ::serde::Value::Object(vec![\
-                                 (\"{v}\".to_string(), ::serde::Value::Object(vec![{}]))\
-                             ]),",
-                            pairs.join(", ")
+                            "{name}::{v} {{ {} }} => {{\n\
+                                 let mut __t = __w.object();\n\
+                                 __w.key(&mut __t, \"{v}\");\n\
+                                 {}\n\
+                                 __w.close(__t);\n\
+                             }}",
+                            fs.join(", "),
+                            object(&members)
                         )
                     }
                 })
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
+                     fn serialize(&self, __w: &mut ::serde::JsonWriter<'_>) {{\n\
                          match self {{\n{}\n}}\n\
                      }}\n\
                  }}",
@@ -116,6 +107,13 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         }
     };
     out.parse().expect("derived Serialize impl parses")
+}
+
+/// The statements writing one object, as `__o`, whose members
+/// `members` write.
+fn object(members: &[String]) -> String {
+    let binding = if members.is_empty() { "let __o" } else { "let mut __o" };
+    format!("{binding} = __w.object();\n{}\n__w.close(__o);", members.join("\n"))
 }
 
 /// Derives `serde::Deserialize` (the shim's `from_value` form).

@@ -1,16 +1,17 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders the serde shim's [`Value`] tree to JSON text (compact and
-//! pretty, 2-space indent) and parses JSON text back with a small
-//! recursive-descent parser. Covers the full JSON grammar the
-//! workspace emits: objects, arrays, strings with standard escapes,
-//! integers, floats (including exponents), booleans and null.
+//! Writes any `Serialize` type as JSON text (compact, or pretty with a
+//! 2-space indent) by streaming it through the serde shim's
+//! [`serde::JsonWriter`], and parses JSON text back into the [`Value`]
+//! tree with a small recursive-descent parser. Covers the full JSON
+//! grammar the workspace emits: objects, arrays, strings with standard
+//! escapes, integers, floats (including exponents), booleans and null.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 /// A serialisation or parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,16 +32,16 @@ impl From<serde::DeError> for Error {
 }
 
 /// Serialises `value` as compact JSON.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), None, 0, &mut out);
+    value.serialize(&mut JsonWriter::compact(&mut out));
     Ok(out)
 }
 
 /// Serialises `value` as pretty-printed JSON (2-space indent).
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), Some(2), 0, &mut out);
+    value.serialize(&mut JsonWriter::pretty(&mut out));
     Ok(out)
 }
 
@@ -58,97 +59,6 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
         return Err(Error(format!("trailing input at byte {}", p.pos)));
     }
     Ok(T::from_value(&v)?)
-}
-
-// ---- writer ----
-
-fn write_value(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_float(*f, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                write_value(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_float(f: f64, out: &mut String) {
-    if f.is_finite() {
-        // Keep whole floats distinguishable from ints (serde_json
-        // prints `1.0`, not `1`).
-        if f == f.trunc() && f.abs() < 1e15 {
-            out.push_str(&format!("{f:.1}"));
-        } else {
-            out.push_str(&f.to_string());
-        }
-    } else {
-        // JSON has no NaN/Inf; real serde_json errors here, but the
-        // workspace never serialises non-finite values, so null is a
-        // safe degenerate encoding.
-        out.push_str("null");
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---- parser ----
