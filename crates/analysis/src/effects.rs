@@ -388,11 +388,6 @@ pub struct EffectReport {
 }
 
 impl EffectReport {
-    /// Any enforcement failure (violation or unmatched root)?
-    pub fn has_violations(&self) -> bool {
-        self.roots.iter().any(|r| !r.violations.is_empty() || r.matched.is_empty())
-    }
-
     /// Fold into the shared finding model (Error per violation or
     /// unmatched root, Warning per stale/unknown allowance).
     pub fn findings(&self) -> AnalysisReport {

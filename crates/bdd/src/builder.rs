@@ -1,6 +1,6 @@
 //! Convenience constructors for the predicate shapes data-plane
-//! verification needs: literal cubes, fixed-width bit-field equality and
-//! IP-style prefix matches.
+//! verification needs: literal cubes and IP-style prefix matches over a
+//! bit field (a full-length prefix is field equality).
 
 use crate::manager::BddManager;
 use crate::node::{Ref, FALSE, TRUE};
@@ -34,12 +34,6 @@ impl BddManager {
         acc
     }
 
-    /// Predicate: the `width` variables starting at `base` (most
-    /// significant first) equal `value`.
-    pub fn field_eq(&mut self, base: u32, width: u32, value: u64) -> Ref {
-        self.field_prefix(base, width, value, width)
-    }
-
     /// Predicate: the `width`-bit field at `base` matches the IP-style
     /// prefix `value/len` (the top `len` bits equal the top `len` bits of
     /// `value`). `len == 0` matches everything.
@@ -56,49 +50,6 @@ impl BddManager {
             } else {
                 Ref(self.mk_raw(var, acc.0, FALSE.0))
             };
-        }
-        acc
-    }
-
-    /// Predicate: the `width`-bit field at `base`, read as an unsigned
-    /// integer, lies in the inclusive range `[lo, hi]`. Used for port
-    /// ranges in ACL rules.
-    pub fn field_range(&mut self, base: u32, width: u32, lo: u64, hi: u64) -> Ref {
-        assert!(width <= 63 && lo <= hi && hi < (1u64 << width));
-        let ge = self.field_ge(base, width, lo);
-        self.ref_inc(ge);
-        let le = self.field_le(base, width, hi);
-        self.ref_inc(le);
-        let r = self.and(ge, le);
-        self.ref_dec(ge);
-        self.ref_dec(le);
-        r
-    }
-
-    fn field_ge(&mut self, base: u32, width: u32, lo: u64) -> Ref {
-        // Build from the least significant bit upward:
-        //   ge_i = if bit_i(lo)==1 { x_i & ge_{i+1} } else { x_i | ge_{i+1} }
-        let mut acc = TRUE;
-        for i in (0..width).rev() {
-            let bit = (lo >> (width - 1 - i)) & 1 == 1;
-            let x = self.var(base + i);
-            self.ref_inc(acc);
-            let next = if bit { self.and(x, acc) } else { self.or(x, acc) };
-            self.ref_dec(acc);
-            acc = next;
-        }
-        acc
-    }
-
-    fn field_le(&mut self, base: u32, width: u32, hi: u64) -> Ref {
-        let mut acc = TRUE;
-        for i in (0..width).rev() {
-            let bit = (hi >> (width - 1 - i)) & 1 == 1;
-            let nx = self.nvar(base + i);
-            self.ref_inc(acc);
-            let next = if bit { self.or(nx, acc) } else { self.and(nx, acc) };
-            self.ref_dec(acc);
-            acc = next;
         }
         acc
     }
@@ -143,7 +94,7 @@ mod tests {
     #[test]
     fn field_eq_has_single_model_at_full_width() {
         let mut m = mgr(8);
-        let f = m.field_eq(0, 8, 0b1010_0110);
+        let f = m.field_prefix(0, 8, 0b1010_0110, 8);
         assert_eq!(m.sat_count(f), 1.0);
         let mut assignment = vec![false; 8];
         for (i, bit) in [true, false, true, false, false, true, true, false].iter().enumerate() {
@@ -173,30 +124,5 @@ mod tests {
         let p4 = m.field_prefix(0, 8, 0b1010_0110, 4);
         assert!(m.implies(p8, p4));
         assert!(!m.implies(p4, p8));
-    }
-
-    #[test]
-    fn range_counts_are_exact() {
-        let mut m = mgr(6);
-        let r = m.field_range(0, 6, 10, 20);
-        assert_eq!(m.sat_count(r), 11.0);
-    }
-
-    #[test]
-    fn range_membership_by_eval() {
-        let mut m = mgr(6);
-        let r = m.field_range(0, 6, 10, 20);
-        for v in 0u64..64 {
-            let bits: Vec<bool> = (0..6).map(|i| (v >> (5 - i)) & 1 == 1).collect();
-            assert_eq!(m.eval(r, &bits), Ok((10..=20).contains(&v)), "value {v}");
-        }
-    }
-
-    #[test]
-    fn degenerate_range_is_field_eq() {
-        let mut m = mgr(6);
-        let r = m.field_range(0, 6, 17, 17);
-        let e = m.field_eq(0, 6, 17);
-        assert_eq!(r, e);
     }
 }

@@ -5,7 +5,7 @@ use analysis::Severity;
 use netrepro_bdd::EngineProfile;
 use netrepro_core::cache::CellMemo;
 use netrepro_core::diagnosis::{diagnose_dpv, diagnose_resilience, diagnose_te, RootCause};
-use netrepro_core::fault::{FaultOutcome, FaultProfile};
+use netrepro_core::fault::FaultOutcome;
 use netrepro_core::framework::AutoEngineer;
 use netrepro_core::harness::{self, CellWork, JournalSink, Sweep, SweepConfig, SweepReport};
 use netrepro_core::paper::TargetSystem;
@@ -28,6 +28,7 @@ use netrepro_lp::LpSolver;
 use netrepro_te::arrow::{multi_fiber_scenarios, ArrowInstance};
 use netrepro_te::mcf::{solve_mcf_with_objective, McfObjective, TeInstance};
 use netrepro_te::ncflow::{solve_ncflow, NcFlowConfig};
+use std::sync::Arc;
 
 /// Top-level usage text.
 pub const USAGE: &str = "netrepro — reproduce 'Toward Reproducing Network Research Results
@@ -390,23 +391,6 @@ fn system_from(a: &Args) -> Result<TargetSystem, ArgError> {
     })
 }
 
-/// Parse a comma-separated list through `parse`, rejecting unknown or
-/// empty entries with the flag's name in the message.
-fn parse_csv<T>(
-    spec: &str,
-    parse: impl Fn(&str) -> Option<T>,
-    flag: &str,
-) -> Result<Vec<T>, ArgError> {
-    let mut out = Vec::new();
-    for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        out.push(parse(tok).ok_or_else(|| ArgError(format!("{flag}: unknown value '{tok}'")))?);
-    }
-    if out.is_empty() {
-        return Err(ArgError(format!("{flag}: empty list")));
-    }
-    Ok(out)
-}
-
 /// `netrepro session`
 pub fn session(a: &Args) -> CmdResult {
     let system = system_from(a)?;
@@ -757,31 +741,18 @@ fn print_sweep_table(report: &SweepReport) {
 /// Parse the matrix + limit flags shared by `sweep` (serial and
 /// coordinator alike) and the `sweep-shard` child, so all three build
 /// the same [`SweepConfig`] — and therefore the same fingerprint —
-/// from the same flag set. An omitted flag keeps the
-/// [`SweepConfig::default`] value.
+/// from the same flag set. Each flag is named after its
+/// [`SweepConfig::FIELDS`] entry and lists take `,`; an omitted flag
+/// keeps the [`SweepConfig::default`] value.
 fn sweep_config_from(a: &Args) -> Result<SweepConfig, ArgError> {
     let mut config = SweepConfig::default();
-    if let Some(v) = a.get("systems") {
-        config.systems = parse_csv(v, TargetSystem::parse, "--systems")?;
+    for key in SweepConfig::FIELDS {
+        if let Some(v) = a.get(key) {
+            config
+                .set_field(key, v.split(',').map(str::trim))
+                .map_err(|e| ArgError(format!("--{key}: {e}")))?;
+        }
     }
-    if let Some(v) = a.get("styles") {
-        config.styles = parse_csv(v, PromptStyle::parse, "--styles")?;
-    }
-    if let Some(v) = a.get("profiles") {
-        config.profiles = parse_csv(v, FaultProfile::parse, "--profiles")?;
-    }
-    if let Some(v) = a.get("scales") {
-        config.scales = parse_csv(v, harness::TopoScale::parse, "--scales")?;
-    }
-    let n_seeds: u64 = a.get_or("seeds", config.seeds.len() as u64)?;
-    if n_seeds == 0 {
-        return Err(ArgError("--seeds must be at least 1".into()));
-    }
-    config.seeds = (0..n_seeds).collect();
-    let limits = &mut config.limits;
-    limits.deadline_steps = a.get_or("deadline", limits.deadline_steps)?;
-    limits.max_attempts = a.get_or("attempts", limits.max_attempts)?;
-    limits.breaker_threshold = a.get_or("breaker", limits.breaker_threshold)?;
     Ok(config)
 }
 
@@ -797,22 +768,24 @@ fn sweep_workers_from(a: &Args) -> Result<usize, ArgError> {
     Ok(workers)
 }
 
-/// A [`Sweep`] wired with the Tier A static gate and (optionally) the
-/// deterministic memo. Memoization is on by default: execute_cell is a
-/// pure function of the cell id, so the memo cannot change a single
-/// journal or report byte (property-tested) — `--no-cache` exists for
-/// A/B timing, not correctness.
-fn sweep_runtime(config: &SweepConfig, workers: usize, cache: bool) -> Sweep {
-    let mut runtime = Sweep::new(config.clone())
+/// A [`Sweep`] wired with the Tier A static gate and, when given, a
+/// shared deterministic memo: the one builder behind `sweep`,
+/// `sweep-shard`, the shard merge and the daemon's jobs. Memoization
+/// is on by default: execute_cell is a pure function of the cell id,
+/// so the memo cannot change a single journal or report byte
+/// (property-tested) — `--no-cache` exists for A/B timing, not
+/// correctness.
+fn sweep_runtime(config: &SweepConfig, workers: usize, memo: Option<Arc<CellMemo>>) -> Sweep {
+    let runtime = Sweep::new(config.clone())
         .with_workers(workers)
         .with_gate(Box::new(|spec, arts| {
             let (report, _) = analysis::gate::gate_artifacts(spec, arts);
             analysis::gate::static_gate(&report)
         }));
-    if cache {
-        runtime = runtime.with_cache(CellMemo::shared());
+    match memo {
+        Some(memo) => runtime.with_cache(memo),
+        None => runtime,
     }
-    runtime
 }
 
 /// The `--out`/`--json`/table tail shared by the serial sweep and the
@@ -844,7 +817,7 @@ pub fn sweep(a: &Args) -> CmdResult {
     if a.has("shards") {
         return sweep_coordinator(a, &config, workers);
     }
-    let runtime = sweep_runtime(&config, workers, !a.has("no-cache"));
+    let runtime = sweep_runtime(&config, workers, (!a.has("no-cache")).then(CellMemo::shared));
     let halt_after =
         if a.has("halt-after") { Some(a.require::<u64>("halt-after")?) } else { None };
     let throttle_ms: u64 = a.get_or("throttle-ms", 0)?;
@@ -885,11 +858,6 @@ fn read_resumed(path: &str, what: &str) -> Result<String, ArgError> {
         return Err(ArgError(format!("cannot read {what} {path}: no such file")));
     }
     wal::read(path.as_ref()).map_err(ArgError)
-}
-
-/// Comma-join flag values (the inverse of [`parse_csv`]).
-fn csv(names: impl Iterator<Item = String>) -> String {
-    names.collect::<Vec<_>>().join(",")
 }
 
 /// Path of the shard journal for lease `seq` inside the shard
@@ -938,18 +906,14 @@ fn child_args(
         "--generation", &generation.to_string(),
         "--journal", journal,
         "--workers", &workers.to_string(),
-        "--systems", &csv(config.systems.iter().map(|s| s.name().to_string())),
-        "--styles", &csv(config.styles.iter().map(|s| s.name().to_string())),
-        "--profiles", &csv(config.profiles.iter().map(|p| p.name().to_string())),
-        "--scales", &csv(config.scales.iter().map(|s| s.name())),
-        "--seeds", &config.seeds.len().to_string(),
-        "--deadline", &config.limits.deadline_steps.to_string(),
-        "--attempts", &config.limits.max_attempts.to_string(),
-        "--breaker", &config.limits.breaker_threshold.to_string(),
     ]
     .iter()
     .map(|s| s.to_string())
     .collect();
+    for (key, values) in config.fields() {
+        v.push(format!("--{key}"));
+        v.push(values.join(","));
+    }
     if let Some(t) = a.get("throttle-ms") {
         v.push("--throttle-ms".into());
         v.push(t.into());
@@ -1139,7 +1103,7 @@ fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResul
 
     // The final journal is derived state, recomputed wholesale from the
     // shard journals — so an interrupted merge is simply overwritten.
-    let merger = sweep_runtime(config, workers, false);
+    let merger = sweep_runtime(config, workers, None);
     let mut sink = wal::reopen(path.as_ref(), 0).map_err(ArgError)?;
     let report = shard::merge(&merger, &works, &mut sink).map_err(ArgError)?;
     emit_sweep_report(a, &report)
@@ -1185,7 +1149,7 @@ pub fn sweep_shard(a: &Args) -> CmdResult {
     let todo = &cells[lease.start as usize + replay.records.len()..lease.end as usize];
     let actions = todo.iter().map(|&c| shard::roll_shard_fault(c, generation)).collect();
 
-    let sweep = sweep_runtime(&config, workers, !a.has("no-cache"));
+    let sweep = sweep_runtime(&config, workers, (!a.has("no-cache")).then(CellMemo::shared));
     let mut sink = ShardFaultSink {
         inner: FileJournal::new(file, halt_after, throttle_ms),
         header_pending: replay.header.is_none(),
@@ -1234,23 +1198,14 @@ pub fn rps(a: &Args) -> CmdResult {
     }
 }
 
-/// The daemon's per-job runtime, wired exactly like the one-shot
-/// sweep's (same gate, and the one warm memo shared across every
-/// request) — the CLI-side half of the determinism contract: a job
-/// submitted over the wire runs through the identical pipeline as
-/// `netrepro sweep`, so its journal bytes cannot depend on the path.
+/// The daemon's per-job runtime: [`sweep_runtime`] with one worker per
+/// job and the one warm memo shared across every request — the
+/// CLI-side half of the determinism contract: a job submitted over the
+/// wire runs through the identical pipeline as `netrepro sweep`, so its
+/// journal bytes cannot depend on the path.
 fn serve_factory(cache: bool) -> netrepro_serve::RuntimeFactory {
-    let memo = if cache { Some(CellMemo::shared()) } else { None };
-    std::sync::Arc::new(move |config: &SweepConfig| {
-        let mut runtime = Sweep::new(config.clone()).with_gate(Box::new(|spec, arts| {
-            let (report, _) = analysis::gate::gate_artifacts(spec, arts);
-            analysis::gate::static_gate(&report)
-        }));
-        if let Some(memo) = &memo {
-            runtime = runtime.with_cache(std::sync::Arc::clone(memo));
-        }
-        runtime
-    })
+    let memo = cache.then(CellMemo::shared);
+    Arc::new(move |config: &SweepConfig| sweep_runtime(config, 1, memo.clone()))
 }
 
 /// `netrepro serve` — the persistent, multi-tenant sweep daemon.
@@ -1322,13 +1277,13 @@ pub fn serve(a: &Args) -> CmdResult {
     };
     let file_storage = netrepro_serve::FileStorage::open(dir).map_err(ArgError)?;
     let throttle_ms: u64 = a.get_or("throttle-ms", 0)?;
-    let storage: std::sync::Arc<dyn netrepro_serve::JobStorage> = if throttle_ms > 0 {
-        std::sync::Arc::new(ThrottledStorage { inner: file_storage, throttle_ms })
+    let storage: Arc<dyn netrepro_serve::JobStorage> = if throttle_ms > 0 {
+        Arc::new(ThrottledStorage { inner: file_storage, throttle_ms })
     } else {
-        std::sync::Arc::new(file_storage)
+        Arc::new(file_storage)
     };
     let factory = serve_factory(!a.has("no-cache"));
-    let sched = std::sync::Arc::new(
+    let sched = Arc::new(
         netrepro_serve::Scheduler::recover(cfg, factory, storage).map_err(ArgError)?,
     );
     let (queued, running, done) = sched.health();

@@ -332,6 +332,72 @@ impl SweepConfig {
         let json = serde_json::to_string(self).unwrap_or_default();
         format!("{:016x}", fnv1a64(json.as_bytes()))
     }
+
+    /// The names of the matrix and limit fields in canonical order: the
+    /// `sweep` flags (`--systems`, ...) and the job-spec keys.
+    pub const FIELDS: [&'static str; 8] =
+        ["systems", "styles", "profiles", "scales", "seeds", "deadline", "attempts", "breaker"];
+
+    /// Set the field `key` (one of [`SweepConfig::FIELDS`]) from its
+    /// values, already split by the caller's list syntax: every entry
+    /// of a list field, or the one value of a number. Empty entries are
+    /// skipped. The error does not name the field; each front end
+    /// prefixes it in its own spelling.
+    pub fn set_field<'a>(
+        &mut self,
+        key: &str,
+        values: impl IntoIterator<Item = &'a str>,
+    ) -> Result<(), String> {
+        let values: Vec<&str> = values.into_iter().filter(|v| !v.is_empty()).collect();
+        match key {
+            "systems" => self.systems = parse_entries(&values, TargetSystem::parse)?,
+            "styles" => self.styles = parse_entries(&values, PromptStyle::parse)?,
+            "profiles" => self.profiles = parse_entries(&values, FaultProfile::parse)?,
+            "scales" => self.scales = parse_entries(&values, TopoScale::parse)?,
+            "seeds" => {
+                let n: u64 = parse_number(&values)?;
+                if n == 0 {
+                    return Err("must be at least 1".into());
+                }
+                self.seeds = (0..n).collect();
+            }
+            "deadline" => self.limits.deadline_steps = parse_number(&values)?,
+            "attempts" => self.limits.max_attempts = parse_number(&values)?,
+            "breaker" => self.limits.breaker_threshold = parse_number(&values)?,
+            _ => return Err("unknown field".into()),
+        }
+        Ok(())
+    }
+
+    /// Every field of [`SweepConfig::FIELDS`] with its values as text,
+    /// in that order: the inverse of [`SweepConfig::set_field`]. Seeds
+    /// are written as their count.
+    pub fn fields(&self) -> [(&'static str, Vec<String>); 8] {
+        let [systems, styles, profiles, scales, seeds, deadline, attempts, breaker] = Self::FIELDS;
+        let limits = &self.limits;
+        [
+            (systems, self.systems.iter().map(|s| s.name().to_ascii_lowercase()).collect()),
+            (styles, self.styles.iter().map(|s| s.name().to_string()).collect()),
+            (profiles, self.profiles.iter().map(|p| p.name().to_string()).collect()),
+            (scales, self.scales.iter().map(TopoScale::name).collect()),
+            (seeds, vec![self.seeds.len().to_string()]),
+            (deadline, vec![limits.deadline_steps.to_string()]),
+            (attempts, vec![limits.max_attempts.to_string()]),
+            (breaker, vec![limits.breaker_threshold.to_string()]),
+        ]
+    }
+}
+
+fn parse_entries<T>(values: &[&str], parse: impl Fn(&str) -> Option<T>) -> Result<Vec<T>, String> {
+    if values.is_empty() {
+        return Err("empty list".into());
+    }
+    values.iter().map(|&v| parse(v).ok_or_else(|| format!("unknown value '{v}'"))).collect()
+}
+
+fn parse_number<T: std::str::FromStr>(values: &[&str]) -> Result<T, String> {
+    let text = values.join(",");
+    text.parse().map_err(|_| format!("cannot parse '{text}'"))
 }
 
 /// Panic payload for injected task crashes. Raised with
@@ -1427,6 +1493,50 @@ mod tests {
             scales: vec![TopoScale::Paper],
             limits: TaskLimits::default(),
         }
+    }
+
+    #[test]
+    fn fields_round_trip_through_set_field() {
+        // Every value of every list field, and limits off their defaults:
+        // the text `fields` writes must rebuild the config exactly, which
+        // is what a `sweep-shard` child and a job spec rely on.
+        let config = SweepConfig {
+            systems: [&TargetSystem::EXPERIMENT[..], &[TargetSystem::RockPaperScissors]].concat(),
+            styles: vec![
+                PromptStyle::Monolithic,
+                PromptStyle::ModularText,
+                PromptStyle::ModularPseudocode,
+            ],
+            seeds: (0..5).collect(),
+            profiles: vec![
+                FaultProfile::None,
+                FaultProfile::Light,
+                FaultProfile::Heavy,
+                FaultProfile::Chaos,
+            ],
+            scales: vec![
+                TopoScale::Paper,
+                TopoScale::FatTree { k: 4 },
+                TopoScale::FatTree { k: 32 },
+            ],
+            limits: TaskLimits {
+                deadline_steps: 77,
+                max_attempts: 5,
+                breaker_threshold: 9,
+                ..TaskLimits::default()
+            },
+        };
+        let mut rebuilt = SweepConfig::default();
+        for ((key, values), name) in config.fields().iter().zip(SweepConfig::FIELDS) {
+            assert_eq!(*key, name);
+            let values = values.iter().map(String::as_str);
+            rebuilt.set_field(key, values).expect("a written field parses");
+        }
+        assert_eq!(rebuilt, config);
+        assert_eq!(rebuilt.set_field("seeds", ["0"]), Err("must be at least 1".to_string()));
+        assert_eq!(rebuilt.set_field("styles", ["", ""]), Err("empty list".to_string()));
+        assert_eq!(rebuilt.set_field("colour", ["blue"]), Err("unknown field".to_string()));
+        assert_eq!(rebuilt, config, "a refused field changes nothing");
     }
 
     #[test]

@@ -172,42 +172,6 @@ impl ApKeep {
         n
     }
 
-    /// What-if analysis: the changes `rule` *would* cause at `device`,
-    /// without mutating any state. Operators use this to vet an update
-    /// before committing it (APKeep's change-identification is pure up
-    /// to the hit bookkeeping, so the preview recomputes hits locally).
-    /// Returns `(from, to, moved-fraction-of-header-space)` triples.
-    pub fn preview_insert(&mut self, device: NodeId, rule: Rule) -> Vec<(Action, Action, f64)> {
-        let m = &mut self.manager;
-        let dev = &self.devices[device.index()];
-        let matched = self.layout.prefix_pred(m, rule.prefix);
-        let mut hit = matched;
-        for r in dev.rules.iter().filter(|r| r.rule.priority >= rule.priority) {
-            hit = m.diff(hit, r.hit);
-            if hit == FALSE {
-                break;
-            }
-        }
-        let mut out = Vec::new();
-        if hit != FALSE {
-            for r in dev.rules.iter().filter(|r| r.rule.priority < rule.priority) {
-                if r.rule.action != rule.action {
-                    let inter = m.and(hit, r.hit);
-                    if inter != FALSE {
-                        out.push((r.rule.action, rule.action, m.sat_fraction(inter)));
-                    }
-                }
-            }
-            if rule.action != Action::Drop {
-                let from_default = m.and(hit, self.devices[device.index()].default_hit);
-                if from_default != FALSE {
-                    out.push((Action::Drop, rule.action, m.sat_fraction(from_default)));
-                }
-            }
-        }
-        out
-    }
-
     /// Remove the first installed rule equal to `rule`, redistributing
     /// its hit downward. Returns the number of changes, or `None` if the
     /// rule was not installed.
@@ -586,38 +550,6 @@ mod tests {
         let v = k.snapshot();
         let r = crate::reach::selective_bfs(&v, NodeId(0), NodeId(2));
         assert!(!r.delivered.is_empty());
-    }
-
-    #[test]
-    fn preview_matches_actual_insert() {
-        let (net, a, _, e) = two_nodes(8);
-        let mut k = ApKeep::new(&net, EngineProfile::Cached);
-        k.insert(a, Rule { prefix: Prefix { addr: 0, len: 1 }, priority: 1, action: Action::Forward(e) });
-        let candidate = Rule { prefix: Prefix { addr: 0, len: 0 }, priority: 0, action: Action::Drop };
-        // Preview: nothing moves (the /1 shadows half, default drop owns
-        // the rest, and the candidate is itself a drop).
-        let preview = k.preview_insert(a, candidate);
-        assert!(preview.is_empty(), "{preview:?}");
-        let n = k.insert(a, candidate);
-        assert_eq!(n, 0, "actual insert must match the preview");
-    }
-
-    #[test]
-    fn preview_reports_moved_fractions_without_mutating() {
-        let (net, a, _, e) = two_nodes(8);
-        let mut k = ApKeep::new(&net, EngineProfile::Cached);
-        let candidate = Rule { prefix: Prefix { addr: 0b1000_0000, len: 1 }, priority: 1, action: Action::Forward(e) };
-        let preview = k.preview_insert(a, candidate);
-        assert_eq!(preview.len(), 1);
-        let (from, to, frac) = preview[0];
-        assert_eq!(from, Action::Drop);
-        assert_eq!(to, Action::Forward(e));
-        assert!((frac - 0.5).abs() < 1e-12);
-        // State untouched: still zero rules, full drop, one atom.
-        assert_eq!(k.num_rules(), 0);
-        assert_eq!(k.num_atomic_predicates(), 1);
-        // Committing produces exactly the previewed change.
-        assert_eq!(k.insert(a, candidate), 1);
     }
 
     #[test]

@@ -214,8 +214,12 @@ mod tests {
         let left = m.field_prefix(0, 8, 0b0000_0000, 1);
         m.ref_inc(left);
         d.apply_change(&mut m, 0, left, Action::Drop, fwd(0));
-        // Middle range straddles both current atoms.
-        let middle = m.field_range(0, 7, 32, 96); // uses low 7 bits... keep within vars
+        // The middle half `01* ∪ 10*` straddles both current atoms.
+        let low = m.field_prefix(0, 8, 0b0100_0000, 2);
+        m.ref_inc(low);
+        let high = m.field_prefix(0, 8, 0b1000_0000, 2);
+        m.ref_inc(high);
+        let middle = m.or(low, high);
         m.ref_inc(middle);
         d.apply_change(&mut m, 0, middle, Action::Drop, fwd(1));
         d.check_invariants(&mut m).unwrap();

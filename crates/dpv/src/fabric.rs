@@ -317,7 +317,7 @@ mod tests {
                 let (src, _) = f.dest(s);
                 let (dst, pfx) = f.dest(d);
                 let addr = pfx.addr; // lowest address of the /host prefix
-                let v = simulate(&f.network, src, Packet { dst: addr, src: 0, dport: 0 }, 64);
+                let v = simulate(&f.network, src, Packet { dst: addr }, 64);
                 match v {
                     Verdict::Delivered(at) => assert_eq!(at, dst, "{s}->{d} delivered at wrong device"),
                     other => panic!("{s}->{d} (addr {addr:#x}, width {w}): {other:?}"),
@@ -334,7 +334,7 @@ mod tests {
             for d in [2usize, 7, 15] {
                 let (src, _) = f.dest(s);
                 let (dst, pfx) = f.dest(d);
-                let v = simulate(&f.network, src, Packet { dst: pfx.addr, src: 0, dport: 0 }, 64);
+                let v = simulate(&f.network, src, Packet { dst: pfx.addr }, 64);
                 assert_eq!(v, Verdict::Delivered(dst), "{s}->{d}");
             }
         }

@@ -2,9 +2,11 @@
 //! header, compiled to BDDs.
 //!
 //! Both AP and APKeep verify forwarding (destination-IP) behaviour, so
-//! the header is a single `width`-bit destination address field. The
-//! layout is configurable because the benchmark datasets use narrower
-//! addresses than IPv4 to keep test instances readable.
+//! the header is a single `width`-bit destination address field: BDD
+//! variable `i` is address bit `i`, most significant first, and a
+//! header-space count is a count of destination addresses. The width is
+//! configurable because the benchmark datasets use narrower addresses
+//! than IPv4 to keep test instances readable.
 
 use netrepro_bdd::{BddManager, Ref};
 
@@ -44,84 +46,31 @@ impl Prefix {
     }
 }
 
-/// The header layout. The destination field (`width` bits at offset 0)
-/// drives forwarding; optional source-address and destination-port
-/// fields exist for ACL matching (zero-width when unused, so the
-/// forwarding-only layouts stay exactly as small as before).
+/// The header layout: one `width`-bit destination-address field, the
+/// only field forwarding reads.
 #[derive(Debug, Clone, Copy)]
 pub struct HeaderLayout {
-    /// Destination-address field width in bits (≤ 32), at offset 0.
+    /// Destination-address field width in bits (≤ 32): BDD variables
+    /// `0..width`, most significant bit first.
     pub width: u32,
-    /// Source-address field width (0 = absent), after the destination.
-    pub src_width: u32,
-    /// Destination-port field width (0 = absent), after the source.
-    pub port_width: u32,
 }
 
 impl HeaderLayout {
-    /// A forwarding-only layout with the given destination width.
+    /// A layout with the given destination width.
     pub fn new(width: u32) -> Self {
         assert!((1..=32).contains(&width));
-        HeaderLayout { width, src_width: 0, port_width: 0 }
-    }
-
-    /// A layout with ACL fields: destination + source addresses and a
-    /// destination port.
-    pub fn with_acl_fields(width: u32, src_width: u32, port_width: u32) -> Self {
-        assert!((1..=32).contains(&width) && src_width <= 32 && port_width <= 16);
-        HeaderLayout { width, src_width, port_width }
-    }
-
-    /// The IPv4-sized forwarding-only layout.
-    pub fn ipv4() -> Self {
-        HeaderLayout::new(32)
-    }
-
-    /// Total header bits.
-    pub fn total_bits(&self) -> u32 {
-        self.width + self.src_width + self.port_width
-    }
-
-    /// Bit offset of the source field.
-    pub fn src_base(&self) -> u32 {
-        self.width
-    }
-
-    /// Bit offset of the destination-port field.
-    pub fn port_base(&self) -> u32 {
-        self.width + self.src_width
+        HeaderLayout { width }
     }
 
     /// A fresh manager sized for this layout.
     pub fn manager(&self, profile: netrepro_bdd::EngineProfile) -> BddManager {
-        BddManager::new(self.total_bits(), profile)
+        BddManager::new(self.width, profile)
     }
 
     /// BDD predicate for a destination `prefix`.
     pub fn prefix_pred(&self, m: &mut BddManager, prefix: Prefix) -> Ref {
         assert!(prefix.len as u32 <= self.width);
         m.field_prefix(0, self.width, prefix.addr as u64, prefix.len as u32)
-    }
-
-    /// BDD predicate for a source-address prefix. Panics when the
-    /// layout has no source field.
-    pub fn src_prefix_pred(&self, m: &mut BddManager, prefix: Prefix) -> Ref {
-        assert!(self.src_width > 0, "layout has no source field");
-        assert!(prefix.len as u32 <= self.src_width);
-        m.field_prefix(self.src_base(), self.src_width, prefix.addr as u64, prefix.len as u32)
-    }
-
-    /// BDD predicate for an inclusive destination-port range. Panics
-    /// when the layout has no port field.
-    pub fn port_range_pred(&self, m: &mut BddManager, lo: u16, hi: u16) -> Ref {
-        assert!(self.port_width > 0, "layout has no port field");
-        assert!(u32::from(hi) < (1u32 << self.port_width));
-        m.field_range(self.port_base(), self.port_width, lo as u64, hi as u64)
-    }
-
-    /// BDD predicate for the exact destination address `a`.
-    pub fn addr_pred(&self, m: &mut BddManager, a: u32) -> Ref {
-        m.field_eq(0, self.width, a as u64)
     }
 }
 

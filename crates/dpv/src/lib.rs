@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acl;
 pub mod ap;
 pub mod apkeep;
 pub mod atoms;

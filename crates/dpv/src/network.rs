@@ -4,13 +4,13 @@
 //! Each graph node is a device; each directed edge is a port of its
 //! source device, linked to the destination device. Two synthetic ports
 //! exist per device: *deliver* (packets destined to locally owned
-//! prefixes) and *drop* (the implicit default).
+//! prefixes) and *drop* (the implicit default). A rule matches on the
+//! destination field alone, so a device's forwarding table is its whole
+//! behaviour: a packet leaves by the port its first matching rule names.
 
-use crate::acl::AclTable;
 use crate::header::{HeaderLayout, Prefix};
 use netrepro_bdd::{BddManager, Ref, FALSE};
 use netrepro_graph::{DiGraph, EdgeId, NodeId};
-use std::collections::HashMap;
 
 /// Forwarding action of a rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,16 +72,13 @@ impl Device {
     }
 }
 
-/// A full data plane: topology + per-device FIBs + optional egress
-/// ACLs + header layout.
+/// A full data plane: topology + per-device FIBs + header layout.
 #[derive(Debug, Clone)]
 pub struct Network {
     /// The topology (nodes are devices, edges are ports).
     pub graph: DiGraph,
     /// Per-device forwarding tables, indexed by node.
     pub devices: Vec<Device>,
-    /// Egress ACLs per port (absent = permit everything).
-    pub egress_acls: HashMap<EdgeId, AclTable>,
     /// Header layout shared by every FIB.
     pub layout: HeaderLayout,
 }
@@ -98,12 +95,7 @@ impl Network {
     /// An empty data plane over `graph`.
     pub fn new(graph: DiGraph, layout: HeaderLayout) -> Self {
         let devices = (0..graph.num_nodes()).map(|_| Device::default()).collect();
-        Network { graph, devices, egress_acls: HashMap::new(), layout }
-    }
-
-    /// Attach (replace) the egress ACL of a port.
-    pub fn set_egress_acl(&mut self, port: EdgeId, acl: AclTable) {
-        self.egress_acls.insert(port, acl);
+        Network { graph, devices, layout }
     }
 
     /// The device at `n`.
@@ -156,41 +148,9 @@ impl Network {
                 m.ref_dec(hit);
             }
         }
-        // Egress ACLs: the denied slice of each Forward predicate moves
-        // to Drop (a packet matching the FIB but failing the port ACL is
-        // discarded at the port).
-        let mut moved_to_drop = FALSE;
-        m.ref_inc(moved_to_drop);
-        for (action, p) in preds.iter_mut() {
-            let Action::Forward(e) = *action else { continue };
-            let Some(acl) = self.egress_acls.get(&e) else { continue };
-            let permit = acl.permit_pred(&self.layout, m); // holds one ref
-            let allowed = m.and(*p, permit);
-            m.ref_inc(allowed);
-            let denied = m.diff(*p, permit);
-            m.ref_inc(denied);
-            if !permit.is_terminal() {
-                m.ref_dec(permit);
-            }
-            if !p.is_terminal() {
-                m.ref_dec(*p);
-            }
-            *p = allowed;
-            let nm = m.or(moved_to_drop, denied);
-            m.ref_inc(nm);
-            m.ref_dec(moved_to_drop);
-            m.ref_dec(denied);
-            moved_to_drop = nm;
-        }
-        preds.retain(|&(_, p)| p != FALSE);
-
         // Residue goes to Drop.
-        let residue0 = m.not(covered);
-        m.ref_inc(residue0);
-        let residue = m.or(residue0, moved_to_drop);
+        let residue = m.not(covered);
         m.ref_inc(residue);
-        m.ref_dec(residue0);
-        m.ref_dec(moved_to_drop);
         m.ref_dec(covered);
         if residue != FALSE {
             match preds.iter_mut().find(|(a, _)| *a == Action::Drop) {

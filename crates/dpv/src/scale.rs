@@ -212,7 +212,7 @@ impl<'n> Chunk<'n> {
     fn one(&mut self, owner: NodeId, prefix: Prefix) -> Result<DestVerdict, ScaleError> {
         let (net, opts) = (self.net, self.opts);
         let m = self.mgr.get_or_insert_with(|| match opts.node_cap {
-            Some(cap) => BddManager::with_node_cap(net.layout.total_bits(), opts.profile, cap),
+            Some(cap) => BddManager::with_node_cap(net.layout.width, opts.profile, cap),
             None => net.layout.manager(opts.profile),
         });
         let verdict = verify_one(net, m, &mut self.work, owner, prefix)?;
@@ -424,7 +424,7 @@ fn assemble(net: &Network, w: &mut Work, owner: NodeId, prefix: Prefix) -> Optio
     };
     // `|p|` as the fixpoint's model count gives it: every header field
     // past the destination prefix is free.
-    let p_count = 2f64.powi((net.layout.total_bits() - u32::from(prefix.len)) as i32) as u64;
+    let p_count = 2f64.powi((net.layout.width - u32::from(prefix.len)) as i32) as u64;
     let n = w.next.len() as u32;
     Some(DestVerdict {
         dest: owner.0,
@@ -843,7 +843,7 @@ mod tests {
             let (_, pfx) = f.dest(i);
             let lo = pfx.addr; // lowest address in the block
             for dev in 0..f.num_devices() {
-                let sim = simulate(&f.network, NodeId(dev as u32), Packet { dst: lo, src: 0, dport: 0 }, 256);
+                let sim = simulate(&f.network, NodeId(dev as u32), Packet { dst: lo }, 256);
                 let delivered = matches!(sim, Verdict::Delivered(at) if at.0 == v.dest);
                 if v.full == f.num_devices() as u32 {
                     assert!(delivered, "dest {i} dev {dev}: verdict says full but sim {sim:?}");
@@ -879,7 +879,7 @@ mod tests {
             "cycle members must be loop devices: {v:?}"
         );
         // The simulator agrees the loop exists.
-        let sim = simulate(&f.network, e00, Packet { dst: pfx.addr, src: 0, dport: 0 }, 512);
+        let sim = simulate(&f.network, e00, Packet { dst: pfx.addr }, 512);
         assert!(matches!(sim, Verdict::Looping(_)), "sim says {sim:?}");
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Symbolic verifiers are only trustworthy relative to something that
 //! executes the data plane literally. This module walks one concrete
-//! packet through the network, rule by rule and ACL by ACL, with a TTL
-//! to cut loops. The property suite then checks, for random packets on
+//! packet — a destination address — through the network, one
+//! first-match forwarding lookup per hop, with a TTL to cut loops. The property suite then checks, for random packets on
 //! random datasets, that the simulator's verdict matches the atomic-
 //! predicates pipeline bit for bit — the strongest end-to-end check in
 //! the crate.
@@ -11,15 +11,11 @@
 use crate::network::{Action, Network};
 use netrepro_graph::NodeId;
 
-/// A concrete packet (fields beyond the layout's widths are ignored).
+/// A concrete packet: the header field forwarding reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Destination address.
     pub dst: u32,
-    /// Source address (used only by layouts with a source field).
-    pub src: u32,
-    /// Destination port (used only by layouts with a port field).
-    pub dport: u16,
 }
 
 /// Where a simulated packet ended up.
@@ -27,8 +23,7 @@ pub struct Packet {
 pub enum Verdict {
     /// Delivered at this device.
     Delivered(NodeId),
-    /// Dropped at this device (no matching rule, explicit drop, ACL
-    /// deny, or downed port semantics).
+    /// Dropped at this device (no matching rule, or an explicit drop).
     Dropped(NodeId),
     /// The TTL expired: the packet is looping. The device where the
     /// TTL ran out is reported.
@@ -45,15 +40,7 @@ pub fn simulate(net: &Network, start: NodeId, packet: Packet, ttl: usize) -> Ver
         match action {
             Action::Deliver => return Verdict::Delivered(here),
             Action::Drop => return Verdict::Dropped(here),
-            Action::Forward(e) => {
-                // Egress ACL check.
-                if let Some(acl) = net.egress_acls.get(&e) {
-                    if !acl.permits(&net.layout, packet.src, packet.dst, packet.dport) {
-                        return Verdict::Dropped(here);
-                    }
-                }
-                here = net.graph.endpoints(e).1;
-            }
+            Action::Forward(e) => here = net.graph.endpoints(e).1,
         }
     }
     Verdict::Looping(here)
@@ -62,7 +49,6 @@ pub fn simulate(net: &Network, start: NodeId, packet: Packet, ttl: usize) -> Ver
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acl::{AclRule, AclTable};
     use crate::dataset::{generate, DatasetOpts};
     use crate::header::HeaderLayout;
     use crate::network::Rule;
@@ -75,12 +61,7 @@ mod tests {
         let ds = generate(ring(5, 1.0), HeaderLayout::new(12), &DatasetOpts::default());
         for d in 0..5usize {
             let addr = ds.owned[d][0].addr;
-            let v = simulate(
-                &ds.network,
-                NodeId(0),
-                Packet { dst: addr, src: 0, dport: 0 },
-                32,
-            );
+            let v = simulate(&ds.network, NodeId(0), Packet { dst: addr }, 32);
             assert_eq!(v, Verdict::Delivered(NodeId(d as u32)));
         }
     }
@@ -91,7 +72,7 @@ mod tests {
         // in id 7's slice. (With a power-of-two device count the owned
         // prefixes would cover the whole space.)
         let ds = generate(ring(5, 1.0), HeaderLayout::new(12), &DatasetOpts::default());
-        let v = simulate(&ds.network, NodeId(0), Packet { dst: 0xFFF, src: 0, dport: 0 }, 32);
+        let v = simulate(&ds.network, NodeId(0), Packet { dst: 0xFFF }, 32);
         assert!(matches!(v, Verdict::Dropped(_)), "got {v:?}");
     }
 
@@ -105,31 +86,7 @@ mod tests {
         let p = Prefix { addr: 0b1000_0000, len: 1 };
         net.device_mut(a).insert(Rule { prefix: p, priority: 1, action: Action::Forward(ab) });
         net.device_mut(b).insert(Rule { prefix: p, priority: 1, action: Action::Forward(ba) });
-        let v = simulate(&net, a, Packet { dst: 0b1010_0000, src: 0, dport: 0 }, 16);
+        let v = simulate(&net, a, Packet { dst: 0b1010_0000 }, 16);
         assert!(matches!(v, Verdict::Looping(_)));
-    }
-
-    #[test]
-    fn acl_deny_drops_at_the_filtering_device() {
-        let mut g = DiGraph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        let ab = g.add_edge(a, b, 1.0, 1.0);
-        let layout = HeaderLayout::with_acl_fields(8, 4, 0);
-        let mut net = Network::new(g, layout);
-        let p = Prefix { addr: 0b1000_0000, len: 1 };
-        net.device_mut(a).insert(Rule { prefix: p, priority: 1, action: Action::Forward(ab) });
-        net.device_mut(b).insert(Rule { prefix: p, priority: 1, action: Action::Deliver });
-        net.set_egress_acl(
-            ab,
-            AclTable::deny_by_default(vec![AclRule::permit(
-                Prefix { addr: 0b1000, len: 1 }, // src 1xxx only
-                Prefix::ANY,
-            )]),
-        );
-        let blocked = simulate(&net, a, Packet { dst: 0b1100_0000, src: 0b0010, dport: 0 }, 8);
-        assert_eq!(blocked, Verdict::Dropped(a));
-        let allowed = simulate(&net, a, Packet { dst: 0b1100_0000, src: 0b1010, dport: 0 }, 8);
-        assert_eq!(allowed, Verdict::Delivered(b));
     }
 }

@@ -11,10 +11,8 @@
 //! common case (every device delivers all of `p` or none of it), which
 //! it verifies by forwarding class. The seeded Waxman datasets inject
 //! more-specific faulty rules, which produce the partial-delivery and
-//! loop verdicts fabrics never reach. A layout with ACL fields pins the
-//! header counts when the header is wider than the destination field:
-//! forwarding ignores the extra fields, so each walked destination
-//! address stands for `2^(total_bits - width)` headers.
+//! loop verdicts fabrics never reach. The header is the destination
+//! field alone, so each walked address is one header.
 
 use netrepro_dpv::dataset::{generate, DatasetOpts};
 use netrepro_dpv::fabric::{build, FabricSpec};
@@ -39,7 +37,6 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
     let n = net.graph.num_nodes();
     let width = net.layout.width;
     let span = 1u64 << (width - u32::from(prefix.len));
-    let free = 1u64 << (net.layout.total_bits() - width);
     let base = prefix.addr & !((span - 1) as u32);
     let mut v = DestVerdict {
         dest: owner.0,
@@ -58,7 +55,7 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
         for offset in 0..span {
             let dst = base | offset as u32;
             drops_locally |= net.devices[dev].action_for(dst, width) == Action::Drop;
-            let packet = Packet { dst, src: 0, dport: 0 };
+            let packet = Packet { dst };
             match simulate(net, NodeId(dev as u32), packet, n + 1) {
                 Verdict::Delivered(_) => delivered += 1,
                 Verdict::Dropped(_) => dropped += 1,
@@ -70,10 +67,10 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
             d if d == span => v.full += 1,
             _ => v.partial += 1,
         }
-        v.delivered_headers += delivered * free;
+        v.delivered_headers += delivered;
         v.bh_local += u32::from(drops_locally);
         v.bh_devices += u32::from(dropped > 0);
-        v.bh_headers += dropped * free;
+        v.bh_headers += dropped;
         if looped {
             v.loop_devices.push(dev as u32);
         }
@@ -84,7 +81,6 @@ fn simulate_verdict(net: &Network, owner: NodeId, prefix: Prefix) -> DestVerdict
 /// Verify `dests` symbolically, by class and by the per-destination
 /// fixpoint, and check every verdict of both against the simulator.
 fn check(net: &Network, dests: &[(NodeId, Prefix)], what: &str) -> Coverage {
-    assert!(net.egress_acls.is_empty(), "the scale verifier models FIBs only");
     let verdicts = verify_destinations(net, dests, &ScaleOpts::default()).expect("verify");
     let fixpoints = verify_per_destination(net, dests, &ScaleOpts::default()).expect("verify");
     assert_eq!(verdicts.len(), dests.len());
@@ -116,28 +112,6 @@ fn fabric_verdicts_match_packet_simulation() {
         }
     }
     assert_eq!(dests, 2 * (6 * 16 + 6 * 128));
-}
-
-#[test]
-fn header_counts_cover_the_fields_forwarding_ignores() {
-    for (k, link_down, with_hosts) in [(4usize, 10usize, true), (8, 6, true), (8, 40, false)] {
-        let mut f = build(&FabricSpec { k, seed: 1, link_down, with_hosts });
-        let width = f.network.layout.width;
-        f.network.layout = HeaderLayout::with_acl_fields(width, 3, 2);
-        let all: Vec<_> = (0..f.num_dests()).map(|i| f.dest(i)).collect();
-        check(&f.network, &all, &format!("k={k} link_down={link_down} hosts={with_hosts} acl"));
-    }
-    let graph = waxman(&TopologySpec::new("scale-oracle-acl", 8, 3));
-    let opts = DatasetOpts { prefixes_per_device: 2, fault_rate: 0.5, seed: 3 };
-    let mut ds = generate(graph, HeaderLayout::new(10), &opts);
-    ds.network.layout = HeaderLayout::with_acl_fields(10, 3, 2);
-    let dests: Vec<_> = ds
-        .owned
-        .iter()
-        .enumerate()
-        .flat_map(|(d, ps)| ps.iter().map(move |&p| (NodeId(d as u32), p)))
-        .collect();
-    check(&ds.network, &dests, "waxman acl");
 }
 
 #[test]

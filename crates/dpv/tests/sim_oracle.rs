@@ -47,12 +47,7 @@ proptest! {
 
         for &addr in &addrs {
             for (s, from_s) in delivered.iter().enumerate() {
-                let verdict = simulate(
-                    &ds.network,
-                    NodeId(s as u32),
-                    Packet { dst: addr, src: 0, dport: 0 },
-                    4 * nodes,
-                );
+                let verdict = simulate(&ds.network, NodeId(s as u32), Packet { dst: addr }, 4 * nodes);
                 match verdict {
                     Verdict::Delivered(at) => {
                         // The symbolic sets must contain this packet in

@@ -2,8 +2,7 @@
 //!
 //! NCFlow's evaluation uses gravity-model and Poisson-ish demand
 //! matrices over its WANs; ARROW's uses scaled production matrices. We
-//! provide seeded gravity, uniform and bimodal generators — the three
-//! shapes the TE literature standardises on.
+//! provide seeded gravity and uniform generators.
 
 use crate::digraph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
@@ -108,35 +107,6 @@ pub fn uniform(g: &DiGraph, total_demand: f64) -> TrafficMatrix {
     tm
 }
 
-/// Bimodal model: a fraction `heavy_frac` of pairs carry `heavy_ratio`×
-/// the demand of the rest (normalised to `total_demand`).
-pub fn bimodal(
-    g: &DiGraph,
-    total_demand: f64,
-    heavy_frac: f64,
-    heavy_ratio: f64,
-    seed: u64,
-) -> TrafficMatrix {
-    let n = g.num_nodes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut weights = vec![0.0; n * n];
-    let mut raw = 0.0;
-    for s in 0..n {
-        for d in 0..n {
-            if s != d {
-                let w = if rng.random::<f64>() < heavy_frac { heavy_ratio } else { 1.0 };
-                weights[s * n + d] = w;
-                raw += w;
-            }
-        }
-    }
-    let mut tm = TrafficMatrix::zeros(n);
-    for (cell, &w) in tm.demand.iter_mut().zip(&weights) {
-        *cell = total_demand * w / raw;
-    }
-    tm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +142,6 @@ mod tests {
         let tm = uniform(&g, 20.0);
         assert!((tm.get(NodeId(0), NodeId(1)) - 1.0).abs() < 1e-12);
         assert!((tm.total() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bimodal_has_two_levels() {
-        let g = ring(10, 1.0);
-        let tm = bimodal(&g, 90.0, 0.2, 10.0, 3);
-        assert!((tm.total() - 90.0).abs() < 1e-9);
-        let mut values: Vec<f64> = tm.commodities().iter().map(|&(_, _, v)| v).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        values.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        assert_eq!(values.len(), 2, "expected exactly two demand levels");
     }
 
     #[test]

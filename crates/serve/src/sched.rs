@@ -112,6 +112,19 @@ struct TenantQueue {
     failures: u32,
 }
 
+impl TenantQueue {
+    /// The breaker rule, shared by `finalize` and `recover`: a failed or
+    /// deadline'd job counts, a `Done` one resets the count, and a
+    /// cancelled one leaves it as it was.
+    fn count_outcome(&mut self, terminal: JobState) {
+        match terminal {
+            JobState::Failed | JobState::Deadline => self.failures += 1,
+            JobState::Done => self.failures = 0,
+            _ => {}
+        }
+    }
+}
+
 struct SchedState {
     jobs: BTreeMap<u64, JobRecord>,
     /// The in-memory journal of each queued job that has run a slice
@@ -233,27 +246,14 @@ impl Scheduler {
                     if terminal == JobState::Done {
                         rec.journaled = rec.total;
                     }
+                    // Rebuild the tenant's breaker in ledger order, by the
+                    // rule `finalize` applied when the outcome was live.
+                    let tenant = rec.tenant.clone();
+                    state.tenant_mut(&tenant).count_outcome(terminal);
                 }
             }
         }
-        // Rebuild each tenant's breaker from its terminal outcomes in
-        // ledger order, then queue the survivors in admission order.
-        for line in &replay.records {
-            if let LedgerLine::Done { job, outcome } = line {
-                if let Some(tenant) = state.jobs.get(job).map(|j| j.tenant.clone()) {
-                    let failed = matches!(
-                        JobState::parse(outcome),
-                        Some(JobState::Failed) | Some(JobState::Deadline)
-                    );
-                    let tq = state.tenant_mut(&tenant);
-                    if failed {
-                        tq.failures += 1;
-                    } else {
-                        tq.failures = 0;
-                    }
-                }
-            }
-        }
+        // Queue the survivors in admission order.
         let pending: Vec<u64> = state
             .jobs
             .values()
@@ -488,13 +488,7 @@ impl Scheduler {
             rec.state = terminal;
             rec.tenant.clone()
         };
-        let failed = matches!(terminal, JobState::Failed | JobState::Deadline);
-        let tq = state.tenant_mut(&tenant);
-        if failed {
-            tq.failures += 1;
-        } else if terminal == JobState::Done {
-            tq.failures = 0;
-        }
+        state.tenant_mut(&tenant).count_outcome(terminal);
         self.storage
             .ledger_append(&wal::line(&LedgerLine::Done { job: id, outcome: terminal.wire().to_string() })?)?;
         self.idle.notify_all();

@@ -4,15 +4,19 @@
 //! A `SUBMIT` frame carries the entire job description as a single
 //! token (`systems=ncflow+arrow;styles=text;profiles=none;seeds=2`),
 //! which this module parses into the *same* [`SweepConfig`] the
-//! one-shot CLI builds from the equivalent flags. That shared
+//! one-shot CLI builds from the equivalent flags: both apply each
+//! field through [`SweepConfig::set_field`], this module with `;`
+//! between fields, `key=value` and `+` between list entries. That shared
 //! construction is the root of the determinism contract: identical
 //! config → identical fingerprint → identical journal bytes, whether
 //! the matrix runs via `netrepro sweep` or through the daemon.
 
-use netrepro_core::fault::FaultProfile;
-use netrepro_core::harness::{SweepConfig, TopoScale};
-use netrepro_core::paper::TargetSystem;
-use netrepro_core::prompt::PromptStyle;
+use netrepro_core::harness::SweepConfig;
+// The value types of the config's fields, which the tests name.
+#[cfg(test)]
+use netrepro_core::{
+    fault::FaultProfile, harness::TopoScale, paper::TargetSystem, prompt::PromptStyle,
+};
 
 /// Hard cap on an accepted spec token, below the job-frame cap so an
 /// over-long spec is rejected as `payload-too-large` at admission
@@ -30,17 +34,6 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-/// The lowercase wire token for a system (the CLI flag vocabulary).
-fn system_token(s: TargetSystem) -> &'static str {
-    match s {
-        TargetSystem::NcFlow => "ncflow",
-        TargetSystem::Arrow => "arrow",
-        TargetSystem::ApKeep => "apkeep",
-        TargetSystem::ApVerifier => "ap",
-        TargetSystem::RockPaperScissors => "rps",
-    }
-}
 
 /// A parsed job spec — a thin, canonically-encodable wrapper around
 /// the harness's [`SweepConfig`] plus serve-only scheduling fields.
@@ -77,69 +70,29 @@ impl JobSpec {
                 return Err(SpecError(format!("repeated key {key:?}")));
             }
             seen.push(key);
-            let limits = &mut config.limits;
-            match key {
-                "systems" => config.systems = parse_list(value, TargetSystem::parse, key)?,
-                "styles" => config.styles = parse_list(value, PromptStyle::parse, key)?,
-                "profiles" => config.profiles = parse_list(value, FaultProfile::parse, key)?,
-                "scales" => config.scales = parse_list(value, TopoScale::parse, key)?,
-                "seeds" => {
-                    let n: u64 = parse_num(value, key)?;
-                    if n == 0 {
-                        return Err(SpecError("seeds must be at least 1".into()));
-                    }
-                    config.seeds = (0..n).collect();
-                }
-                "deadline" => limits.deadline_steps = parse_num(value, key)?,
-                "attempts" => limits.max_attempts = parse_num(value, key)?,
-                "breaker" => limits.breaker_threshold = parse_num(value, key)?,
-                "clock" => clock_limit = parse_num(value, key)?,
-                _ => return Err(SpecError(format!("unknown key {key:?}"))),
+            if key == "clock" {
+                clock_limit =
+                    value.parse().map_err(|_| SpecError(format!("bad clock value {value:?}")))?;
+            } else {
+                config
+                    .set_field(key, value.split('+'))
+                    .map_err(|e| SpecError(format!("key {key:?}: {e}")))?;
             }
         }
         Ok(JobSpec { config, clock_limit })
     }
 
-    /// Canonical wire token: every field explicit, fixed order. Two
-    /// specs that parse to the same config encode identically.
+    /// Canonical wire token: every field explicit, in
+    /// [`SweepConfig::FIELDS`] order, then `clock`. Two specs that parse
+    /// to the same config encode identically.
     pub fn wire(&self) -> String {
-        let systems: Vec<&str> = self.config.systems.iter().map(|&s| system_token(s)).collect();
-        let styles: Vec<&str> = self.config.styles.iter().map(|s| s.name()).collect();
-        let profiles: Vec<&str> = self.config.profiles.iter().map(|p| p.name()).collect();
-        let scales: Vec<String> = self.config.scales.iter().map(|s| s.name()).collect();
-        format!(
-            "systems={};styles={};profiles={};scales={};seeds={};deadline={};attempts={};breaker={};clock={}",
-            systems.join("+"),
-            styles.join("+"),
-            profiles.join("+"),
-            scales.join("+"),
-            self.config.seeds.len(),
-            self.config.limits.deadline_steps,
-            self.config.limits.max_attempts,
-            self.config.limits.breaker_threshold,
-            self.clock_limit,
-        )
+        let mut wire = String::new();
+        for (key, values) in self.config.fields() {
+            wire.push_str(&format!("{key}={};", values.join("+")));
+        }
+        wire.push_str(&format!("clock={}", self.clock_limit));
+        wire
     }
-}
-
-fn parse_list<T>(
-    value: &str,
-    parse: impl Fn(&str) -> Option<T>,
-    key: &str,
-) -> Result<Vec<T>, SpecError> {
-    let items: Vec<T> = value
-        .split('+')
-        .filter(|v| !v.is_empty())
-        .map(|v| parse(v).ok_or_else(|| SpecError(format!("bad {key} entry {v:?}"))))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err(SpecError(format!("{key} list is empty")));
-    }
-    Ok(items)
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, SpecError> {
-    value.parse().map_err(|_| SpecError(format!("bad {key} value {value:?}")))
 }
 
 #[cfg(test)]

@@ -382,3 +382,42 @@ fn ledger_torn_inside_a_utf8_character_recovers() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_cancelled_job_leaves_the_breaker_count_alone_across_a_restart() {
+    // Failed, Failed, Cancelled, Failed at threshold 3: a cancellation
+    // neither counts nor resets, so the live daemon opens the breaker
+    // on the third failure, and the recovered one must agree. The job
+    // is cancelled while no worker runs, so the first two failures run
+    // on a daemon of their own.
+    let cfg = SchedConfig { breaker_threshold: 3, tenant_quota: 8, ..SchedConfig::default() };
+    let storage = MemStorage::new();
+    let factory = poison_factory();
+    let sched = Arc::new(
+        Scheduler::recover(cfg.clone(), Arc::clone(&factory), Arc::new(storage.clone()))
+            .expect("recover"),
+    );
+    let p1 = submit_ok(&sched, "mallory", 1, POISON_SPEC);
+    let p2 = submit_ok(&sched, "mallory", 2, POISON_SPEC);
+    run_to_idle(&sched);
+    let sched = Arc::new(
+        Scheduler::recover(cfg.clone(), Arc::clone(&factory), Arc::new(storage.clone()))
+            .expect("recover"),
+    );
+    let queued = submit_ok(&sched, "mallory", 3, SMALL);
+    assert_eq!(sched.cancel(queued).expect("cancel"), Some(JobState::Cancelled));
+    let p3 = submit_ok(&sched, "mallory", 4, POISON_SPEC);
+    run_to_idle(&sched);
+    for id in [p1, p2, p3] {
+        assert_eq!(sched.status(id).expect("status").0, JobState::Failed, "job {id}");
+    }
+    assert_eq!(
+        sched.submit("mallory", 5, SMALL).expect("submit"),
+        Admission::Rejected(RejectReason::TenantBreakerOpen),
+    );
+    let revived = Scheduler::recover(cfg, factory, Arc::new(storage.clone())).expect("recover again");
+    assert_eq!(
+        revived.submit("mallory", 5, SMALL).expect("submit"),
+        Admission::Rejected(RejectReason::TenantBreakerOpen),
+    );
+}
