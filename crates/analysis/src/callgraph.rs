@@ -9,7 +9,7 @@
 //!   functions, with their crate, module path (derived from the file
 //!   layout plus inline `mod` blocks), `impl`/`trait` type context,
 //!   and a `cfg(test)`/`#[test]` flag;
-//! * **call sites** — qualified paths (`Instant::now`, `shard::merge`),
+//! * **call sites** — qualified paths (`Instant::now`, `pool::run_ordered`),
 //!   method calls (`.lock(…)`), and macro invocations (`panic!`),
 //!   with local `let`/parameter bindings shadowing bare idents so a
 //!   closure variable named like a workspace function never resolves
@@ -24,9 +24,9 @@
 //!
 //! Resolution of call sites to workspace functions (and the
 //! dependency-cone filtering that keeps, say, the CLI's file-journal
-//! `append` from leaking `Io` into `core::shard::merge` through a
-//! `dyn` sink) lives in [`crate::effects`]; this module only reports
-//! what the source *says*.
+//! `append` from leaking `Io` into `core::harness::Sweep::run_slice`
+//! through a `dyn` sink) lives in [`crate::effects`]; this module only
+//! reports what the source *says*.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};

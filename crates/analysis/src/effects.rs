@@ -1,7 +1,7 @@
 //! Effect-inference determinism analyzer.
 //!
 //! The soundness of the memo layer (`core::cache`), the out-of-order
-//! pool (`core::pool`) and the shard merge (`core::shard`) all rest on
+//! pool (`core::pool`) and journal resume (`core::harness`) all rest on
 //! one claim: *`execute_cell` is a pure function of `CellId`*. This
 //! module proves that claim transitively instead of trusting
 //! hand-maintained per-file lists.
@@ -39,9 +39,9 @@
 //! the escape hatch burns down like `repolint.allow` does.
 //!
 //! **Enforcement.** Roots with budgets: `execute_cell` must be
-//! `Pure|SeededRng`, the commit path and `shard::merge` must be pure,
-//! pool/shard drivers may add `GlobalState|Panic` (locks, channel ops,
-//! panic re-raise) but never `Wallclock`. Every violation prints a
+//! `Pure|SeededRng`, the commit path must be pure, the pool driver
+//! may add `GlobalState|Panic` (locks, channel ops, panic re-raise)
+//! but never `Wallclock`. Every violation prints a
 //! witness chain `root → … → offending fn` ending at the intrinsic
 //! source. A root that no longer matches any function is itself an
 //! error, so a rename cannot silently drop enforcement.
@@ -222,16 +222,6 @@ impl EffectConfig {
                     "core::harness::Sweep::commit_cell",
                     &[],
                     "commit advances the virtual clock and breakers; any effect here skews resume",
-                ),
-                root(
-                    "core::shard::merge",
-                    &[],
-                    "the canonical journal is rebuilt here; order and content must be exact",
-                ),
-                root(
-                    "core::shard::run_shard",
-                    &[SeededRng, GlobalState, Panic],
-                    "drives the pool (locks, panic re-raise) but must never read the wall clock",
                 ),
                 root(
                     "core::pool::run_ordered",
@@ -904,8 +894,8 @@ fn resolve_call(
                     if quals.is_empty() {
                         return true;
                     }
-                    // Module-suffix match: call `shard::merge` matches
-                    // `core::shard::…::merge`.
+                    // Module-suffix match: call `pool::run_ordered` matches
+                    // `core::pool::…::run_ordered`.
                     let segs_f = f.segments();
                     let path_part = &segs_f[..segs_f.len() - 1];
                     path_part.len() >= quals.len()

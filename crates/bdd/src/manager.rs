@@ -382,6 +382,41 @@ impl BddManager {
         self.table.mk(var, low, high)
     }
 
+    /// Copy `r`, a BDD of `src`, into this manager: the same function
+    /// over the same variable indices (every manager orders variables
+    /// by index), so two engines' results compare with one `==` once
+    /// both live here. [`BddError::VariableOutOfRange`] if `r` tests a
+    /// variable this manager lacks.
+    ///
+    /// [`BddError::VariableOutOfRange`]: crate::BddError::VariableOutOfRange
+    pub fn import(&mut self, src: &BddManager, r: Ref) -> Result<Ref, crate::BddError> {
+        let mut copied = map_with_capacity(SCRATCH_CAPACITY);
+        self.import_rec(src, r.0, &mut copied).map(Ref)
+    }
+
+    fn import_rec(
+        &mut self,
+        src: &BddManager,
+        a: u32,
+        copied: &mut FnvMap<u32, u32>,
+    ) -> Result<u32, crate::BddError> {
+        if a <= TRUE.0 {
+            return Ok(a);
+        }
+        if let Some(&r) = copied.get(&a) {
+            return Ok(r);
+        }
+        let (var, low, high) = src.node(a);
+        if var >= self.num_vars {
+            return Err(crate::BddError::VariableOutOfRange { var, count: self.num_vars });
+        }
+        let l = self.import_rec(src, low, copied)?;
+        let h = self.import_rec(src, high, copied)?;
+        let r = self.table.mk(var, l, h);
+        copied.insert(a, r);
+        Ok(r)
+    }
+
     /// Conjunction `a ∧ b`.
     pub fn and(&mut self, a: Ref, b: Ref) -> Ref {
         self.binop(Op::And, a, b)
@@ -780,6 +815,30 @@ mod tests {
 
     fn mgr() -> BddManager {
         BddManager::new(4, EngineProfile::Cached)
+    }
+
+    #[test]
+    fn import_copies_a_function_between_engines() {
+        // The same function built in two managers of different engines
+        // imports to the very node the target built itself.
+        let build = |m: &mut BddManager| {
+            let (a, b, c) = (m.var(0), m.nvar(2), m.var(3));
+            let ab = m.and(a, b);
+            m.or(ab, c)
+        };
+        let mut src = BddManager::new(4, EngineProfile::Uncached);
+        let f_src = build(&mut src);
+        let mut dst = mgr();
+        let _unrelated = dst.var(1);
+        let f_dst = build(&mut dst);
+        assert_eq!(dst.import(&src, f_src), Ok(f_dst));
+        assert_eq!(dst.import(&src, TRUE), Ok(TRUE));
+        assert_eq!(dst.import(&src, FALSE), Ok(FALSE));
+        let mut narrow = BddManager::new(3, EngineProfile::Cached);
+        assert_eq!(
+            narrow.import(&src, f_src),
+            Err(crate::BddError::VariableOutOfRange { var: 3, count: 3 })
+        );
     }
 
     #[test]

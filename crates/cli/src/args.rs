@@ -1,13 +1,12 @@
 //! A small dependency-free argument parser: `--key value`, `--flag`,
 //! and positional arguments, with typed getters and error reporting.
 
-use std::collections::HashMap;
-
-/// Parsed arguments: positionals in order plus `--key [value]` options.
+/// Parsed arguments: positionals in order plus `--key [value]` options
+/// in the order given (a repeated key's last value wins).
 #[derive(Debug, Default, Clone)]
 pub struct Args {
     positional: Vec<String>,
-    options: HashMap<String, Option<String>>,
+    options: Vec<(String, Option<String>)>,
 }
 
 /// Argument errors with user-facing messages.
@@ -35,7 +34,7 @@ impl Args {
                     Some(v) if !v.starts_with("--") => it.next(),
                     _ => None,
                 };
-                out.options.insert(key.to_string(), value);
+                out.options.push((key.to_string(), value));
             } else {
                 out.positional.push(t);
             }
@@ -48,14 +47,31 @@ impl Args {
         self.positional.get(i).map(|s| s.as_str())
     }
 
+    /// The last `--key` given, if any.
+    fn option(&self, key: &str) -> Option<&Option<String>> {
+        self.options.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
     /// Whether `--key` was given (with or without a value).
     pub fn has(&self, key: &str) -> bool {
-        self.options.contains_key(key)
+        self.option(key).is_some()
     }
 
     /// String value of `--key value`.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).and_then(|v| v.as_deref())
+        self.option(key).and_then(|v| v.as_deref())
+    }
+
+    /// Refuse the first `--key` not in `known`, so a mistyped or
+    /// unsupported option fails instead of being ignored.
+    pub fn only(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.options.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some((key, _)) => Err(ArgError(format!(
+                "unknown option --{key}; this command takes --{}",
+                known.join(", --")
+            ))),
+        }
     }
 
     /// Typed value with a default.
@@ -112,6 +128,16 @@ mod tests {
         let a = parse("--n twelve");
         assert!(a.get_or::<usize>("n", 3).is_err());
         assert!(a.require::<usize>("missing").is_err());
+    }
+
+    #[test]
+    fn only_names_the_first_unknown_option() {
+        let a = parse("sweep --seeds 3 --colour blue --size 4 --seeds 5");
+        assert_eq!(a.get("seeds"), Some("5"), "a repeated key's last value wins");
+        assert!(a.only(&["seeds", "colour", "size"]).is_ok());
+        let e = a.only(&["seeds", "size"]).unwrap_err();
+        assert!(e.0.starts_with("unknown option --colour;"), "{e}");
+        assert!(e.0.ends_with("takes --seeds, --size"), "{e}");
     }
 
     #[test]

@@ -7,9 +7,8 @@ use netrepro_core::cache::CellMemo;
 use netrepro_core::diagnosis::{diagnose_dpv, diagnose_resilience, diagnose_te, RootCause};
 use netrepro_core::fault::FaultOutcome;
 use netrepro_core::framework::AutoEngineer;
-use netrepro_core::harness::{self, CellWork, JournalSink, Sweep, SweepConfig, SweepReport};
+use netrepro_core::harness::{self, JournalSink, Sweep, SweepConfig, SweepReport};
 use netrepro_core::paper::TargetSystem;
-use netrepro_core::shard::{self, CoordLine, Lease, ShardFault};
 use netrepro_core::prompt::PromptStyle;
 use netrepro_core::student::Participant;
 use netrepro_core::survey::{build_corpus, SurveyStats};
@@ -51,10 +50,8 @@ commands:
             [--stage raw|final] [--json] [--fail-on error|warning|never] [--self-check]
   sweep     [--systems CSV] [--styles CSV] [--seeds N] [--profiles CSV] [--scales CSV]
             [--journal PATH] [--resume PATH] [--deadline N] [--attempts N] [--breaker N]
-            [--workers N] [--shards N] [--max-restarts N] [--json] [--out FILE]
-            [--halt-after K] [--throttle-ms MS] [--no-cache]
-  sweep-shard  (internal, spawned by sweep --shards) one shard lease:
-            --seq N --start A --end B --journal PATH [--generation G]
+            [--workers N] [--json] [--out FILE] [--halt-after K] [--throttle-ms MS]
+            [--no-cache]
   rps       serve [--addr H:P] | play [--addr H:P] [--moves RPSR...]
   serve     [--addr H:P] [--dir DIR] [--workers N] [--queue-cap N] [--tenant-quota N]
             [--job-breaker N] [--quantum N] [--throttle-ms MS] [--no-cache]
@@ -649,42 +646,6 @@ impl JournalSink for FileJournal {
     }
 }
 
-/// Wraps the shard child's [`FileJournal`] to inject [`ShardFault`]s:
-/// process-level faults strike *before* the write-ahead append, so an
-/// injected crash always leaves a clean journal prefix — exactly what
-/// a real SIGKILL between appends leaves behind. The stall sleeps at
-/// the CLI layer; `core::shard` itself never reads the wall clock.
-struct ShardFaultSink {
-    inner: FileJournal,
-    /// The next append is the shard header (never faulted: the fault
-    /// schedule covers journaled cells only).
-    header_pending: bool,
-    /// Pre-rolled fault per remaining cell, popped per work line.
-    actions: std::collections::VecDeque<Option<ShardFault>>,
-}
-
-impl JournalSink for ShardFaultSink {
-    fn append(&mut self, line: &str) -> Result<(), String> {
-        if self.header_pending {
-            self.header_pending = false;
-            return self.inner.append(line);
-        }
-        match self.actions.pop_front().flatten() {
-            Some(ShardFault::Crash) => {
-                // Dedicated exit code so tests can tell an injected
-                // crash from a real failure; the coordinator respawns
-                // the lease at the next generation either way.
-                std::process::exit(5);
-            }
-            Some(ShardFault::Stall) => {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            None => {}
-        }
-        self.inner.append(line)
-    }
-}
-
 /// Aggregate the sweep's cells into a per-(system, style, profile) text
 /// table: coverage plus mean prompts/LoC over completed cells.
 fn print_sweep_table(report: &SweepReport) {
@@ -738,12 +699,9 @@ fn print_sweep_table(report: &SweepReport) {
     }
 }
 
-/// Parse the matrix + limit flags shared by `sweep` (serial and
-/// coordinator alike) and the `sweep-shard` child, so all three build
-/// the same [`SweepConfig`] — and therefore the same fingerprint —
-/// from the same flag set. Each flag is named after its
-/// [`SweepConfig::FIELDS`] entry and lists take `,`; an omitted flag
-/// keeps the [`SweepConfig::default`] value.
+/// Parse the sweep's matrix + limit flags into a [`SweepConfig`]. Each
+/// flag is named after its [`SweepConfig::FIELDS`] entry and lists take
+/// `,`; an omitted flag keeps the [`SweepConfig::default`] value.
 fn sweep_config_from(a: &Args) -> Result<SweepConfig, ArgError> {
     let mut config = SweepConfig::default();
     for key in SweepConfig::FIELDS {
@@ -769,12 +727,11 @@ fn sweep_workers_from(a: &Args) -> Result<usize, ArgError> {
 }
 
 /// A [`Sweep`] wired with the Tier A static gate and, when given, a
-/// shared deterministic memo: the one builder behind `sweep`,
-/// `sweep-shard`, the shard merge and the daemon's jobs. Memoization
-/// is on by default: execute_cell is a pure function of the cell id,
-/// so the memo cannot change a single journal or report byte
-/// (property-tested) — `--no-cache` exists for A/B timing, not
-/// correctness.
+/// shared deterministic memo: the one builder behind `sweep` and the
+/// daemon's jobs. Memoization is on by default: execute_cell is a pure
+/// function of the cell id, so the memo cannot change a single journal
+/// or report byte (property-tested) — `--no-cache` exists for A/B
+/// timing, not correctness.
 fn sweep_runtime(config: &SweepConfig, workers: usize, memo: Option<Arc<CellMemo>>) -> Sweep {
     let runtime = Sweep::new(config.clone())
         .with_workers(workers)
@@ -788,43 +745,33 @@ fn sweep_runtime(config: &SweepConfig, workers: usize, memo: Option<Arc<CellMemo
     }
 }
 
-/// The `--out`/`--json`/table tail shared by the serial sweep and the
-/// shard coordinator — both must print a completed matrix identically.
-fn emit_sweep_report(a: &Args, report: &SweepReport) -> CmdResult {
-    if let Some(out) = a.get("out") {
-        std::fs::write(out, report.render_json())
-            .map_err(|e| ArgError(format!("{out}: {e}")))?;
-    }
-    if a.has("json") {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.summary());
-        print_sweep_table(report);
-    }
-    Ok(())
-}
+/// The flags `sweep` reads besides [`SweepConfig::FIELDS`].
+const SWEEP_FLAGS: [&str; 8] =
+    ["journal", "resume", "workers", "json", "out", "halt-after", "throttle-ms", "no-cache"];
 
 /// `netrepro sweep` — the crash-safe orchestration runtime over the
 /// full system × style × seed × profile matrix. Every finished cell is
 /// appended to a JSONL journal before the sweep moves on; `--resume`
 /// replays a journal (dropping a torn trailing record) and executes
-/// only the remainder, producing a byte-identical report. With
-/// `--shards N` the matrix runs as N coordinator-supervised child
-/// processes instead ([`sweep_coordinator`]).
+/// only the remainder, producing a byte-identical report.
 pub fn sweep(a: &Args) -> CmdResult {
+    a.only(&[&SweepConfig::FIELDS[..], &SWEEP_FLAGS[..]].concat()).map_err(|e| {
+        ArgError(format!(
+            "{e}. The sweep runs in one process: --workers N sets its threads, and \
+             --resume PATH continues a run after a crash"
+        ))
+    })?;
     let config = sweep_config_from(a)?;
     let workers = sweep_workers_from(a)?;
-    if a.has("shards") {
-        return sweep_coordinator(a, &config, workers);
-    }
     let runtime = sweep_runtime(&config, workers, (!a.has("no-cache")).then(CellMemo::shared));
     let halt_after =
         if a.has("halt-after") { Some(a.require::<u64>("halt-after")?) } else { None };
     let throttle_ms: u64 = a.get_or("throttle-ms", 0)?;
 
     let report = if let Some(path) = a.get("resume") {
-        let text = read_resumed(path, "journal")?;
-        let replay = harness::parse_journal(&text, &config).map_err(|e| ArgError(e.to_string()))?;
+        let text = read_resumed(path)?;
+        let replay = harness::parse_journal(&text, &config)
+            .map_err(|e| ArgError(format!("{path}: {e}")))?;
         if replay.dropped_partial {
             eprintln!("journal {path}: dropped a torn trailing record; its cell re-runs");
         }
@@ -848,314 +795,25 @@ pub fn sweep(a: &Args) -> CmdResult {
         let mut sink = FileJournal::new(file, halt_after, throttle_ms);
         runtime.run(&mut sink).map_err(ArgError)?
     };
-    emit_sweep_report(a, &report)
+    if let Some(out) = a.get("out") {
+        std::fs::write(out, report.render_json())
+            .map_err(|e| ArgError(format!("{out}: {e}")))?;
+    }
+    if a.has("json") {
+        println!("{}", report.render_json());
+    } else {
+        print!("{}", report.summary());
+        print_sweep_table(&report);
+    }
+    Ok(())
 }
 
-/// Read the log that `--resume` names. Unlike a shard journal, which a
-/// fresh lease has yet to write, it must exist.
-fn read_resumed(path: &str, what: &str) -> Result<String, ArgError> {
+/// Read the journal that `--resume` names; it must exist.
+fn read_resumed(path: &str) -> Result<String, ArgError> {
     if !std::path::Path::new(path).exists() {
-        return Err(ArgError(format!("cannot read {what} {path}: no such file")));
+        return Err(ArgError(format!("cannot read journal {path}: no such file")));
     }
     wal::read(path.as_ref()).map_err(ArgError)
-}
-
-/// Path of the shard journal for lease `seq` inside the shard
-/// directory.
-fn shard_file(dir: &str, seq: u64) -> String {
-    format!("{dir}/shard-{seq}.jsonl")
-}
-
-/// Read `lease`'s shard journal in `dir`, add its works to `works`, and
-/// return how many it holds; a missing file holds none. The one way the
-/// coordinator reads a shard journal — on resume and after each child
-/// exit — so a journal that does not parse is always an error naming
-/// the file, never a lease silently counted as empty.
-fn harvest_shard(
-    dir: &str,
-    config: &SweepConfig,
-    lease: Lease,
-    works: &mut std::collections::BTreeMap<u64, CellWork>,
-) -> Result<usize, ArgError> {
-    let path = shard_file(dir, lease.seq);
-    let text = wal::read(path.as_ref()).map_err(ArgError)?;
-    let replay = shard::parse_shard_journal(&text, config, lease)
-        .map_err(|e| ArgError(format!("{path}: {e}")))?;
-    let journaled = replay.records.len();
-    works.extend((lease.start..).zip(replay.records));
-    Ok(journaled)
-}
-
-/// The argv for one `sweep-shard` child: the lease identity plus the
-/// matrix/limit flags that rebuild the coordinator's exact config,
-/// written from that resolved config. Any drift is caught by the shard
-/// header's fingerprint check, not left to silently skew the matrix.
-fn child_args(
-    a: &Args,
-    config: &SweepConfig,
-    workers: usize,
-    lease: Lease,
-    generation: u32,
-    journal: &str,
-) -> Vec<String> {
-    let mut v: Vec<String> = [
-        "sweep-shard",
-        "--seq", &lease.seq.to_string(),
-        "--start", &lease.start.to_string(),
-        "--end", &lease.end.to_string(),
-        "--generation", &generation.to_string(),
-        "--journal", journal,
-        "--workers", &workers.to_string(),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    for (key, values) in config.fields() {
-        v.push(format!("--{key}"));
-        v.push(values.join(","));
-    }
-    if let Some(t) = a.get("throttle-ms") {
-        v.push("--throttle-ms".into());
-        v.push(t.into());
-    }
-    if let Some(k) = a.get("halt-after") {
-        v.push("--halt-after".into());
-        v.push(k.into());
-    }
-    if a.has("no-cache") {
-        v.push("--no-cache".into());
-    }
-    v
-}
-
-/// `netrepro sweep --shards N` — the multi-process coordinator.
-///
-/// Partitions the matrix into contiguous leases, journals each lease
-/// into the coordinator ledger *before* spawning its `sweep-shard`
-/// child (write-ahead: no shard journal can exist without a durable
-/// lease line), supervises the fleet with capped-exponential-backoff
-/// restarts up to `--max-restarts` per lease, and — once every cell's
-/// work is journaled — merges the shard journals into the canonical
-/// journal, byte-identical to a serial run. `--resume` truncates the
-/// ledger and every shard journal to their valid prefixes, harvests
-/// the finished works, and re-leases the remaining runs with
-/// work-stealing splits.
-fn sweep_coordinator(a: &Args, config: &SweepConfig, workers: usize) -> CmdResult {
-    let shards: usize = a.require("shards")?;
-    if shards == 0 {
-        return Err(ArgError("--shards must be at least 1".into()));
-    }
-    let max_restarts: u32 = a.get_or("max-restarts", 8)?;
-    let total = config.total_cells() as u64;
-    let exe = std::env::current_exe().map_err(|e| ArgError(format!("current_exe: {e}")))?;
-
-    let resuming = a.get("resume");
-    let path = resuming.or_else(|| a.get("journal")).unwrap_or("results/sweep.jsonl");
-    let dir = format!("{path}.shards");
-    let coord_path = format!("{dir}/coordinator.jsonl");
-
-    let mut works = std::collections::BTreeMap::new();
-    let (replay, to_run) = if resuming.is_some() {
-        let text = read_resumed(&coord_path, "coordinator ledger").map_err(|e| {
-            ArgError(format!("{} (was this journal written with --shards?)", e.0))
-        })?;
-        let replay = shard::parse_coord_journal(&text, config, shards)
-            .map_err(|e| ArgError(e.to_string()))?;
-        if replay.dropped_partial {
-            eprintln!("coordinator ledger {coord_path}: dropped a torn trailing record");
-        }
-        // Resume reads only the Lease lines: it harvests the shard file
-        // of every issued lease — a lease whose child never wrote a byte
-        // (or whose file is a torn header) simply contributes nothing.
-        let mut issued = 0u64;
-        for line in &replay.records {
-            if let CoordLine::Lease { lease } = *line {
-                harvest_shard(&dir, config, lease, &mut works)?;
-                issued += 1;
-            }
-        }
-        let to_run = shard::plan_leases(&shard::remaining_runs(total, &works), shards, issued);
-        eprintln!(
-            "resuming {path}: {} of {total} cells journaled across {issued} shard journal(s); \
-             {} fresh lease(s)",
-            works.len(),
-            to_run.len()
-        );
-        (replay, to_run)
-    } else {
-        // A fresh run owns the shard directory: stale journals from an
-        // abandoned run must not be harvested into this one.
-        if std::path::Path::new(&dir).exists() {
-            std::fs::remove_dir_all(&dir).map_err(|e| ArgError(format!("{dir}: {e}")))?;
-        }
-        std::fs::create_dir_all(&dir).map_err(|e| ArgError(format!("{dir}: {e}")))?;
-        let to_run: Vec<Lease> = shard::partition(total, shards)
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Lease { seq: i as u64, start: r.start, end: r.end })
-            .collect();
-        (wal::Prefix::default(), to_run)
-    };
-    let mut ledger = wal::reopen(coord_path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
-    if replay.header.is_none() {
-        ledger
-            .append(&wal::line(&shard::CoordHeader::new(config, shards)).map_err(ArgError)?)
-            .map_err(ArgError)?;
-    }
-
-    struct Slot {
-        lease: Lease,
-        child: Option<std::process::Child>,
-        generation: u32,
-        restarts: u32,
-        /// Cells in the lease's shard journal when its child was spawned.
-        journaled: usize,
-    }
-    /// Every lease's slot. Dropping it kills and reaps each child still
-    /// running, so no error exit below leaves a `sweep-shard` process
-    /// appending to a journal that an immediate `--resume` would read.
-    struct Slots(Vec<Slot>);
-    impl Drop for Slots {
-        fn drop(&mut self) {
-            for mut child in self.0.iter_mut().filter_map(|s| s.child.take()) {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-    }
-    let mut slots = Slots(Vec::new());
-    for lease in to_run {
-        ledger.append(&wal::line(&CoordLine::Lease { lease }).map_err(ArgError)?).map_err(ArgError)?;
-        let sp = shard_file(&dir, lease.seq);
-        let child = std::process::Command::new(&exe)
-            .args(child_args(a, config, workers, lease, 0, &sp))
-            .spawn()
-            .map_err(|e| ArgError(format!("spawn shard {}: {e}", lease.seq)))?;
-        slots.0.push(Slot { lease, child: Some(child), generation: 0, restarts: 0, journaled: 0 });
-    }
-
-    let mut exhausted = 0usize;
-    while slots.0.iter().any(|s| s.child.is_some()) {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        for slot in &mut slots.0 {
-            let Some(child) = slot.child.as_mut() else { continue };
-            let status = match child.try_wait() {
-                Ok(None) => continue,
-                Ok(Some(status)) => status,
-                Err(e) => return Err(ArgError(format!("wait on shard {}: {e}", slot.lease.seq))),
-            };
-            slot.child = None;
-            // Each exit harvests the journal as the child left it, so
-            // the last exit of every lease leaves `works` complete.
-            let journaled = harvest_shard(&dir, config, slot.lease, &mut works)?;
-            if status.success() && journaled as u64 == slot.lease.range().len() {
-                ledger
-                    .append(&wal::line(&CoordLine::Done { seq: slot.lease.seq }).map_err(ArgError)?)
-                    .map_err(ArgError)?;
-                continue;
-            }
-            // Only a spawn that journaled no new cell is charged: injected
-            // crashes must not starve a lease that is still advancing.
-            let advanced = journaled > slot.journaled;
-            slot.journaled = journaled;
-            if !advanced {
-                slot.restarts += 1;
-            }
-            if slot.restarts > max_restarts {
-                eprintln!(
-                    "shard {} (cells {}): {status}; restart cap --max-restarts {max_restarts} \
-                     exhausted, giving up on this lease",
-                    slot.lease.seq,
-                    slot.lease.range()
-                );
-                exhausted += 1;
-                continue;
-            }
-            let wait = config.limits.backoff(slot.restarts);
-            eprintln!(
-                "shard {} (cells {}): {status}; restart {}/{max_restarts} after {wait}ms",
-                slot.lease.seq,
-                slot.lease.range(),
-                slot.restarts
-            );
-            std::thread::sleep(std::time::Duration::from_millis(wait));
-            slot.generation += 1;
-            let sp = shard_file(&dir, slot.lease.seq);
-            let child = std::process::Command::new(&exe)
-                .args(child_args(a, config, workers, slot.lease, slot.generation, &sp))
-                .spawn()
-                .map_err(|e| ArgError(format!("respawn shard {}: {e}", slot.lease.seq)))?;
-            slot.child = Some(child);
-        }
-    }
-
-    let (covered, missing) = shard::coverage_of(total, &works);
-    if !missing.is_empty() {
-        eprintln!("partial coverage: {covered} of {total} cells journaled; missing runs:");
-        for r in &missing {
-            eprintln!("  cells {r}");
-        }
-        return Err(ArgError(format!(
-            "sharded sweep incomplete: {exhausted} lease(s) exhausted the restart cap; \
-             re-run with --shards {shards} --resume {path} to continue"
-        )));
-    }
-
-    // The final journal is derived state, recomputed wholesale from the
-    // shard journals — so an interrupted merge is simply overwritten.
-    let merger = sweep_runtime(config, workers, None);
-    let mut sink = wal::reopen(path.as_ref(), 0).map_err(ArgError)?;
-    let report = shard::merge(&merger, &works, &mut sink).map_err(ArgError)?;
-    emit_sweep_report(a, &report)
-}
-
-/// `netrepro sweep-shard` — the coordinator-spawned child that
-/// executes one lease into its per-shard write-ahead journal. Internal,
-/// but runnable by hand for debugging: it resumes its own journal the
-/// same way the top-level sweep does (truncate to the valid prefix,
-/// execute the remainder).
-pub fn sweep_shard(a: &Args) -> CmdResult {
-    let config = sweep_config_from(a)?;
-    let workers = sweep_workers_from(a)?;
-    let lease = Lease { seq: a.require("seq")?, start: a.require("start")?, end: a.require("end")? };
-    let generation: u32 = a.get_or("generation", 0)?;
-    let path = a
-        .get("journal")
-        .ok_or_else(|| ArgError("sweep-shard needs --journal PATH".into()))?;
-    let halt_after =
-        if a.has("halt-after") { Some(a.require::<u64>("halt-after")?) } else { None };
-    let throttle_ms: u64 = a.get_or("throttle-ms", 0)?;
-
-    let cells = config.expand();
-    if lease.start > lease.end || lease.end as usize > cells.len() {
-        return Err(ArgError(format!(
-            "lease range {} outside the {}-cell matrix",
-            lease.range(),
-            cells.len()
-        )));
-    }
-    let text = wal::read(path.as_ref()).map_err(ArgError)?;
-    let replay =
-        shard::parse_shard_journal(&text, &config, lease).map_err(|e| ArgError(e.to_string()))?;
-    if replay.dropped_partial {
-        eprintln!("shard journal {path}: dropped a torn trailing record; its cell re-runs");
-    }
-    let file = wal::reopen(path.as_ref(), replay.valid_bytes).map_err(ArgError)?;
-
-    // Injected shard faults are rolled up front for the cells this
-    // generation will journal — pure in (cell, generation), so a
-    // respawned child rolls a fresh schedule instead of replaying the
-    // exact crash that killed it.
-    let todo = &cells[lease.start as usize + replay.records.len()..lease.end as usize];
-    let actions = todo.iter().map(|&c| shard::roll_shard_fault(c, generation)).collect();
-
-    let sweep = sweep_runtime(&config, workers, (!a.has("no-cache")).then(CellMemo::shared));
-    let mut sink = ShardFaultSink {
-        inner: FileJournal::new(file, halt_after, throttle_ms),
-        header_pending: replay.header.is_none(),
-        actions,
-    };
-    shard::run_shard(&sweep, lease, &replay, &mut sink).map_err(ArgError)
 }
 
 /// `netrepro rps serve|play`

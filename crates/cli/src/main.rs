@@ -15,9 +15,9 @@
 //! netrepro analyze  [--system ncflow|arrow|apkeep|ap|rps] [--seed N] [--style mono|text|pseudo]
 //!                   [--stage raw|final] [--json] [--fail-on error|warning|never] [--self-check]
 //! netrepro sweep    [--systems CSV] [--styles CSV] [--seeds N] [--profiles CSV]
-//!                   [--journal PATH] [--resume PATH] [--deadline N] [--attempts N]
-//!                   [--breaker N] [--workers N] [--shards N] [--max-restarts N]
-//!                   [--json] [--out FILE] [--halt-after K] [--throttle-ms MS] [--no-cache]
+//!                   [--scales CSV] [--journal PATH] [--resume PATH] [--deadline N]
+//!                   [--attempts N] [--breaker N] [--workers N] [--json] [--out FILE]
+//!                   [--halt-after K] [--throttle-ms MS] [--no-cache]
 //! netrepro rps      serve [--addr HOST:PORT] | play [--addr HOST:PORT] [--moves RPS...]
 //! netrepro serve    [--addr HOST:PORT] [--dir DIR] [--workers N] [--queue-cap N]
 //!                   [--tenant-quota N] [--job-breaker N] [--quantum N]
@@ -52,7 +52,6 @@ fn main() {
         Some("validate") => cmd::validate(&a),
         Some("analyze") => cmd::analyze(&a),
         Some("sweep") => cmd::sweep(&a),
-        Some("sweep-shard") => cmd::sweep_shard(&a),
         Some("rps") => cmd::rps(&a),
         Some("serve") => cmd::serve(&a),
         Some("submit") => cmd::submit(&a),

@@ -466,259 +466,48 @@ fn sweep_resume_on_torn_header_only_journal_starts_fresh() {
     );
 }
 
-/// Runs `matrix` serially and with `--shards shards`, asserts the merged
-/// journal and report are byte-identical to serial, and returns the
-/// sharded run's stderr.
-fn assert_sharded_matches_serial(tag: &str, matrix: &[&str], shards: &str) -> String {
-    let (sj, so) = (scratch(&format!("{tag}-serial.jsonl")), scratch(&format!("{tag}-serial.json")));
-    let (_, _, ok) =
-        run(&[&["sweep"], matrix, &["--workers", "1", "--journal", &sj, "--out", &so]].concat());
-    assert!(ok, "serial sweep runs");
-    let (pj, po) = (scratch(&format!("{tag}-sharded.jsonl")), scratch(&format!("{tag}-sharded.json")));
-    let (_, stderr, ok) = run(
-        &[&["sweep"], matrix, &["--workers", "1", "--shards", shards, "--journal", &pj, "--out", &po]]
-            .concat(),
-    );
-    assert!(ok, "sharded sweep runs: {stderr}");
-    assert_eq!(
-        std::fs::read_to_string(&sj).unwrap(),
-        std::fs::read_to_string(&pj).unwrap(),
-        "merged shard journal must be byte-identical to serial"
-    );
-    assert_eq!(
-        std::fs::read_to_string(&so).unwrap(),
-        std::fs::read_to_string(&po).unwrap(),
-        "sharded report must be byte-identical to serial"
-    );
-    stderr
-}
-
 #[test]
-fn sweep_sharded_matches_serial_bytes() {
-    let matrix: &[&str] =
-        &["--systems", "ncflow,rps", "--styles", "text", "--seeds", "2", "--profiles", "none,chaos"];
-    assert_sharded_matches_serial("shard", matrix, "3");
-}
-
-#[test]
-fn sweep_sharded_chaos_matrix_completes_within_restart_budget() {
-    // 672 cells under injected shard crashes: each lease is respawned
-    // dozens of times, but every spawn journals new cells, so none of
-    // those restarts may count against --max-restarts.
-    let matrix: &[&str] = &[
-        "--systems", "ncflow,arrow,apkeep,ap", "--styles", "mono,text,pseudo", "--seeds", "28",
-        "--profiles", "none,chaos",
-    ];
-    let stderr = assert_sharded_matches_serial("chaos672", matrix, "2");
-    assert!(stderr.contains("restart"), "chaos must have crashed some shard children: {stderr}");
-}
-
-#[test]
-fn sweep_sharded_restarts_recover_from_torn_shard_journals() {
-    // --halt-after 2 makes every shard child tear its second journal
-    // line and exit 3 — each respawn makes exactly one cell of
-    // progress, so finishing at all proves the coordinator's
-    // truncate-and-respawn loop, and the byte-diff proves the merge.
-    let matrix: &[&str] =
-        &["--systems", "ncflow,rps", "--styles", "text", "--seeds", "2", "--profiles", "none,chaos"];
-    let (sj, so) = (scratch("crashy-serial.jsonl"), scratch("crashy-serial.json"));
-    let (_, _, ok) =
-        run(&[&["sweep"], matrix, &["--workers", "1", "--journal", &sj, "--out", &so]].concat());
-    assert!(ok, "serial sweep runs");
-    let (cj, co) = (scratch("crashy.jsonl"), scratch("crashy.json"));
-    let (_, stderr, ok) = run(
-        &[
-            &["sweep"],
-            matrix,
-            &["--workers", "1", "--shards", "2", "--halt-after", "2", "--journal", &cj, "--out", &co],
-        ]
-        .concat(),
-    );
-    assert!(ok, "crash-looped sharded sweep must still finish: {stderr}");
-    assert!(stderr.contains("restart"), "children must have been respawned: {stderr}");
-    assert_eq!(
-        std::fs::read_to_string(&sj).unwrap(),
-        std::fs::read_to_string(&cj).unwrap(),
-        "journal rebuilt through shard crashes must match serial"
-    );
-    assert_eq!(
-        std::fs::read_to_string(&so).unwrap(),
-        std::fs::read_to_string(&co).unwrap(),
-        "report rebuilt through shard crashes must match serial"
-    );
-}
-
-#[test]
-fn sweep_sharded_restart_cap_reports_partial_coverage_then_resumes() {
-    // --halt-after 1 tears the shard *header* on every spawn: zero
-    // progress per generation, so the cap must trip deterministically
-    // and the coordinator must exit nonzero with a coverage report
-    // instead of looping forever.
-    let matrix: &[&str] =
-        &["--systems", "ncflow,rps", "--styles", "text", "--seeds", "2", "--profiles", "none,chaos"];
-    let (kj, ko) = (scratch("cap.jsonl"), scratch("cap.json"));
-    let (_, stderr, code) = run_code(
-        &[
-            &["sweep"],
-            matrix,
-            &[
-                "--workers", "1", "--shards", "2", "--halt-after", "1", "--max-restarts", "2",
-                "--journal", &kj,
-            ],
-        ]
-        .concat(),
-    );
-    assert_eq!(code, Some(2), "exhausted restart cap must exit nonzero: {stderr}");
-    assert!(stderr.contains("restart cap --max-restarts 2 exhausted"), "{stderr}");
-    assert!(stderr.contains("partial coverage: 0 of 8 cells journaled"), "{stderr}");
-    assert!(stderr.contains("missing runs:"), "{stderr}");
-    assert!(stderr.contains("--resume"), "the error must name the remedy: {stderr}");
-    // Resume the wreck without the fault flag: the coordinator replays
-    // its ledger, re-leases the uncovered runs, and completes.
-    let (sj, so) = (scratch("cap-serial.jsonl"), scratch("cap-serial.json"));
-    let (_, _, ok) =
-        run(&[&["sweep"], matrix, &["--workers", "1", "--journal", &sj, "--out", &so]].concat());
-    assert!(ok, "serial baseline runs");
-    let (_, stderr, ok) = run(
-        &[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--resume", &kj, "--out", &ko]]
-            .concat(),
-    );
-    assert!(ok, "sharded resume must succeed: {stderr}");
-    assert!(stderr.contains("resuming"), "{stderr}");
-    assert_eq!(
-        std::fs::read_to_string(&sj).unwrap(),
-        std::fs::read_to_string(&kj).unwrap(),
-        "resumed sharded journal must match serial"
-    );
-    assert_eq!(
-        std::fs::read_to_string(&so).unwrap(),
-        std::fs::read_to_string(&ko).unwrap(),
-        "resumed sharded report must match serial"
-    );
-}
-
-#[test]
-fn sweep_shard_reports_an_unreadable_journal_instead_of_emptying_it() {
+fn sweep_resume_reports_an_unreadable_journal_and_touches_nothing() {
     // Invalid UTF-8 before the last newline is damage, not a torn
-    // write: the shard must refuse it and leave the file untouched.
+    // write: the resume must refuse it, name the file, and leave the
+    // file untouched.
     let matrix: &[&str] =
         &["--systems", "rps", "--styles", "text", "--seeds", "2", "--profiles", "none"];
-    let j = scratch("shard-utf8.jsonl");
-    let shard: &[&str] =
-        &["sweep-shard", "--seq", "0", "--start", "0", "--end", "2", "--journal", &j];
-    let (_, stderr, ok) = run(&[shard, matrix].concat());
-    assert!(ok, "shard runs: {stderr}");
+    let j = scratch("resume-utf8.jsonl");
+    let (_, stderr, ok) = run(&[&["sweep"], matrix, &["--journal", &j]].concat());
+    assert!(ok, "sweep runs: {stderr}");
     let mut bytes = std::fs::read(&j).unwrap();
     let first_record = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
     bytes.insert(first_record + 1, 0xFF);
     std::fs::write(&j, &bytes).unwrap();
-    let (_, stderr, code) = run_code(&[shard, matrix].concat());
-    assert_eq!(code, Some(2), "damaged shard journal must be refused: {stderr}");
+    let (_, stderr, code) = run_code(&[&["sweep"], matrix, &["--resume", &j]].concat());
+    assert_eq!(code, Some(2), "a damaged journal must be refused: {stderr}");
+    assert!(stderr.contains(&j), "the error must name the journal: {stderr}");
     assert!(stderr.contains("invalid UTF-8"), "{stderr}");
     assert_eq!(std::fs::read(&j).unwrap(), bytes, "the journal must be left as it was");
 }
 
 #[test]
-fn sweep_sharded_resume_reports_a_damaged_shard_journal_and_touches_nothing() {
-    // Interior damage in a shard journal is not a torn write: the
-    // coordinator's harvest must name the file and the line and exit 2
-    // before it truncates, appends to or merges anything.
+fn sweep_resume_reports_an_interior_corrupt_line_and_touches_nothing() {
+    // Interior damage is not a torn write: the resume must name the
+    // file and the line and exit 2 before it truncates or appends.
     let matrix: &[&str] =
         &["--systems", "rps", "--styles", "text", "--seeds", "4", "--profiles", "none"];
-    let j = scratch("harvest.jsonl");
-    let (_, stderr, ok) =
-        run(&[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--journal", &j]].concat());
-    assert!(ok, "sharded sweep runs: {stderr}");
-    let dir = format!("{j}.shards");
-    let shard0 = format!("{dir}/shard-0.jsonl");
-    let text = std::fs::read_to_string(&shard0).unwrap();
+    let j = scratch("resume-interior.jsonl");
+    let (_, stderr, ok) = run(&[&["sweep"], matrix, &["--journal", &j]].concat());
+    assert!(ok, "sweep runs: {stderr}");
+    let text = std::fs::read_to_string(&j).unwrap();
     let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
-    assert_eq!(lines.len(), 3, "header and two works: {text}");
+    assert_eq!(lines.len(), 5, "header and four records: {text}");
     lines[1] = "not json\n";
-    std::fs::write(&shard0, lines.concat()).unwrap();
-    let snapshot = || -> Vec<(String, Vec<u8>)> {
-        let mut files: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path().to_string_lossy().into_owned())
-            .collect();
-        files.push(j.clone());
-        files.sort();
-        files.into_iter().map(|f| (f.clone(), std::fs::read(&f).unwrap())).collect()
-    };
-    let before = snapshot();
-    let (_, stderr, code) = run_code(
-        &[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--resume", &j]].concat(),
-    );
-    assert_eq!(code, Some(2), "a damaged shard journal must stop the resume: {stderr}");
-    assert!(stderr.contains(&shard0), "the error must name the shard file: {stderr}");
+    let damaged = lines.concat();
+    std::fs::write(&j, &damaged).unwrap();
+    let (_, stderr, code) =
+        run_code(&[&["sweep"], matrix, &["--workers", "1", "--resume", &j]].concat());
+    assert_eq!(code, Some(2), "a damaged journal must stop the resume: {stderr}");
+    assert!(stderr.contains(&j), "the error must name the journal: {stderr}");
     assert!(stderr.contains("journal corrupt at line 1"), "and the bad line: {stderr}");
-    assert_eq!(snapshot(), before, "the ledger and every journal must be left as they were");
-}
-
-/// Pids of live `sweep-shard` processes whose argv mentions `needle`.
-#[cfg(target_os = "linux")]
-fn shard_children(needle: &str) -> Vec<u32> {
-    std::fs::read_dir("/proc")
-        .expect("procfs")
-        .filter_map(|e| {
-            let pid: u32 = e.ok()?.file_name().to_str()?.parse().ok()?;
-            let argv = std::fs::read(format!("/proc/{pid}/cmdline")).ok()?;
-            let argv = String::from_utf8_lossy(&argv);
-            (argv.contains("sweep-shard") && argv.contains(needle)).then_some(pid)
-        })
-        .collect()
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn sweep_coordinator_error_exit_leaves_no_shard_child_running() {
-    // A resume that plans two fresh leases (seq 2 and 3) for the cells
-    // of a deleted shard journal. Lease 2's journal path is a directory:
-    // its child exits at once, harvesting it fails, and the coordinator
-    // exits 2 while lease 3's throttled child is still mid-run. The
-    // coordinator must kill and reap that child before it returns.
-    let matrix: &[&str] =
-        &["--systems", "rps", "--styles", "text", "--seeds", "4", "--profiles", "none"];
-    let j = scratch("orphans.jsonl");
-    let (_, stderr, ok) =
-        run(&[&["sweep"], matrix, &["--workers", "1", "--shards", "2", "--journal", &j]].concat());
-    assert!(ok, "sharded sweep runs: {stderr}");
-    let dir = format!("{j}.shards");
-    std::fs::remove_file(format!("{dir}/shard-1.jsonl")).unwrap();
-    std::fs::create_dir(format!("{dir}/shard-2.jsonl")).unwrap();
-    let resume: &[&str] = &["--workers", "1", "--shards", "2", "--throttle-ms", "4000"];
-    // stderr goes to a file, not a pipe: an orphan would hold a pipe
-    // open and make the wait outlast it.
-    let log = scratch("orphans.stderr");
-    let status = Command::new(env!("CARGO_BIN_EXE_netrepro"))
-        .args([&["sweep"], matrix, resume, &["--resume", &j]].concat())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::fs::File::create(&log).unwrap())
-        .status()
-        .expect("binary runs");
-    let left = shard_children(&dir);
-    let (code, stderr) = (status.code(), std::fs::read_to_string(&log).unwrap());
-    for pid in &left {
-        let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
-    }
-    assert_eq!(code, Some(2), "an unreadable shard journal must stop the run: {stderr}");
-    assert!(stderr.contains("shard-2.jsonl"), "the error must name the shard file: {stderr}");
-    assert!(left.is_empty(), "shard children outlived the coordinator: {left:?}");
-}
-
-#[test]
-fn sweep_sharded_resume_rejects_changed_shard_count() {
-    let matrix: &[&str] =
-        &["--systems", "rps", "--styles", "text", "--seeds", "2", "--profiles", "none"];
-    let j = scratch("count.jsonl");
-    let (_, stderr, ok) =
-        run(&[&["sweep"], matrix, &["--shards", "2", "--journal", &j]].concat());
-    assert!(ok, "sharded sweep runs: {stderr}");
-    let (_, stderr, ok) =
-        run(&[&["sweep"], matrix, &["--shards", "3", "--resume", &j]].concat());
-    assert!(!ok, "a different --shards must be rejected");
-    assert!(stderr.contains("journal mismatch: shard-count"), "{stderr}");
-    assert!(stderr.contains("original shard count"), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&j).unwrap(), damaged, "the journal must be left as it was");
 }
 
 #[test]
@@ -757,10 +546,25 @@ fn sweep_resume_mismatches_are_typed_and_actionable() {
 }
 
 #[test]
-fn sweep_rejects_zero_shards() {
-    let (_, stderr, ok) = run(&["sweep", "--shards", "0"]);
-    assert!(!ok);
-    assert!(stderr.contains("--shards"), "{stderr}");
+fn sweep_rejects_options_it_does_not_read() {
+    // The retired multi-process flags and a typo alike exit 2 naming the
+    // flag, before any cell runs; the error points at what replaces them.
+    for (flag, value) in [("--shards", "2"), ("--max-restarts", "3"), ("--seed", "3")] {
+        let j = scratch("unknown-option.jsonl");
+        let (_, stderr, code) = run_code(&["sweep", flag, value, "--journal", &j]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("unknown option {flag};")), "{flag}: {stderr}");
+        assert!(stderr.contains("--workers N") && stderr.contains("--resume PATH"), "{stderr}");
+        assert!(!std::path::Path::new(&j).exists(), "{flag}: nothing may run");
+    }
+}
+
+#[test]
+fn sweep_child_command_is_unknown() {
+    let (_, stderr, code) = run_code(&["sweep-shard", "--seq", "0", "--start", "0", "--end", "1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command 'sweep-shard'"), "{stderr}");
+    assert!(stderr.contains("commands:"), "the usage follows: {stderr}");
 }
 
 #[test]

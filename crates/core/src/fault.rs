@@ -47,10 +47,6 @@ pub enum FaultSite {
     /// A worker thread in the parallel sweep pool (the machinery
     /// *around* a cell, as opposed to the cell's own supervision).
     Worker,
-    /// A shard process in the sharded sweep runtime (a whole OS
-    /// process dying or stalling, as opposed to a worker thread
-    /// inside it).
-    Shard,
 }
 
 impl FaultSite {
@@ -64,12 +60,11 @@ impl FaultSite {
             FaultSite::DpvDataset => "dpv-dataset",
             FaultSite::Harness => "harness",
             FaultSite::Worker => "worker",
-            FaultSite::Shard => "shard",
         }
     }
 
     /// Every site, in report order.
-    pub const ALL: [FaultSite; 8] = [
+    pub const ALL: [FaultSite; 7] = [
         FaultSite::LlmResponse,
         FaultSite::Session,
         FaultSite::LpSolver,
@@ -77,7 +72,6 @@ impl FaultSite {
         FaultSite::DpvDataset,
         FaultSite::Harness,
         FaultSite::Worker,
-        FaultSite::Shard,
     ];
 }
 
@@ -114,12 +108,6 @@ pub enum FaultKind {
     /// A pool worker is descheduled mid-cell, perturbing execution
     /// order (but never commit order).
     WorkerStall,
-    /// A shard process dies (SIGKILL-equivalent) before journaling its
-    /// next cell; the coordinator re-leases the unfinished range.
-    ShardCrash,
-    /// A shard process is descheduled between cells, delaying its
-    /// journal appends (but never changing their content).
-    ShardStall,
 }
 
 impl FaultKind {
@@ -138,8 +126,6 @@ impl FaultKind {
             FaultKind::TaskWedge => "task-wedge",
             FaultKind::WorkerCrash => "worker-crash",
             FaultKind::WorkerStall => "worker-stall",
-            FaultKind::ShardCrash => "shard-crash",
-            FaultKind::ShardStall => "shard-stall",
         }
     }
 }
@@ -203,11 +189,6 @@ impl FaultProfile {
             // pool must absorb them without touching any cell outcome.
             FaultKind::WorkerCrash => 0.4,
             FaultKind::WorkerStall => 0.5,
-            // Shard-site faults kill or stall a whole OS process; kept
-            // rare so a chaos matrix cannot exhaust the coordinator's
-            // restart cap on its own.
-            FaultKind::ShardCrash => 0.15,
-            FaultKind::ShardStall => 0.3,
         };
         (base * weight).min(0.95)
     }

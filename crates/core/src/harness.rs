@@ -60,7 +60,6 @@ const SALT_SESSION: u64 = 0x5e55_1011_0000_0001;
 const SALT_FAULTS: u64 = 0xfa17_0a75_0000_0002;
 const SALT_HARNESS: u64 = 0x4a52_4e53_0000_0003;
 pub(crate) const SALT_WORKER: u64 = 0x3090_4b32_0000_0004;
-pub(crate) const SALT_SHARD: u64 = 0x54a2_d001_0000_0005;
 pub(crate) const SALT_FABRIC: u64 = 0xfab2_1c5c_0000_0006;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -411,9 +410,8 @@ pub struct InjectedCrash {
 
 /// Install a process-wide panic hook that silences injected crashes
 /// (they are expected, caught, and journaled) while delegating every
-/// other panic to the previously installed hook. Idempotent. The shard
-/// child process installs it before running its range.
-pub(crate) fn install_quiet_hook() {
+/// other panic to the previously installed hook. Idempotent.
+fn install_quiet_hook() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -560,7 +558,7 @@ pub struct JournalHeader {
 
 impl JournalHeader {
     /// The header a journal of `config` starts with.
-    pub(crate) fn for_config(config: &SweepConfig) -> Self {
+    fn for_config(config: &SweepConfig) -> Self {
         JournalHeader {
             version: JOURNAL_VERSION,
             fingerprint: config.fingerprint(),
@@ -631,12 +629,6 @@ pub enum MismatchField {
     TotalCells,
     /// Memoization scheme identifier ([`crate::cache::SCHEME`]).
     CacheScheme,
-    /// Shard count in a coordinator journal header.
-    ShardCount,
-    /// Lease id in a shard journal header.
-    ShardLease,
-    /// Cell range in a shard journal header.
-    ShardRange,
 }
 
 impl MismatchField {
@@ -647,9 +639,6 @@ impl MismatchField {
             MismatchField::Fingerprint => "fingerprint",
             MismatchField::TotalCells => "total-cells",
             MismatchField::CacheScheme => "cache-scheme",
-            MismatchField::ShardCount => "shard-count",
-            MismatchField::ShardLease => "shard-lease",
-            MismatchField::ShardRange => "shard-range",
         }
     }
 
@@ -672,19 +661,6 @@ impl MismatchField {
             MismatchField::CacheScheme => {
                 "the memoization key derivation changed incompatibly; \
                  delete the journal to re-sweep under the new scheme"
-            }
-            MismatchField::ShardCount => {
-                "--shards differs from the coordinator journal; resume \
-                 with the original shard count, or delete the shard \
-                 directory to re-partition"
-            }
-            MismatchField::ShardLease => {
-                "this shard journal belongs to a different lease; delete \
-                 the shard directory to re-lease"
-            }
-            MismatchField::ShardRange => {
-                "this shard journal covers a different cell range; delete \
-                 the shard directory to re-lease"
             }
         }
     }
@@ -751,10 +727,9 @@ impl From<crate::wal::Corrupt> for JournalError {
 /// cell records, in canonical order.
 pub type Replay = crate::wal::Prefix<JournalHeader, CellRecord>;
 
-/// Validate the fields every journal header shares (version,
-/// fingerprint, matrix size, cache scheme) against `config`. The shard
-/// runtime reuses this for its extended shard and coordinator headers.
-pub(crate) fn check_header(
+/// Validate a journal header (version, fingerprint, matrix size, cache
+/// scheme) against `config`.
+fn check_header(
     header: &JournalHeader,
     config: &SweepConfig,
     total_cells: usize,
@@ -950,10 +925,9 @@ impl SweepReport {
 }
 
 /// Append committed `record` as journal line `index` and hand it back
-/// once the line is durable: with [`Sweep::commit_cell`], the one
-/// commit-and-append step behind every journal, whether
-/// [`Sweep::run_slice`] or [`crate::shard::merge`] writes it.
-pub(crate) fn append_record(
+/// once the line is durable: with [`Sweep::commit_cell`], the
+/// commit-and-append step of [`Sweep::run_slice`].
+fn append_record(
     sink: &mut dyn JournalSink,
     index: usize,
     record: CellRecord,
@@ -969,10 +943,8 @@ pub(crate) fn append_record(
 /// [`CellId`] (every RNG stream is derived from the cell key), which
 /// is what makes out-of-order parallel execution sound: the pool can
 /// run cells in any order and the commit step re-anchors them to the
-/// canonical clock and breaker state. Serializable because the sharded
-/// runtime journals works — not committed records — per shard, and the
-/// merge step replays them through [`Sweep`]'s commit path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// canonical clock and breaker state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellWork {
     /// Every attempt, in order.
     pub attempts: Vec<AttemptRecord>,
@@ -1166,7 +1138,7 @@ impl Sweep {
     }
 
     /// Whether `cell`'s class has tripped its circuit breaker.
-    pub(crate) fn breaker_tripped(&self, breaker: &BTreeMap<String, u32>, cell: CellId) -> bool {
+    fn breaker_tripped(&self, breaker: &BTreeMap<String, u32>, cell: CellId) -> bool {
         breaker.get(&cell.class()).copied().unwrap_or(0) >= self.config.limits.breaker_threshold
     }
 
@@ -1175,10 +1147,8 @@ impl Sweep {
     /// commit time* — a cell executed before an earlier-committing cell
     /// quarantined its class past the threshold is discarded here and recorded as [`CellStatus::SkippedByBreaker`],
     /// which is what makes worker-count-independence structural rather
-    /// than incidental. The shard-merge step funnels every shard's
-    /// journaled works through here in canonical order, which is why a
-    /// merged journal is byte-identical to a serial one.
-    pub(crate) fn commit_cell(
+    /// than incidental.
+    fn commit_cell(
         &self,
         cell: CellId,
         work: Option<CellWork>,
@@ -1394,7 +1364,7 @@ impl Sweep {
     /// [`TopoScale::Paper`], otherwise a partitioned DPV pass over the
     /// cell's seeded fat-tree. A pure function of `(cell, attempt)` —
     /// the fabric seed derives from the cell key via its own salt, the
-    /// churn level from the fault profile — so memoized, sharded and
+    /// churn level from the fault profile — so memoized, resumed and
     /// parallel runs all reproduce the same digest. Runs serially
     /// (`partitions: 2, workers: 1`) inside the cell; cross-cell
     /// parallelism belongs to the pool.
@@ -1427,7 +1397,7 @@ impl Sweep {
     }
 
     /// Fold the records into the final report.
-    pub(crate) fn assemble(&self, records: Vec<CellRecord>, clock: u64) -> SweepReport {
+    fn assemble(&self, records: Vec<CellRecord>, clock: u64) -> SweepReport {
         let mut coverage = Coverage {
             total: records.len() as u64,
             attempted: 0,
@@ -1499,7 +1469,7 @@ mod tests {
     fn fields_round_trip_through_set_field() {
         // Every value of every list field, and limits off their defaults:
         // the text `fields` writes must rebuild the config exactly, which
-        // is what a `sweep-shard` child and a job spec rely on.
+        // is what a job spec relies on.
         let config = SweepConfig {
             systems: [&TargetSystem::EXPERIMENT[..], &[TargetSystem::RockPaperScissors]].concat(),
             styles: vec![
@@ -1883,6 +1853,33 @@ mod tests {
         let resumed = sweep.run_from(&replay, &mut sink).unwrap();
         assert_eq!(resumed.coverage.skipped_by_breaker, 2);
         assert_eq!(resumed.render_json(), full.render_json());
+    }
+
+    #[test]
+    fn commit_discards_an_executed_cell_whose_class_already_tripped() {
+        // The pool reaches this branch only when a helper runs ahead of
+        // the commit slot that trips the breaker; drive it directly.
+        // Cells 0..=2 quarantine and trip the class, then cell 3 arrives
+        // executed: it must commit as skipped, as in the serial run.
+        let cfg = tripping_config();
+        let sweep = Sweep::new(cfg.clone());
+        let full = sweep.run(&mut MemoryJournal::new()).unwrap();
+        let cells = cfg.expand();
+        let (mut clock, mut breaker) = (0u64, BreakerCounts::new());
+        for &cell in &cells[..3] {
+            let work = Some(sweep.execute_cell(cell));
+            let record = sweep.commit_cell(cell, work, &mut clock, &mut breaker);
+            assert_eq!(record.status, CellStatus::Quarantined, "{}", cell.key());
+        }
+        let work = sweep.execute_cell(cells[3]);
+        assert!(!work.attempts.is_empty(), "cell 3 really ran");
+        let (clock_before, breaker_before) = (clock, breaker.clone());
+        let record = sweep.commit_cell(cells[3], Some(work), &mut clock, &mut breaker);
+        assert_eq!(record.status, CellStatus::SkippedByBreaker);
+        assert!(record.attempts.is_empty() && record.result.is_none());
+        assert_eq!((record.clock_start, record.clock_end), (clock_before, clock_before));
+        assert_eq!((clock, breaker), (clock_before, breaker_before), "nothing advances");
+        assert_eq!(record, full.cells[3]);
     }
 
     #[test]

@@ -51,13 +51,9 @@
 //! * [`cache`] — the deterministic memoization layer ([`cache::CellMemo`])
 //!   the sweep consults for oracle-side artifacts and warm cell replays;
 //!   observationally invisible by construction;
-//! * [`shard`] — the sharded sweep runtime: contiguous shard ranges,
-//!   per-shard write-ahead journals, a coordinator lease ledger, and
-//!   the deterministic merge that reconstructs the canonical journal
-//!   byte-identical to a serial run;
 //! * [`wal`] — the write-ahead log format and its recovery policy,
-//!   shared by the sweep and shard journals, the coordinator ledger
-//!   and the serve daemon's ledger.
+//!   shared by the sweep journal and the serve daemon's ledger and
+//!   job journals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,7 +71,6 @@ pub mod paper;
 pub mod pool;
 pub mod prompt;
 pub mod session;
-pub mod shard;
 pub mod student;
 pub mod survey;
 pub mod validate;

@@ -1,5 +1,5 @@
 //! Worker pool with a reorder buffer: the one executor every sweep
-//! mode runs its cells through.
+//! runs its cells through.
 //!
 //! The sweep matrix is embarrassingly parallel *by construction*:
 //! every cell derives its RNG streams from its own key

@@ -11,11 +11,11 @@
 
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use netrepro_bdd::EngineProfile;
-use netrepro_dpv::ap::ApVerifier;
+use netrepro_dpv::ap::{ApVerifier, AtomSet};
 use netrepro_dpv::apkeep::ApKeep;
 use netrepro_dpv::dataset::{generate, DatasetOpts, FibDataset};
 use netrepro_dpv::header::HeaderLayout;
-use netrepro_dpv::reach::{path_enumeration, selective_bfs};
+use netrepro_dpv::reach::{path_enumeration, selective_bfs, EnumResult};
 use netrepro_graph::gen::{waxman, TopologySpec};
 use netrepro_graph::{traffic, NodeId};
 use netrepro_lp::dense::DenseSimplex;
@@ -230,29 +230,21 @@ pub fn validate_ap(
     let atoms_open = open.num_atoms();
     let atoms_repro = repro.num_atoms();
 
-    // Verification (second latency column), checking result equality.
-    let mut results_equal = true;
+    // Verification (second latency column).
     let t0 = std::time::Instant::now();
-    let mut open_results = Vec::new();
-    for &(s, d) in queries {
-        open_results.push(selective_bfs(&open, s, d).delivered);
-    }
+    let open_results: Vec<_> =
+        queries.iter().map(|&(s, d)| selective_bfs(&open, s, d).delivered).collect();
     let verify_time_open = t0.elapsed();
-
     let t0 = std::time::Instant::now();
-    for (&(s, d), open_set) in queries.iter().zip(&open_results) {
-        let en = path_enumeration(&mut repro, s, d, max_paths);
-        // Atom universes are manager-specific, so compare the two
-        // results by their satisfied fraction of header space, which is
-        // engine-independent and exact for these widths.
-        let open_bdd = open.atoms.to_bdd(&mut open.manager, open_set);
-        let open_frac = open.manager.sat_fraction(open_bdd);
-        let repro_frac = repro.manager.sat_fraction(en.delivered);
-        if !en.truncated && (open_frac - repro_frac).abs() > 1e-12 {
-            results_equal = false;
-        }
-    }
+    let repro_results: Vec<_> =
+        queries.iter().map(|&(s, d)| path_enumeration(&mut repro, s, d, max_paths)).collect();
     let verify_time_repro = t0.elapsed();
+
+    // Result equality, outside both timed sections.
+    let results_equal = open_results
+        .iter()
+        .zip(&repro_results)
+        .all(|(open_set, en)| delivered_agree(&mut open, open_set, &repro, en));
 
     DpvValidation {
         dataset: name.to_string(),
@@ -263,6 +255,28 @@ pub fn validate_ap(
         verify_time_open,
         verify_time_repro,
         results_equal,
+    }
+}
+
+/// Whether a reproduced delivered set agrees with the open-source one,
+/// compared as header sets in `open`'s manager (atom universes are
+/// manager-specific). A complete enumeration must deliver the same
+/// set; a truncated one explored only some paths, so it must deliver
+/// a subset.
+fn delivered_agree(
+    open: &mut ApVerifier,
+    open_set: &AtomSet,
+    repro: &ApVerifier,
+    en: &EnumResult,
+) -> bool {
+    let open_bdd = open.atoms.to_bdd(&mut open.manager, open_set);
+    let Ok(repro_bdd) = open.manager.import(&repro.manager, en.delivered) else {
+        return false;
+    };
+    if en.truncated {
+        open.manager.implies(repro_bdd, open_bdd)
+    } else {
+        repro_bdd == open_bdd
     }
 }
 
@@ -483,6 +497,48 @@ mod tests {
         let v = validate_ap(&ds, "TestNet", &queries, 100_000);
         assert_eq!(v.atoms_open, v.atoms_repro);
         assert!(v.results_equal, "verification results diverged");
+    }
+
+    #[test]
+    fn another_destinations_equal_size_result_reads_unequal() {
+        // A reproduction that delivered another destination's prefix of
+        // the same size has the open-source sat fraction, so only a
+        // set comparison can tell it apart.
+        let ds = dpv_dataset("TestNet", 8, 12, 3);
+        let mut open = ApVerifier::build(&ds.network, EngineProfile::Cached);
+        let mut repro = ApVerifier::build(&ds.network, EngineProfile::Uncached);
+        let src = NodeId(0);
+        let fractions: Vec<(NodeId, f64)> = ds
+            .network
+            .graph
+            .nodes()
+            .filter(|&d| d != src)
+            .map(|d| {
+                let set = selective_bfs(&open, src, d).delivered;
+                let bdd = open.atoms.to_bdd(&mut open.manager, &set);
+                (d, open.manager.sat_fraction(bdd))
+            })
+            .collect();
+        let (right, wrong, open_fraction) = fractions
+            .iter()
+            .flat_map(|&(a, fa)| fractions.iter().map(move |&(b, fb)| (a, b, fa, fb)))
+            .find(|&(a, b, fa, fb)| a != b && fa > 0.0 && fa == fb)
+            .map(|(a, b, fa, _)| (a, b, fa))
+            .expect("two destinations with equal-size delivered sets");
+        let open_set = selective_bfs(&open, src, right).delivered;
+        let same = path_enumeration(&mut repro, src, right, 100_000);
+        let swapped = path_enumeration(&mut repro, src, wrong, 100_000);
+        assert!(!same.truncated && !swapped.truncated);
+        assert_eq!(repro.manager.sat_fraction(swapped.delivered), open_fraction);
+        assert!(delivered_agree(&mut open, &open_set, &repro, &same));
+        assert!(!delivered_agree(&mut open, &open_set, &repro, &swapped));
+        // A truncated enumeration delivers a lower bound: any subset of
+        // the open-source set agrees, a set outside it does not.
+        let empty = EnumResult { delivered: netrepro_bdd::FALSE, paths_explored: 0, truncated: true };
+        assert!(delivered_agree(&mut open, &open_set, &repro, &empty));
+        assert!(delivered_agree(&mut open, &open_set, &repro, &EnumResult { truncated: true, ..same }));
+        let swapped = EnumResult { truncated: true, ..swapped };
+        assert!(!delivered_agree(&mut open, &open_set, &repro, &swapped));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The write-ahead log behind every crash-safe file in the workspace:
-//! the sweep journal ([`crate::harness`]), the shard journals and the
-//! coordinator ledger ([`crate::shard`]), and the serve daemon's
+//! the sweep journal ([`crate::harness`]) and the serve daemon's
 //! ledger and per-job journals.
 //!
 //! **Format.** Line 1 is a JSON header; every later line is one JSON

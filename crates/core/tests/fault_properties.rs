@@ -34,8 +34,6 @@ fn arb_site_kind() -> impl Strategy<Value = (FaultSite, FaultKind)> {
         Just((FaultSite::Harness, FaultKind::TaskWedge)),
         Just((FaultSite::Worker, FaultKind::WorkerCrash)),
         Just((FaultSite::Worker, FaultKind::WorkerStall)),
-        Just((FaultSite::Shard, FaultKind::ShardCrash)),
-        Just((FaultSite::Shard, FaultKind::ShardStall)),
     ]
 }
 

@@ -3,8 +3,8 @@
 //! Every admission writes a [`LedgerLine::Submitted`] *before* the
 //! client sees `ACCEPTED`, and every terminal transition writes a
 //! [`LedgerLine::Done`] after the job's journal is flushed — the same
-//! write-ahead discipline as the shard coordinator's lease ledger
-//! (`core::shard`). A SIGKILL'd daemon therefore restarts knowing
+//! write-ahead discipline as the sweep journal (`core::harness`). A
+//! SIGKILL'd daemon therefore restarts knowing
 //! exactly which jobs were admitted and which finished; everything in
 //! between resumes from its own journal's valid prefix and re-runs
 //! byte-identically (cells are pure functions of the cell id).
